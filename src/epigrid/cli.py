@@ -3,32 +3,42 @@
     epigrid run --config config.json --stage all [--force] [--seed N] [--threads N]
 
 Stages execute in dependency order (ingest, weights, esda, features, train,
-importance). Each stage writes its artifacts plus a manifest entry keyed by a
-signature over input hashes and parameters; re-running a stage whose
-signature and outputs are unchanged is a no-op unless --force is given.
-Relative paths in the config resolve against the config file's directory.
-Log lines on stdout are JSON events; artifacts carry no timestamps, so a run
-is reproducible bit-for-bit from config + inputs + seeds.
+importance); PIPELINE holds one Stage record per stage with its function,
+the files it reads and the upstream stages that write them. CONFIG_FIELDS is
+the one list of config keys: each field's JSON key, strict type, default,
+range or enum check and the stage params it feeds. load_config, its
+validation and every manifest params dict come from that table.
+
+Each stage writes its artifacts plus a manifest entry keyed by a signature
+over input hashes and parameters; re-running a stage whose signature and
+outputs are unchanged is a no-op unless --force is given. A stage refuses to
+run while an upstream stage's recorded signature differs from its current
+one. Relative paths in the config resolve against the config file's
+directory. Log lines on stdout are JSON events; artifacts carry no
+timestamps, so a run is reproducible bit-for-bit from config + inputs + seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import sys
+import traceback
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, make_dataclass
 from datetime import date
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__, esda, features, geo, ingest, learn, raster
 from .errors import ConfigError, DependencyError, EngineError, LockError
-
-STAGES = ("ingest", "weights", "esda", "features", "train", "importance")
 
 DEFAULT_LANDCOVER_CODES = {
     "trees": 1,
@@ -38,42 +48,143 @@ DEFAULT_LANDCOVER_CODES = {
     "rangeland": 5,
 }
 
-_STATIC_RASTERS = ("elevation", "population", "landcover")
-_WEEKLY_RASTERS = ("precipitation", "temperature")
+_RASTER_ROLES = ("elevation", "population", "landcover", "precipitation", "temperature")
+
+# ---------------------------------------------------------------------------
+# config fields
 
 
-@dataclass
-class PipelineConfig:
-    disease: str
-    surveillance_csv: Path
-    districts_geojson: Path
-    rasters: dict[str, Path]
-    water_geojson: Path
-    wealth_points_csv: Path
-    panel_start: date
-    n_weeks: int
-    landcover_codes: dict[str, int]
-    buffers_km: list[float]
-    weights_kind: str
-    weights_tolerance: float
-    esda_n_perm: int
-    esda_alpha: float
-    esda_seed: int
-    test_fraction: float
-    learn_seed: int
-    stratify: bool
-    resample_method: str
-    smote_k: int
-    criterion: str
-    n_trees: int
-    max_depth: int | None
-    min_leaf: int
-    features_per_split: int | None
-    importance_repeats: int
-    precipitation_agg: str
-    write_masked_raster: bool
-    threads: int
-    output_dir: Path
+@dataclass(frozen=True)
+class Spec:
+    """Strict type plus range or enum check of one config value."""
+
+    what: str  # completes "<key> must be ..."
+    ok: Callable[[Any], bool]
+    # (value, config directory) -> config value; a ValueError fails the check
+    convert: Callable[[Any, Path], Any] = lambda value, base: value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _integer(lo: int, optional: bool = False) -> Spec:
+    what = f"an integer >= {lo}"
+    return Spec(
+        f"null or {what}" if optional else what,
+        lambda v: (optional and v is None) or (_is_int(v) and v >= lo),
+    )
+
+
+def _number(what: str, ok: Callable[[float], bool]) -> Spec:
+    return Spec(what, lambda v: _is_number(v) and ok(v), lambda v, base: float(v))
+
+
+def _choice(*options: str) -> Spec:
+    return Spec("one of " + ", ".join(map(repr, options)), lambda v: isinstance(v, str) and v in options)
+
+
+def _input_path(v, base: Path) -> Path:
+    path = base / v
+    if not path.exists():
+        raise ConfigError(f"input path does not exist: {path}")
+    return path
+
+
+_TEXT = Spec("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_BOOL = Spec("true or false", lambda v: isinstance(v, bool))
+_DATE = Spec("an ISO date string", lambda v: isinstance(v, str), lambda v, base: date.fromisoformat(v))
+_INPUT = Spec("a path string", _TEXT.ok, _input_path)
+_OUTPUT = Spec("a path string", _TEXT.ok, lambda v, base: base / v)
+_RASTERS = Spec(
+    "an object naming a path for each of " + ", ".join(_RASTER_ROLES),
+    lambda v: isinstance(v, dict)
+    and set(_RASTER_ROLES) <= set(v)
+    and all(_TEXT.ok(p) for p in v.values()),
+    lambda v, base: {role: _input_path(p, base) for role, p in v.items()},
+)
+_LANDCOVER = Spec(
+    "an object of integer class codes",
+    lambda v: isinstance(v, dict) and all(_is_int(c) for c in v.values()),
+    lambda v, base: {**DEFAULT_LANDCOVER_CODES, **v},
+)
+_BUFFERS = Spec(
+    "a non-empty list of numbers >= 0",
+    lambda v: isinstance(v, list) and v != [] and all(_is_number(b) and b >= 0 for b in v),
+    lambda v, base: [float(b) for b in v],
+)
+
+_MISSING = object()
+_PANEL_STAGES = ("ingest", "esda", "features")
+
+
+@dataclass(frozen=True)
+class Field:
+    attr: str  # PipelineConfig attribute
+    key: str  # dotted JSON key
+    spec: Spec
+    default: Any = _MISSING
+    param: str | None = None  # params key in the manifest entry of each stage it feeds
+    stages: tuple[str, ...] = ()
+    override: str | None = None  # the CLI flag that replaces the value
+
+
+CONFIG_FIELDS = (
+    Field("disease", "disease", _TEXT, param="disease", stages=_PANEL_STAGES + ("train",)),
+    Field("surveillance_csv", "paths.surveillance_csv", _INPUT),
+    Field("districts_geojson", "paths.districts_geojson", _INPUT),
+    Field("rasters", "paths.rasters", _RASTERS),
+    Field("water_geojson", "paths.water_geojson", _INPUT),
+    Field("wealth_points_csv", "paths.wealth_points_csv", _INPUT),
+    Field("panel_start", "panel.start", _DATE, param="start", stages=_PANEL_STAGES),
+    Field("n_weeks", "panel.n_weeks", _integer(1), param="n_weeks", stages=_PANEL_STAGES),
+    Field("landcover_codes", "landcover_classes", _LANDCOVER, {}, "landcover_codes", ("features",)),
+    Field("buffers_km", "buffers_km", _BUFFERS, [3.0], "buffers_km", ("features",)),
+    Field("weights_kind", "weights.kind", _choice("queen", "rook"), "queen", "kind", ("weights",)),
+    Field("weights_tolerance", "weights.tolerance", _number("a number >= 0", lambda v: v >= 0),
+          1e-9, "tolerance", ("weights",)),
+    Field("esda_n_perm", "esda.n_perm", _integer(1), 999, "n_perm", ("esda",)),
+    Field("esda_alpha", "esda.alpha", _number("a number in (0, 1]", lambda v: 0 < v <= 1),
+          0.05, "alpha", ("esda",)),
+    Field("esda_seed", "esda.seed", _integer(0), 0, "seed", ("esda",), override="--seed"),
+    Field("test_fraction", "learn.test_fraction", _number("a number in (0, 1)", lambda v: 0 < v < 1),
+          0.2, "test_fraction", ("train",)),
+    Field("learn_seed", "learn.seed", _integer(0), 0, "seed", ("train", "importance"), override="--seed"),
+    Field("stratify", "learn.stratify", _BOOL, False, "stratify", ("train",)),
+    Field("resample_method", "learn.resample", _choice("none", "undersample", "smote"),
+          "none", "resample", ("train",)),
+    Field("smote_k", "learn.smote_k", _integer(1), 5, "smote_k", ("train",)),
+    Field("criterion", "learn.criterion", _choice("gini", "entropy"), "gini", "criterion", ("train",)),
+    Field("n_trees", "learn.n_trees", _integer(1), 100, "n_trees", ("train",)),
+    Field("max_depth", "learn.max_depth", _integer(1, optional=True), None, "max_depth", ("train",)),
+    Field("min_leaf", "learn.min_leaf", _integer(1), 1, "min_leaf", ("train",)),
+    Field("features_per_split", "learn.features_per_split", _integer(1, optional=True), None,
+          "features_per_split", ("train",)),
+    Field("importance_repeats", "learn.importance_repeats", _integer(1), 5, "n_repeats", ("importance",)),
+    Field("precipitation_agg", "precipitation_week_agg", _choice("mean", "sum"), "mean",
+          "precipitation_agg", ("features",)),
+    Field("write_masked_raster", "write_masked_raster", _BOOL, False, "write_masked_raster", ("features",)),
+    Field("threads", "threads", _integer(1), 1, override="--threads"),
+    Field("output_dir", "output_dir", _OUTPUT),
+)
+
+PipelineConfig = make_dataclass("PipelineConfig", [f.attr for f in CONFIG_FIELDS])
+
+
+def _lookup(doc: dict, key: str, path: Path):
+    node = doc
+    parts = key.split(".")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path}: {'.'.join(parts[:depth])} must be a JSON object")
+        if part not in node:
+            return _MISSING
+        node = node[part]
+    return node
 
 
 def load_config(path, seed_override=None, threads_override=None) -> PipelineConfig:
@@ -85,84 +196,70 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    base = path.parent
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    overrides = {"--seed": seed_override, "--threads": threads_override}
+    values = {}
+    for f in CONFIG_FIELDS:
+        name, value = f.key, f.default
+        found = _lookup(doc, f.key, path)
+        if overrides.get(f.override) is not None:
+            name, value = f.override, overrides[f.override]
+        elif found is not _MISSING:
+            value = found
+        elif value is _MISSING:
+            raise ConfigError(f"{path}: missing config key {f.key!r}")
+        try:
+            if not f.spec.ok(value):
+                raise ValueError
+            values[f.attr] = f.spec.convert(value, path.parent)
+        except ValueError:
+            raise ConfigError(f"{path}: {name} must be {f.spec.what}; got {value!r}") from None
+    return PipelineConfig(**values)
 
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
 
-    try:
-        paths = doc["paths"]
-        disease = doc["disease"]
-        panel = doc["panel"]
-        rasters = {k: resolve(v) for k, v in paths["rasters"].items()}
-        cfg = PipelineConfig(
-            disease=disease,
-            surveillance_csv=resolve(paths["surveillance_csv"]),
-            districts_geojson=resolve(paths["districts_geojson"]),
-            rasters=rasters,
-            water_geojson=resolve(paths["water_geojson"]),
-            wealth_points_csv=resolve(paths["wealth_points_csv"]),
-            panel_start=date.fromisoformat(panel["start"]),
-            n_weeks=int(panel["n_weeks"]),
-            landcover_codes={**DEFAULT_LANDCOVER_CODES, **doc.get("landcover_classes", {})},
-            buffers_km=[float(b) for b in doc.get("buffers_km", [3.0])],
-            weights_kind=doc.get("weights", {}).get("kind", "queen"),
-            weights_tolerance=float(doc.get("weights", {}).get("tolerance", 1e-9)),
-            esda_n_perm=int(doc.get("esda", {}).get("n_perm", 999)),
-            esda_alpha=float(doc.get("esda", {}).get("alpha", 0.05)),
-            esda_seed=int(doc.get("esda", {}).get("seed", 0)),
-            test_fraction=float(doc.get("learn", {}).get("test_fraction", 0.2)),
-            learn_seed=int(doc.get("learn", {}).get("seed", 0)),
-            stratify=bool(doc.get("learn", {}).get("stratify", False)),
-            resample_method=doc.get("learn", {}).get("resample", "none"),
-            smote_k=int(doc.get("learn", {}).get("smote_k", 5)),
-            criterion=doc.get("learn", {}).get("criterion", "gini"),
-            n_trees=int(doc.get("learn", {}).get("n_trees", 100)),
-            max_depth=doc.get("learn", {}).get("max_depth"),
-            min_leaf=int(doc.get("learn", {}).get("min_leaf", 1)),
-            features_per_split=doc.get("learn", {}).get("features_per_split"),
-            importance_repeats=int(doc.get("learn", {}).get("importance_repeats", 5)),
-            precipitation_agg=doc.get("precipitation_week_agg", "mean"),
-            write_masked_raster=bool(doc.get("write_masked_raster", False)),
-            threads=int(doc.get("threads", 1)),
-            output_dir=resolve(doc["output_dir"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing config key {exc}") from None
-    if seed_override is not None:
-        cfg.esda_seed = seed_override
-        cfg.learn_seed = seed_override
-    if threads_override is not None:
-        cfg.threads = threads_override
-    if not cfg.disease:
-        raise ConfigError("disease must be non-empty")
-    if cfg.n_weeks < 1:
-        raise ConfigError("panel.n_weeks must be >= 1")
-    if not cfg.buffers_km:
-        raise ConfigError("buffers_km must name at least one buffer")
-    for role in _STATIC_RASTERS + _WEEKLY_RASTERS:
-        if role not in cfg.rasters:
-            raise ConfigError(f"paths.rasters is missing role {role!r}")
-    for p in [
-        cfg.surveillance_csv,
-        cfg.districts_geojson,
-        cfg.water_geojson,
-        cfg.wealth_points_csv,
-        *cfg.rasters.values(),
-    ]:
-        if not Path(p).exists():
-            raise ConfigError(f"input path does not exist: {p}")
-    return cfg
+def _params(cfg: PipelineConfig, stage: str) -> dict:
+    """The manifest params of one stage: every config field that feeds it."""
+    params = {}
+    for f in CONFIG_FIELDS:
+        if stage in f.stages:
+            value = getattr(cfg, f.attr)
+            params[f.param] = value.isoformat() if isinstance(value, date) else value
+    return params
 
 
 # ---------------------------------------------------------------------------
-# events, hashing, manifest
+# events, writers, hashing, manifest, lock
 
 
 def _emit(event: dict) -> None:
     sys.stdout.write(json.dumps(event) + "\n")
     sys.stdout.flush()
+
+
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """Write a sibling temp file that replaces `path` only if the block succeeds."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = False) -> None:
+    with _replacing(path) as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with _replacing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _sha256(path: Path) -> str:
@@ -174,7 +271,6 @@ def _sha256(path: Path) -> str:
 
 
 def _hash_input(path: Path) -> str:
-    path = Path(path)
     if path.is_dir():
         h = hashlib.sha256()
         for child in sorted(path.iterdir()):
@@ -193,23 +289,32 @@ def _signature(inputs: dict[str, str], params: dict) -> str:
 class Manifest:
     def __init__(self, outdir: Path):
         self.path = outdir / "manifest.json"
+        self.doc = {"version": __version__, "stages": {}}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self.doc = json.load(fh)
-        else:
-            self.doc = {"version": __version__, "stages": {}}
+            try:
+                doc = json.loads(self.path.read_text(encoding="utf-8"))
+            except ValueError:
+                doc = None
+            if isinstance(doc, dict) and isinstance(doc.get("stages"), dict):
+                self.doc = doc
+            else:
+                _emit({"event": "warning", "stage": None,
+                       "message": f"{self.path} is unreadable; every stage re-runs"})
+
+    def signature(self, stage: str) -> str | None:
+        entry = self.doc["stages"].get(stage)
+        return entry.get("signature") if isinstance(entry, dict) else None
 
     def is_current(self, stage: str, signature: str, outdir: Path) -> bool:
-        entry = self.doc["stages"].get(stage)
-        if not entry or entry.get("signature") != signature:
+        if self.signature(stage) != signature:
             return False
-        for name, digest in entry.get("outputs", {}).items():
+        for name, digest in self.doc["stages"][stage].get("outputs", {}).items():
             target = outdir / name
             if not target.exists() or _sha256(target) != digest:
                 return False
         return True
 
-    def record(self, stage: str, signature: str, inputs: dict, params: dict, outputs: list[Path], outdir: Path) -> None:
+    def record(self, stage: str, signature: str, inputs: dict, params: dict, outputs: list[Path]) -> None:
         self.doc["version"] = __version__
         self.doc["stages"][stage] = {
             "signature": signature,
@@ -217,26 +322,39 @@ class Manifest:
             "params": params,
             "outputs": {p.name: _sha256(p) for p in outputs},
         }
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.path, self.doc, indent=2, sort_keys=True)
+
+
+def _dead_owner(lock: Path) -> int | None:
+    """The PID a lock file names, if that process no longer exists."""
+    try:
+        pid = int(lock.read_text())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError):  # unreadable, not a PID, or alive but not ours to signal
+        pass
+    return None
 
 
 class _Lock:
-    """One process per output directory."""
+    """One process per output directory; a lock left by a dead process is taken over."""
 
     def __init__(self, outdir: Path):
         self.path = outdir / ".lock"
         self.fd = None
 
     def __enter__(self):
+        pid = _dead_owner(self.path) if self.path.exists() else None
+        if pid is not None:
+            _emit({"event": "warning", "stage": None,
+                   "message": f"{self.path} names process {pid}, which is gone; taking the lock over"})
+            self.path.unlink(missing_ok=True)
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise LockError(
-                f"{self.path} exists: another run owns this output directory "
-                "(remove the file if that run is dead)"
-            ) from None
+            raise LockError(f"{self.path} exists: another run owns this output directory") from None
         os.write(self.fd, str(os.getpid()).encode())
         return self
 
@@ -248,7 +366,7 @@ class _Lock:
 
 
 # ---------------------------------------------------------------------------
-# geojson helpers
+# exports
 
 
 def _geometry_to_geojson(geom) -> dict:
@@ -264,147 +382,75 @@ def _geometry_to_geojson(geom) -> dict:
     return {"type": "MultiPolygon", "coordinates": polys}
 
 
-def _geojson_to_water(doc: dict) -> list:
-    from . import geometry
-
-    feats = []
-    for feature in doc.get("features", []):
-        g = feature.get("geometry") or {}
-        t = g.get("type")
-        coords = g.get("coordinates")
-        if t == "Point":
-            feats.append(geometry.PointSet(np.asarray([coords], dtype=float)))
-        elif t == "MultiPoint":
-            feats.append(geometry.PointSet(np.asarray(coords, dtype=float)))
-        elif t == "LineString":
-            feats.append(geometry.LineSet((np.asarray(coords, dtype=float),)))
-        elif t == "MultiLineString":
-            feats.append(geometry.LineSet(tuple(np.asarray(c, dtype=float) for c in coords)))
-        elif t == "Polygon":
-            feats.append(
-                geometry.MultiPolygon(
-                    (geometry.Polygon(
-                        geometry.as_ring(coords[0]),
-                        tuple(geometry.as_ring(r) for r in coords[1:]),
-                    ),)
-                )
-            )
-        elif t == "MultiPolygon":
-            feats.append(
-                geometry.MultiPolygon(
-                    tuple(
-                        geometry.Polygon(
-                            geometry.as_ring(rings[0]),
-                            tuple(geometry.as_ring(r) for r in rings[1:]),
-                        )
-                        for rings in coords
-                    )
-                )
-            )
-        else:
-            raise ConfigError(f"unsupported water geometry type {t!r}")
-    return feats
-
-
 def _float_or_none(x) -> float | None:
     return None if x is None or (isinstance(x, float) and np.isnan(x)) else float(x)
 
 
-def export_lisa_geojson(regions, result: esda.LisaResult, path) -> None:
-    """One feature per region with adm_id, quadrant, local_I, p_value."""
+def _check_lisa_rows(regions, result: esda.LisaResult) -> None:
     if len(regions) != len(result.quadrant):
         raise EngineError(
             f"{len(regions)} regions but {len(result.quadrant)} analysis rows"
         )
-    feats = []
-    for i, region in enumerate(regions):
-        feats.append(
-            {
-                "type": "Feature",
-                "properties": {
-                    "adm_id": region.adm_id,
-                    "quadrant": result.quadrant[i],
-                    "local_I": _float_or_none(result.local_i[i]),
-                    "p_value": _float_or_none(result.p_value[i]),
-                },
-                "geometry": _geometry_to_geojson(region.geometry),
-            }
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": feats}, fh)
-        fh.write("\n")
+
+
+def export_lisa_geojson(regions, result: esda.LisaResult, path) -> None:
+    """One feature per region with adm_id, quadrant, local_I, p_value."""
+    _check_lisa_rows(regions, result)
+    feats = [
+        {
+            "type": "Feature",
+            "properties": {
+                "adm_id": region.adm_id,
+                "quadrant": result.quadrant[i],
+                "local_I": _float_or_none(result.local_i[i]),
+                "p_value": _float_or_none(result.p_value[i]),
+            },
+            "geometry": _geometry_to_geojson(region.geometry),
+        }
+        for i, region in enumerate(regions)
+    ]
+    _write_json(Path(path), {"type": "FeatureCollection", "features": feats})
 
 
 def export_lisa_csv(regions, result: esda.LisaResult, path) -> None:
-    if len(regions) != len(result.quadrant):
-        raise EngineError(
-            f"{len(regions)} regions but {len(result.quadrant)} analysis rows"
-        )
-    import csv as _csv
+    _check_lisa_rows(regions, result)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["adm_id", "local_i", "p_value", "quadrant"])
-        for i, region in enumerate(regions):
-            li = _float_or_none(result.local_i[i])
-            pv = _float_or_none(result.p_value[i])
-            writer.writerow(
-                [
-                    region.adm_id,
-                    "" if li is None else repr(li),
-                    "" if pv is None else repr(pv),
-                    result.quadrant[i],
-                ]
-            )
+    def text(x) -> str:
+        x = _float_or_none(x)
+        return "" if x is None else repr(x)
+
+    _write_csv(
+        Path(path),
+        ["adm_id", "local_i", "p_value", "quadrant"],
+        (
+            [region.adm_id, text(result.local_i[i]), text(result.p_value[i]), result.quadrant[i]]
+            for i, region in enumerate(regions)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # stage implementations
 
 
-def _write_panel_csv(panel: ingest.SurveillancePanel, path) -> None:
-    import csv as _csv
-
-    counts = panel.counts_for(panel.diseases[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["adm_id", "week", "cases"])
-        for i, adm in enumerate(panel.districts):
-            for w in range(panel.n_weeks):
-                writer.writerow([adm, w + 1, int(counts[i, w])])
-
-
-def _read_panel_csv(path, disease: str, start: date, n_weeks: int) -> ingest.SurveillancePanel:
-    import csv as _csv
-
-    order: list[int] = []
-    seen: dict[int, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
+def _load_panel(cfg: PipelineConfig, out: Path):
+    """The districts, and the panel that panel.csv holds with its districts in region order."""
+    districts = ingest.parse_district_geojson(cfg.districts_geojson)
+    row_of = {r.adm_id: i for i, r in enumerate(districts)}
+    with open(out / "panel.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            if not row:
-                continue
-            adm, week, cases = int(row[0]), int(row[1]), int(row[2])
-            if adm not in seen:
-                seen[adm] = len(order)
-                order.append(adm)
-            rows.append((seen[adm], week, cases))
-    counts = np.zeros((1, len(order), n_weeks), dtype=np.int64)
-    for i, w, c in rows:
-        counts[0, i, w - 1] = c
-    return ingest.SurveillancePanel(
-        diseases=(disease,),
-        start=start,
-        n_weeks=n_weeks,
-        districts=tuple(order),
-        counts=counts,
-    )
+        rows = [tuple(map(int, row)) for row in reader if row]
+    if {adm for adm, _, _ in rows} != set(row_of):
+        raise DependencyError("panel.csv districts do not match the district file")
+    counts = np.zeros((1, len(districts), cfg.n_weeks), dtype=np.int64)
+    for adm, week, cases in rows:
+        counts[0, row_of[adm], week - 1] = cases
+    panel = ingest.SurveillancePanel((cfg.disease,), cfg.panel_start, cfg.n_weeks, tuple(row_of), counts)
+    return districts, panel
 
 
 def _weekly_raster_files(path: Path) -> list[Path]:
-    path = Path(path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.suffix == ".asc")
         if not files:
@@ -437,7 +483,12 @@ def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
             }
         )
     target = out / "panel.csv"
-    _write_panel_csv(panel, target)
+    counts = panel.counts_for(panel.diseases[0])
+    _write_csv(
+        target,
+        ["adm_id", "week", "cases"],
+        ([adm, w + 1, int(counts[i, w])] for i, adm in enumerate(panel.districts) for w in range(panel.n_weeks)),
+    )
     return [target]
 
 
@@ -449,45 +500,28 @@ def _stage_weights(cfg: PipelineConfig, out: Path) -> list[Path]:
     return [edges, islands]
 
 
-def _require(out: Path, filename: str, producer: str) -> Path:
-    target = out / filename
-    if not target.exists():
-        raise DependencyError(
-            f"{filename} is missing; run the {producer!r} stage first"
-        )
-    return target
-
-
 def _stage_esda(cfg: PipelineConfig, out: Path) -> list[Path]:
-    panel_path = _require(out, "panel.csv", "ingest")
-    edges = _require(out, "weights.csv", "weights")
-    islands = _require(out, "islands.csv", "weights")
-    districts = ingest.parse_district_geojson(cfg.districts_geojson)
-    panel = _read_panel_csv(panel_path, cfg.disease, cfg.panel_start, cfg.n_weeks)
-    by_id = {adm: i for i, adm in enumerate(panel.districts)}
-    totals_panel = panel.totals_by_district(cfg.disease)
-    totals = np.array([totals_panel[by_id[r.adm_id]] for r in districts], dtype=float)
-    w = geo.read_weights_csv(edges, islands, len(districts))
+    districts, panel = _load_panel(cfg, out)
+    totals = panel.totals_by_district(cfg.disease).astype(float)
+    w = geo.read_weights_csv(out / "weights.csv", out / "islands.csv", len(districts))
     moran = esda.morans_i(totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed)
     lisa_result = esda.lisa(
         totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed, alpha=cfg.esda_alpha
     )
     moran_path = out / "moran.json"
-    with open(moran_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "disease": cfg.disease,
-                "I": moran.I,
-                "expected_I": moran.expected_I,
-                "p_value": moran.p_value,
-                "n_permutations": moran.n_permutations,
-                "n_used": moran.n_used,
-                "seed": cfg.esda_seed,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(
+        moran_path,
+        {
+            "disease": cfg.disease,
+            "I": moran.I,
+            "expected_I": moran.expected_I,
+            "p_value": moran.p_value,
+            "n_permutations": moran.n_permutations,
+            "n_used": moran.n_used,
+            "seed": cfg.esda_seed,
+        },
+        indent=2,
+    )
     geojson_path = out / "lisa.geojson"
     export_lisa_geojson(districts, lisa_result, geojson_path)
     csv_path = out / "lisa.csv"
@@ -496,33 +530,19 @@ def _stage_esda(cfg: PipelineConfig, out: Path) -> list[Path]:
 
 
 def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
-    panel_path = _require(out, "panel.csv", "ingest")
-    districts = ingest.parse_district_geojson(cfg.districts_geojson)
-    panel = _read_panel_csv(panel_path, cfg.disease, cfg.panel_start, cfg.n_weeks)
-    by_id = {adm: i for i, adm in enumerate(panel.districts)}
-    if set(by_id) != {r.adm_id for r in districts}:
-        raise DependencyError("panel.csv districts do not match the district file")
-    region_order = [by_id[r.adm_id] for r in districts]
-    # re-order the panel so its districts follow region order
-    panel = ingest.SurveillancePanel(
-        diseases=panel.diseases,
-        start=panel.start,
-        n_weeks=panel.n_weeks,
-        districts=tuple(panel.districts[i] for i in region_order),
-        counts=panel.counts[:, region_order, :],
-    )
+    districts, panel = _load_panel(cfg, out)
 
     elevation_grid = ingest.parse_ascii_grid(cfg.rasters["elevation"])
     population_grid = ingest.parse_ascii_grid(cfg.rasters["population"])
     landcover_grid = ingest.parse_ascii_grid(cfg.rasters["landcover"])
 
-    elev = np.array(
-        [np.nan if z.mean is None else z.mean for z in raster.zonal_mean(elevation_grid, districts)]
-    )
+    def zonal_means(grid) -> list[float]:
+        return [np.nan if z.mean is None else z.mean for z in raster.zonal_mean(grid, districts)]
+
+    elev = np.array(zonal_means(elevation_grid))
     pop_sum = np.array([v for _, v in raster.zonal_sum(population_grid, districts)])
 
-    with open(cfg.water_geojson, encoding="utf-8") as fh:
-        water = _geojson_to_water(json.load(fh))
+    water = ingest.parse_water_geojson(cfg.water_geojson)
     outputs: list[Path] = []
     feature_buffer = cfg.buffers_km[0]
     near_water = None
@@ -547,31 +567,19 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     composites: dict[str, np.ndarray] = {}
     composite_params: dict[str, dict] = {}
     for cls_name, code in codes.items():
-        counts = np.array([t.counts[code] for t in tabulation], dtype=float)
-        fractions = np.array([t.fractions[code] for t in tabulation], dtype=float)
-        pops = np.array([v for _, v in class_pop[code]], dtype=float)
-        sc_counts, p_counts = features.minmax_scale(counts)
-        sc_frac, p_frac = features.minmax_scale(fractions)
-        sc_pop, p_pop = features.minmax_scale(pops)
-        composites[cls_name] = sc_counts + sc_frac + sc_pop
-        composite_params[cls_name] = {
-            "area": {"low": p_counts.low, "high": p_counts.high},
-            "fraction": {"low": p_frac.low, "high": p_frac.high},
-            "population": {"low": p_pop.low, "high": p_pop.high},
-        }
+        composites[cls_name], params = features.landcover_composite(
+            [t.counts[code] for t in tabulation],
+            [t.fractions[code] for t in tabulation],
+            [v for _, v in class_pop[code]],
+        )
+        composite_params[cls_name] = {part: asdict(p) for part, p in params.items()}
 
     wealth = features.points_to_district_values(
         ingest.parse_points_csv(cfg.wealth_points_csv), districts
     )
 
     def weekly_dataset(role: str, agg: str) -> features.DistrictDataset:
-        files = _weekly_raster_files(cfg.rasters[role])
-        cols = []
-        for f in files:
-            grid = ingest.parse_ascii_grid(f)
-            cols.append(
-                [np.nan if z.mean is None else z.mean for z in raster.zonal_mean(grid, districts)]
-            )
+        cols = [zonal_means(ingest.parse_ascii_grid(f)) for f in _weekly_raster_files(cfg.rasters[role])]
         values = np.asarray(cols, dtype=float).T  # (districts, samples)
         if values.shape[1] == 1:
             return features.DistrictDataset(values[:, 0], agg=agg)
@@ -612,25 +620,18 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
         "composite_minmax_params": composite_params,
     }
     meta_path = out / "features_meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, meta, indent=2, sort_keys=True)
     return [table_path, meta_path, *outputs]
 
 
-def _split_and_scale(cfg: PipelineConfig, table):
+def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
+    table = features.read_feature_csv(out / "features.csv")
     spec = learn.SplitSpec(
         test_fraction=cfg.test_fraction, seed=cfg.learn_seed, stratify=cfg.stratify
     )
     train, test = learn.random_split(table, spec)
     scaler = features.TableScaler("robust").fit(train.X)
-    return train.with_X(scaler.transform(train.X)), test.with_X(scaler.transform(test.X)), scaler
-
-
-def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
-    table_path = _require(out, "features.csv", "features")
-    table = features.read_feature_csv(table_path)
-    train, test, scaler = _split_and_scale(cfg, table)
+    train, test = train.with_X(scaler.transform(train.X)), test.with_X(scaler.transform(test.X))
     resampled = learn.resample(
         train, method=cfg.resample_method, seed=cfg.learn_seed, k=cfg.smote_k
     )
@@ -649,189 +650,150 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     model_doc = learn.forest_to_dict(model)
     model_doc["scaler"] = scaler.to_dict()
-    model_doc["split"] = {
-        "test_fraction": cfg.test_fraction,
-        "seed": cfg.learn_seed,
-        "stratify": cfg.stratify,
-    }
+    model_doc["split"] = asdict(spec)
     model_doc["disease"] = cfg.disease
     model_path = out / "model.json"
-    with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(model_doc, fh)
-        fh.write("\n")
+    _write_json(model_path, model_doc)
 
     metrics_path = out / "metrics.json"
-    doc = {"disease": cfg.disease, **report.to_dict()}
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(metrics_path, {"disease": cfg.disease, **report.to_dict()}, indent=2)
     metrics_csv = out / "metrics.csv"
-    import csv as _csv
-
-    with open(metrics_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        names = ["accuracy", "balanced_accuracy", "mcc", "roc_auc", "f1", "precision", "recall"]
-        writer.writerow(["metric", "value"])
-        for name in names:
-            writer.writerow([name, repr(getattr(report, name))])
-        for part, value in zip(("tp", "fp", "fn", "tn"), report.confusion):
-            writer.writerow([part, value])
+    names = ["accuracy", "balanced_accuracy", "mcc", "roc_auc", "f1", "precision", "recall"]
+    _write_csv(
+        metrics_csv,
+        ["metric", "value"],
+        [
+            *([name, repr(getattr(report, name))] for name in names),
+            *zip(("tp", "fp", "fn", "tn"), report.confusion),
+        ],
+    )
     return [model_path, metrics_path, metrics_csv]
 
 
 def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
-    table_path = _require(out, "features.csv", "features")
-    model_path = _require(out, "model.json", "train")
-    with open(model_path, encoding="utf-8") as fh:
+    with open(out / "model.json", encoding="utf-8") as fh:
         model_doc = json.load(fh)
     model = learn.forest_from_dict(model_doc)
     scaler = features.TableScaler.from_dict(model_doc["scaler"])
-    split = model_doc["split"]
-    table = features.read_feature_csv(table_path)
-    spec = learn.SplitSpec(
-        test_fraction=split["test_fraction"], seed=split["seed"], stratify=split["stratify"]
-    )
-    _, test = learn.random_split(table, spec)
+    table = features.read_feature_csv(out / "features.csv")
+    _, test = learn.random_split(table, learn.SplitSpec(**model_doc["split"]))
     test = test.with_X(scaler.transform(test.X))
     entries = learn.permutation_importance(
         model, test, metric="f1", n_repeats=cfg.importance_repeats, seed=cfg.learn_seed
     )
-    import csv as _csv
-
     csv_path = out / "importance.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["feature", "importance", "std"])
-        for e in entries:
-            writer.writerow([e.feature, repr(e.importance), repr(e.std)])
+    _write_csv(
+        csv_path,
+        ["feature", "importance", "std"],
+        ([e.feature, repr(e.importance), repr(e.std)] for e in entries),
+    )
     json_path = out / "importance.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "disease": cfg.disease,
-                "metric": "f1",
-                "n_repeats": cfg.importance_repeats,
-                "ranking": [
-                    {"feature": e.feature, "importance": e.importance, "std": e.std}
-                    for e in entries
-                ],
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(
+        json_path,
+        {
+            "disease": cfg.disease,
+            "metric": "f1",
+            "n_repeats": cfg.importance_repeats,
+            "ranking": [
+                {"feature": e.feature, "importance": e.importance, "std": e.std}
+                for e in entries
+            ],
+        },
+        indent=2,
+    )
     return [csv_path, json_path]
 
 
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "weights": _stage_weights,
-    "esda": _stage_esda,
-    "features": _stage_features,
-    "train": _stage_train,
-    "importance": _stage_importance,
-}
+# ---------------------------------------------------------------------------
+# the stage table and the runner
 
 
-def _stage_inputs(cfg: PipelineConfig, stage: str, out: Path) -> dict[str, str]:
-    raw = {
-        "ingest": [cfg.surveillance_csv, cfg.districts_geojson],
-        "weights": [cfg.districts_geojson],
-        "esda": [out / "panel.csv", out / "weights.csv", out / "islands.csv", cfg.districts_geojson],
-        "features": [
-            out / "panel.csv",
-            cfg.districts_geojson,
-            cfg.water_geojson,
-            cfg.wealth_points_csv,
-            *cfg.rasters.values(),
-        ],
-        "train": [out / "features.csv"],
-        "importance": [out / "features.csv", out / "model.json"],
-    }[stage]
-    digests = {}
-    for p in raw:
-        p = Path(p)
-        digests[p.name] = _hash_input(p) if p.exists() else "missing"
-    return digests
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    run: Callable[[PipelineConfig, Path], list[Path]]
+    upstream: dict[str, tuple[str, ...]]  # upstream stage -> the artifacts of it this stage reads
+    config_inputs: tuple[str, ...]  # PipelineConfig attributes naming input files
+
+    def inputs(self, cfg: PipelineConfig, out: Path) -> list[Path]:
+        paths = [out / name for names in self.upstream.values() for name in names]
+        for attr in self.config_inputs:
+            value = getattr(cfg, attr)
+            paths.extend(value.values() if isinstance(value, dict) else [value])
+        return paths
 
 
-def _stage_params(cfg: PipelineConfig, stage: str) -> dict:
-    common = {"disease": cfg.disease, "start": cfg.panel_start.isoformat(), "n_weeks": cfg.n_weeks}
-    if stage == "ingest":
-        return common
-    if stage == "weights":
-        return {"kind": cfg.weights_kind, "tolerance": cfg.weights_tolerance}
-    if stage == "esda":
-        return {
-            **common,
-            "n_perm": cfg.esda_n_perm,
-            "alpha": cfg.esda_alpha,
-            "seed": cfg.esda_seed,
-        }
-    if stage == "features":
-        return {
-            **common,
-            "landcover_codes": cfg.landcover_codes,
-            "buffers_km": cfg.buffers_km,
-            "precipitation_agg": cfg.precipitation_agg,
-            "write_masked_raster": cfg.write_masked_raster,
-        }
-    if stage == "train":
-        return {
-            "disease": cfg.disease,
-            "test_fraction": cfg.test_fraction,
-            "seed": cfg.learn_seed,
-            "stratify": cfg.stratify,
-            "resample": cfg.resample_method,
-            "smote_k": cfg.smote_k,
-            "criterion": cfg.criterion,
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "min_leaf": cfg.min_leaf,
-            "features_per_split": cfg.features_per_split,
-        }
-    if stage == "importance":
-        return {"n_repeats": cfg.importance_repeats, "seed": cfg.learn_seed}
-    raise EngineError(f"unknown stage {stage!r}")
+PIPELINE = (
+    Stage("ingest", _stage_ingest, {}, ("surveillance_csv", "districts_geojson")),
+    Stage("weights", _stage_weights, {}, ("districts_geojson",)),
+    Stage(
+        "esda",
+        _stage_esda,
+        {"ingest": ("panel.csv",), "weights": ("weights.csv", "islands.csv")},
+        ("districts_geojson",),
+    ),
+    Stage(
+        "features",
+        _stage_features,
+        {"ingest": ("panel.csv",)},
+        ("districts_geojson", "water_geojson", "wealth_points_csv", "rasters"),
+    ),
+    Stage("train", _stage_train, {"features": ("features.csv",)}, ()),
+    Stage("importance", _stage_importance, {"features": ("features.csv",), "train": ("model.json",)}, ()),
+)
+STAGES = tuple(s.name for s in PIPELINE)
+
+
+def _current(stage: Stage, cfg: PipelineConfig, out: Path) -> tuple[dict[str, str], dict, str]:
+    """Input digests, params and signature of a stage as it would run now."""
+    inputs = {p.name: _hash_input(p) for p in stage.inputs(cfg, out)}
+    params = _params(cfg, stage.name)
+    return inputs, params, _signature(inputs, params)
+
+
+def _check_upstream(stage: Stage, cfg, out: Path, manifest: Manifest, signatures: dict) -> None:
+    """Refuse to run on upstream artifacts that are missing or were made for another config."""
+    for up, names in stage.upstream.items():
+        recorded = manifest.signature(up)
+        if recorded is None or any(not (out / name).exists() for name in names):
+            raise DependencyError(f"{', '.join(names)} missing; run the {up!r} stage first")
+        if up not in signatures:
+            signatures[up] = _current(next(s for s in PIPELINE if s.name == up), cfg, out)[2]
+        if signatures[up] != recorded:
+            raise DependencyError(
+                f"the {up!r} stage's outputs are stale for this config; re-run the {up!r} stage first"
+            )
 
 
 def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
     """Execute one stage or the whole pipeline; returns a process exit code."""
-    wanted = list(STAGES) if stage == "all" else [stage]
     if stage != "all" and stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with _Lock(out):
         manifest = Manifest(out)
-        for name in wanted:
-            inputs = _stage_inputs(cfg, name, out)
-            params = _stage_params(cfg, name)
-            signature = _signature(inputs, params)
-            if not force and manifest.is_current(name, signature, out):
-                _emit({"event": "stage_skip", "stage": name, "reason": "signature match"})
+        signatures: dict[str, str] = {}
+        for st in PIPELINE:
+            if stage not in ("all", st.name):
                 continue
-            _emit({"event": "stage_start", "stage": name})
             try:
+                _check_upstream(st, cfg, out, manifest, signatures)
+                inputs, params, signatures[st.name] = _current(st, cfg, out)
+                if not force and manifest.is_current(st.name, signatures[st.name], out):
+                    _emit({"event": "stage_skip", "stage": st.name, "reason": "signature match"})
+                    continue
+                _emit({"event": "stage_start", "stage": st.name})
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    outputs = _STAGE_FUNCS[name](cfg, out)
-            except EngineError as exc:
-                exc.stage = name  # surfaced in the structured error report
+                    outputs = st.run(cfg, out)
+            except Exception as exc:
+                exc.stage = st.name  # surfaced in the structured error report
                 raise
             for warning in caught:
-                _emit({"event": "warning", "stage": name, "message": str(warning.message)})
-            # inputs may have been produced by earlier stages this run
-            inputs = _stage_inputs(cfg, name, out)
-            signature = _signature(inputs, params)
-            manifest.record(name, signature, inputs, params, outputs, out)
-            _emit(
-                {
-                    "event": "stage_end",
-                    "stage": name,
-                    "outputs": [p.name for p in outputs],
-                }
-            )
+                _emit({"event": "warning", "stage": st.name, "message": str(warning.message)})
+            manifest.record(st.name, signatures[st.name], inputs, params, outputs)
+            _emit({"event": "stage_end", "stage": st.name, "outputs": [p.name for p in outputs]})
     return 0
 
 
@@ -845,19 +807,14 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None, help="override esda and learn seeds")
     run_p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    stage = args.stage
     try:
         cfg = load_config(args.config, seed_override=args.seed, threads_override=args.threads)
-        return run(cfg, stage=stage, force=args.force)
-    except EngineError as exc:
-        report = {
-            "error": {
-                "stage": getattr(exc, "stage", stage),
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
-        }
-        sys.stderr.write(json.dumps(report) + "\n")
+        return run(cfg, stage=args.stage, force=args.force)
+    except Exception as exc:  # every failure ends as one structured report
+        error = {"stage": getattr(exc, "stage", args.stage), "type": type(exc).__name__, "message": str(exc)}
+        if not isinstance(exc, EngineError):  # a defect, not bad input: keep where it came from
+            error["traceback"] = traceback.format_exc()
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 1
 
 

@@ -87,30 +87,29 @@ def robust_scale(column) -> tuple[np.ndarray, RobustParams]:
     return (x - params.median) / params.iqr, params
 
 
-def landcover_composite(area, fraction, population) -> np.ndarray:
-    """Sum of the three min-max scaled components, bounded in [0, 3]."""
-    area = np.asarray(area, dtype=float)
-    fraction = np.asarray(fraction, dtype=float)
-    population = np.asarray(population, dtype=float)
-    if not (len(area) == len(fraction) == len(population)):
+def landcover_composite(area, fraction, population) -> tuple[np.ndarray, dict[str, MinMaxParams]]:
+    """Sum of the three min-max scaled components, bounded in [0, 3], plus
+    the min-max parameters of each component."""
+    parts = {"area": area, "fraction": fraction, "population": population}
+    if len({len(v) for v in parts.values()}) != 1:
         raise EngineError("area, fraction, and population must have equal lengths")
-    return minmax_scale(area)[0] + minmax_scale(fraction)[0] + minmax_scale(population)[0]
+    scaled = {name: minmax_scale(v) for name, v in parts.items()}
+    values = scaled["area"][0] + scaled["fraction"][0] + scaled["population"][0]
+    return values, {name: params for name, (_, params) in scaled.items()}
 
 
 class TableScaler:
-    """Column-wise scaler fitted once (on training rows) and never refitted."""
+    """Column-wise robust scaler fitted once (on training rows) and never refitted."""
 
     def __init__(self, kind: str = "robust"):
-        if kind not in ("robust", "minmax"):
+        if kind != "robust":
             raise EngineError(f"unknown scaler kind {kind!r}")
-        self.kind = kind
-        self.params: list | None = None
+        self.params: list[RobustParams] | None = None
 
     def fit(self, X: np.ndarray) -> "TableScaler":
         if self.params is not None:
             raise EngineError("scaler is already fitted; transform never refits")
-        scale = robust_scale if self.kind == "robust" else minmax_scale
-        self.params = [scale(X[:, j])[1] for j in range(X.shape[1])]
+        self.params = [robust_scale(X[:, j])[1] for j in range(X.shape[1])]
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -118,28 +117,19 @@ class TableScaler:
             raise EngineError("scaler must be fitted before transform")
         out = np.empty_like(np.asarray(X, dtype=float))
         for j, p in enumerate(self.params):
-            if self.kind == "robust":
-                out[:, j] = (X[:, j] - p.median) / p.iqr
-            else:
-                out[:, j] = (X[:, j] - p.low) / p.span
+            out[:, j] = (X[:, j] - p.median) / p.iqr
         return out
 
     def to_dict(self) -> dict:
         if self.params is None:
             raise EngineError("scaler not fitted")
-        if self.kind == "robust":
-            cols = [{"median": p.median, "q1": p.q1, "q3": p.q3} for p in self.params]
-        else:
-            cols = [{"low": p.low, "high": p.high} for p in self.params]
-        return {"kind": self.kind, "columns": cols}
+        cols = [{"median": p.median, "q1": p.q1, "q3": p.q3} for p in self.params]
+        return {"kind": "robust", "columns": cols}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TableScaler":
         scaler = cls(doc["kind"])
-        if scaler.kind == "robust":
-            scaler.params = [RobustParams(c["median"], c["q1"], c["q3"]) for c in doc["columns"]]
-        else:
-            scaler.params = [MinMaxParams(c["low"], c["high"]) for c in doc["columns"]]
+        scaler.params = [RobustParams(c["median"], c["q1"], c["q3"]) for c in doc["columns"]]
         return scaler
 
 

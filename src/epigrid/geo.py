@@ -3,8 +3,8 @@
 Queen contiguity joins regions whose boundaries share at least one point
 (within a snapping tolerance); rook requires a shared boundary stretch of
 positive length. Adjacency is found through a regular-grid index over
-bounding boxes but must agree exactly with an all-pairs sweep, so both paths
-share the same geometric predicates.
+bounding boxes and must agree exactly with an all-pairs sweep (the test
+oracle), so both use the same geometric predicates.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ class SpatialWeights:
     weights: tuple[tuple[float, ...], ...]
     standardized: bool
     islands: tuple[int, ...]
-
-    @property
-    def s0(self) -> float:
-        return float(sum(sum(row) for row in self.weights))
-
-    def cardinalities(self) -> np.ndarray:
-        return np.array([len(row) for row in self.neighbors], dtype=np.int64)
 
     def row_standardized(self) -> "SpatialWeights":
         rows = []
@@ -111,27 +104,14 @@ def _bbox_gap_exceeds(a, b, tolerance: float) -> bool:
     )
 
 
-def contiguous(region_a: AdminRegion, region_b: AdminRegion, kind: str, tolerance: float) -> bool:
-    """Contact predicate between two regions (shared by index and sweep paths)."""
-    segs_a = geometry.boundary_segments(region_a.geometry)
-    segs_b = geometry.boundary_segments(region_b.geometry)
-    if kind == "queen":
-        return geometry.segments_touch(segs_a, segs_b, tolerance)
-    if kind == "rook":
-        return geometry.max_collinear_overlap(segs_a, segs_b, tolerance) > tolerance
-    raise EngineError(f"unknown contiguity kind {kind!r}")
-
-
 def build_contiguity_weights(
     regions: list[AdminRegion],
     kind: str = "queen",
     tolerance: float = 1e-9,
-    method: str = "grid",
 ) -> SpatialWeights:
     """Row-standardized queen or rook contiguity weights.
 
-    method="grid" prunes candidate pairs with a regular-grid index;
-    method="bruteforce" tests every pair. Both give identical results.
+    A regular-grid index over bounding boxes prunes the candidate pairs.
     """
     if not regions:
         raise EngineError("no regions")
@@ -140,14 +120,8 @@ def build_contiguity_weights(
     n = len(regions)
     segs = [geometry.boundary_segments(r.geometry) for r in regions]
     bboxes = np.array([geometry.bounds(r.geometry) for r in regions])
-    if method == "grid":
-        candidates = _grid_candidate_pairs(bboxes, tolerance)
-    elif method == "bruteforce":
-        candidates = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    else:
-        raise EngineError(f"unknown method {method!r}")
     pairs = []
-    for i, j in candidates:
+    for i, j in _grid_candidate_pairs(bboxes, tolerance):
         if _bbox_gap_exceeds(bboxes[i], bboxes[j], tolerance):
             continue
         if kind == "queen":

@@ -60,10 +60,6 @@ def polygon(shell, holes=()) -> MultiPolygon:
     return MultiPolygon((Polygon(as_ring(shell), tuple(as_ring(h) for h in holes)),))
 
 
-def box(minx, miny, maxx, maxy) -> MultiPolygon:
-    return polygon([(minx, miny), (maxx, miny), (maxx, maxy), (minx, maxy), (minx, miny)])
-
-
 def _ring_signed_area(ring: np.ndarray) -> float:
     x, y = ring[:-1, 0], ring[:-1, 1]
     x2, y2 = ring[1:, 0], ring[1:, 1]

@@ -233,38 +233,48 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
     return records, report
 
 
+def _read_features(path) -> list:
+    """The feature list of a GeoJSON FeatureCollection file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise ParseError(f"{path}: expected a GeoJSON FeatureCollection")
+    return doc.get("features", [])
+
+
+def _multipolygon(parts) -> geometry.MultiPolygon:
+    """GeoJSON polygon coordinates, one list of rings per part: shell, then holes."""
+    return geometry.MultiPolygon(
+        tuple(
+            geometry.Polygon(
+                geometry.as_ring(rings[0]),
+                tuple(geometry.as_ring(r) for r in rings[1:]),
+            )
+            for rings in parts
+        )
+    )
+
+
 def parse_district_geojson(path) -> list[AdminRegion]:
     """Read district polygons from a GeoJSON FeatureCollection, order preserved."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
-        raise ParseError(f"{path}: expected a GeoJSON FeatureCollection")
     regions = []
-    for idx, feature in enumerate(doc.get("features", [])):
+    for idx, feature in enumerate(_read_features(path)):
         props = feature.get("properties") or {}
         if "adm_id" not in props or props["adm_id"] is None:
             raise ParseError(f"{path}: feature {idx} has no adm_id property")
         geom = feature.get("geometry") or {}
         gtype = geom.get("type")
+        if gtype not in ("Polygon", "MultiPolygon"):
+            raise ParseError(f"{path}: feature {idx} has non-polygonal geometry {gtype!r}")
+        if "coordinates" not in geom:
+            raise ParseError(f"{path}: feature {idx} has no coordinates")
         try:
-            if gtype == "Polygon":
-                parts = [geom["coordinates"]]
-            elif gtype == "MultiPolygon":
-                parts = geom["coordinates"]
-            else:
-                raise ParseError(
-                    f"{path}: feature {idx} has non-polygonal geometry {gtype!r}"
-                )
-            poly = geometry.MultiPolygon(
-                tuple(
-                    geometry.Polygon(
-                        geometry.as_ring(rings[0]),
-                        tuple(geometry.as_ring(r) for r in rings[1:]),
-                    )
-                    for rings in parts
-                )
-            )
-        except GeometryError as exc:
+            coords = geom["coordinates"]
+            poly = _multipolygon([coords] if gtype == "Polygon" else coords)
+        except (GeometryError, IndexError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: feature {idx}: {exc}") from exc
         if not poly.parts:
             raise ParseError(f"{path}: feature {idx} has empty geometry")
@@ -294,6 +304,35 @@ def parse_district_geojson(path) -> list[AdminRegion]:
             )
         seen[region.adm_id] = i
     return regions
+
+
+_WATER_TYPES = {
+    "Point": lambda c: geometry.PointSet(np.asarray([c], dtype=float)),
+    "MultiPoint": lambda c: geometry.PointSet(np.asarray(c, dtype=float)),
+    "LineString": lambda c: geometry.LineSet((np.asarray(c, dtype=float),)),
+    "MultiLineString": lambda c: geometry.LineSet(tuple(np.asarray(p, dtype=float) for p in c)),
+    "Polygon": lambda c: _multipolygon([c]),
+    "MultiPolygon": _multipolygon,
+}
+
+
+def parse_water_geojson(path) -> list:
+    """Read water features from a GeoJSON FeatureCollection, order preserved:
+    points and multipoints as PointSet, (multi)linestrings as LineSet,
+    (multi)polygons as MultiPolygon."""
+    feats = []
+    for idx, feature in enumerate(_read_features(path)):
+        geom = feature.get("geometry") or {}
+        gtype = geom.get("type")
+        if gtype not in _WATER_TYPES:
+            raise ParseError(f"{path}: water feature {idx} has unsupported geometry type {gtype!r}")
+        if "coordinates" not in geom:
+            raise ParseError(f"{path}: water feature {idx} has no coordinates")
+        try:
+            feats.append(_WATER_TYPES[gtype](geom["coordinates"]))
+        except (GeometryError, IndexError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: water feature {idx}: {exc}") from exc
+    return feats
 
 
 _ASCII_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -41,6 +43,20 @@ def world(mini_world, tmp_path):
 
 def run_cli(config, *args):
     return cli.main(["run", "--config", str(config), *args])
+
+
+def edit_config(config, section, key, value):
+    doc = json.loads(config.read_text())
+    (doc[section] if section else doc)[key] = value
+    config.write_text(json.dumps(doc))
+
+
+def artifacts(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+
+
+def error_report(capsys):
+    return json.loads(capsys.readouterr().err.strip())["error"]
 
 
 class TestFullRun:
@@ -112,13 +128,82 @@ class TestFailures:
     def test_lockfile_blocks_concurrent_runs(self, world, capsys):
         out = world.parent / "out"
         out.mkdir()
-        (out / ".lock").write_text("12345")
+        (out / ".lock").write_text(str(os.getpid()))  # a live process
         assert run_cli(world, "--stage", "ingest") == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["type"] == "LockError"
         (out / ".lock").unlink()
         assert run_cli(world, "--stage", "ingest") == 0
         assert not (out / ".lock").exists()  # released after the run
+
+    def test_lock_of_dead_process_is_taken_over(self, world, capsys):
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        out = world.parent / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(proc.pid))
+        assert run_cli(world, "--stage", "ingest") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert any(e["event"] == "warning" and str(proc.pid) in e["message"] for e in events)
+        assert not (out / ".lock").exists()
+
+    def test_unexpected_stage_exception_is_structured_report(self, world, capsys, monkeypatch):
+        def boom(cfg, out):
+            raise RuntimeError("disk on fire")
+
+        pipeline = tuple(
+            dataclasses.replace(s, run=boom) if s.name == "weights" else s for s in cli.PIPELINE
+        )
+        monkeypatch.setattr(cli, "PIPELINE", pipeline)
+        assert run_cli(world, "--stage", "all") == 1
+        err = error_report(capsys)
+        assert (err["stage"], err["type"], err["message"]) == ("weights", "RuntimeError", "disk on fire")
+        assert "boom" in err["traceback"]
+        assert not (world.parent / "out" / ".lock").exists()
+
+    def test_truncated_manifest_reruns_every_stage(self, world, capsys):
+        out = world.parent / "out"
+        assert run_cli(world, "--stage", "all") == 0
+        clean = artifacts(out)
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:50])
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "all") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert events[0]["event"] == "warning" and "manifest.json" in events[0]["message"]
+        assert [e["stage"] for e in events if e["event"] == "stage_end"] == list(cli.STAGES)
+        assert artifacts(out) == clean
+
+    def test_stale_upstream_is_dependency_error(self, world, capsys):
+        assert run_cli(world, "--stage", "all") == 0
+        edit_config(world, "panel", "n_weeks", 4)
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "esda") == 1
+        err = error_report(capsys)
+        assert err["type"] == "DependencyError"
+        assert err["stage"] == "esda"
+        assert "'ingest'" in err["message"]
+
+    @pytest.mark.parametrize(
+        "section, key, value, args",
+        [
+            ("learn", "n_trees", 0, ()),
+            ("learn", "max_depth", "3", ()),
+            ("learn", "stratify", "false", ()),
+            ("esda", "n_perm", 0, ()),
+            ("learn", "test_fraction", 1.5, ()),
+            ("weights", "kind", "bishop", ()),
+            (None, None, None, ("--seed", "-1")),
+        ],
+    )
+    def test_bad_config_value_is_config_error(self, world, capsys, section, key, value, args):
+        if key is not None:
+            edit_config(world, section, key, value)
+        assert run_cli(world, "--stage", "all", *args) == 1
+        err = error_report(capsys)
+        assert err["type"] == "ConfigError"
+        assert (key or "--seed") in err["message"]
+        assert not (world.parent / "out" / "panel.csv").exists()
 
     def test_seed_override_triggers_rerun(self, world, capsys):
         assert run_cli(world, "--stage", "esda") == 1  # needs ingest first

@@ -48,14 +48,19 @@ def test_robust_median_of_output_is_zero():
 
 
 def test_landcover_composite_example():
-    out = features.landcover_composite([0, 5, 10], [0, 0.5, 1], [0, 50, 100])
+    out, params = features.landcover_composite([0, 5, 10], [0, 0.5, 1], [0, 50, 100])
     assert out.tolist() == [0.0, 1.5, 3.0]
+    assert params == {
+        "area": features.MinMaxParams(0.0, 10.0),
+        "fraction": features.MinMaxParams(0.0, 1.0),
+        "population": features.MinMaxParams(0.0, 100.0),
+    }
 
 
 def test_landcover_composite_single_district_and_bounds():
-    assert features.landcover_composite([4], [0.3], [10]).tolist() == [0.0]
+    assert features.landcover_composite([4], [0.3], [10])[0].tolist() == [0.0]
     rng = np.random.default_rng(3)
-    out = features.landcover_composite(
+    out, _ = features.landcover_composite(
         rng.uniform(0, 100, 20), rng.uniform(0, 1, 20), rng.uniform(0, 1e5, 20)
     )
     assert np.all(out >= 0.0) and np.all(out <= 3.0)
@@ -78,6 +83,13 @@ def test_table_scaler_no_leakage_and_no_refit():
         scaler.fit(train)
     roundtrip = features.TableScaler.from_dict(scaler.to_dict())
     assert np.array_equal(roundtrip.transform(test), t1)
+
+
+def test_table_scaler_is_robust_only():
+    doc = features.TableScaler().fit(np.arange(6.0).reshape(3, 2)).to_dict()
+    assert doc["kind"] == "robust"
+    with pytest.raises(EngineError, match="minmax"):
+        features.TableScaler.from_dict({**doc, "kind": "minmax"})
 
 
 def test_points_to_district_values_with_fallback():

@@ -134,6 +134,14 @@ class TestDistrictGeojson:
         with pytest.raises(ParseError, match="non-polygonal"):
             ingest.parse_district_geojson(path)
 
+    def test_missing_coordinates_fatal(self, tmp_path):
+        feat = self.feature(1, self.unit(0, 0))
+        del feat["geometry"]["coordinates"]
+        doc = {"type": "FeatureCollection", "features": [feat]}
+        path = write(tmp_path, "d.geojson", json.dumps(doc))
+        with pytest.raises(ParseError, match="feature 0 has no coordinates"):
+            ingest.parse_district_geojson(path)
+
     def test_missing_adm_id_fatal(self, tmp_path):
         feat = self.feature(1, self.unit(0, 0))
         del feat["properties"]["adm_id"]
@@ -141,6 +149,43 @@ class TestDistrictGeojson:
         path = write(tmp_path, "d.geojson", json.dumps(doc))
         with pytest.raises(ParseError, match="adm_id"):
             ingest.parse_district_geojson(path)
+
+
+class TestWaterGeojson:
+    @staticmethod
+    def collection(*geometries):
+        features = [{"type": "Feature", "properties": {}, "geometry": g} for g in geometries]
+        return json.dumps({"type": "FeatureCollection", "features": features})
+
+    def test_every_geometry_type(self, tmp_path):
+        from epigrid import geometry
+
+        ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+        path = write(tmp_path, "w.geojson", self.collection(
+            {"type": "Point", "coordinates": [1, 2]},
+            {"type": "MultiPoint", "coordinates": [[1, 2], [3, 4]]},
+            {"type": "LineString", "coordinates": [[0, 0], [1, 1]]},
+            {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 1]], [[2, 2], [3, 3]]]},
+            {"type": "Polygon", "coordinates": [ring]},
+            {"type": "MultiPolygon", "coordinates": [[ring], [ring]]},
+        ))
+        water = ingest.parse_water_geojson(path)
+        assert [type(f) for f in water] == [
+            geometry.PointSet, geometry.PointSet, geometry.LineSet, geometry.LineSet,
+            geometry.MultiPolygon, geometry.MultiPolygon,
+        ]
+        assert water[1].coords.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert len(water[3].parts) == 2 and len(water[5].parts) == 2
+
+    def test_feature_without_coordinates_fatal(self, tmp_path):
+        path = write(tmp_path, "w.geojson", self.collection({"type": "LineString"}))
+        with pytest.raises(ParseError, match="water feature 0 has no coordinates"):
+            ingest.parse_water_geojson(path)
+
+    def test_unsupported_geometry_fatal(self, tmp_path):
+        path = write(tmp_path, "w.geojson", self.collection({"type": "GeometryCollection", "geometries": []}))
+        with pytest.raises(ParseError, match="unsupported geometry type"):
+            ingest.parse_water_geojson(path)
 
 
 class TestAsciiGrid:
