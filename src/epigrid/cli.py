@@ -29,7 +29,6 @@ import os
 import sys
 import traceback
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, make_dataclass
 from datetime import date
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import __version__, esda, features, geo, ingest, learn, raster
+from . import __version__, atomic, esda, features, geo, ingest, learn, raster
 from .errors import ConfigError, DependencyError, EngineError, LockError
 
 DEFAULT_LANDCOVER_CODES = {
@@ -237,26 +236,14 @@ def _emit(event: dict) -> None:
     sys.stdout.flush()
 
 
-@contextmanager
-def _replacing(path: Path, newline: str | None = None):
-    """Write a sibling temp file that replaces `path` only if the block succeeds."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = False) -> None:
-    with _replacing(path) as fh:
+    with atomic.replacing(path) as fh:
         json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with _replacing(path, newline="") as fh:
+    with atomic.replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -535,12 +522,19 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     elevation_grid = ingest.parse_ascii_grid(cfg.rasters["elevation"])
     population_grid = ingest.parse_ascii_grid(cfg.rasters["population"])
     landcover_grid = ingest.parse_ascii_grid(cfg.rasters["landcover"])
+    indexes: dict[tuple, raster.ZoneIndex] = {}  # one per distinct grid geometry
+
+    def zones(grid) -> raster.ZoneIndex:
+        if grid.layout not in indexes:
+            indexes[grid.layout] = raster.ZoneIndex.build(grid, districts)
+        return indexes[grid.layout]
 
     def zonal_means(grid) -> list[float]:
-        return [np.nan if z.mean is None else z.mean for z in raster.zonal_mean(grid, districts)]
+        return [np.nan if z.mean is None else z.mean for z in raster.zonal_mean(grid, zones(grid))]
 
     elev = np.array(zonal_means(elevation_grid))
-    pop_sum = np.array([v for _, v in raster.zonal_sum(population_grid, districts)])
+    pop_zones = zones(population_grid)
+    pop_sum = np.array([v for _, v in raster.zonal_sum(population_grid, pop_zones)])
 
     water = ingest.parse_water_geojson(cfg.water_geojson)
     outputs: list[Path] = []
@@ -548,7 +542,7 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     near_water = None
     for buffer_km in cfg.buffers_km:
         vals = np.array(
-            [v for _, v in raster.population_near_water(population_grid, water, buffer_km, districts)]
+            [v for _, v in raster.population_near_water(population_grid, water, buffer_km, pop_zones)]
         )
         if buffer_km == feature_buffer:
             near_water = vals
@@ -560,9 +554,9 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
             outputs.append(masked_path)
 
     codes = cfg.landcover_codes
-    tabulation = raster.tabulate_area(landcover_grid, districts, list(codes.values()))
+    tabulation = raster.tabulate_area(landcover_grid, zones(landcover_grid), list(codes.values()))
     class_pop = raster.class_population(
-        landcover_grid, population_grid, districts, list(codes.values())
+        landcover_grid, population_grid, pop_zones, list(codes.values())
     )
     composites: dict[str, np.ndarray] = {}
     composite_params: dict[str, dict] = {}

@@ -16,7 +16,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from . import geometry
+from . import atomic, geometry
 from .errors import EngineError, EngineWarning, SchemaMismatchError
 from .ingest import AdminRegion, PointValueSet, SurveillancePanel
 
@@ -295,7 +295,7 @@ def assemble_feature_table(
 
 
 def write_feature_csv(table: FeatureTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic.replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for i in range(len(table)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import atomic, geometry
 from .errors import EngineError, EngineWarning
 from .ingest import AdminRegion
 
@@ -148,13 +148,13 @@ def spatial_lag(w: SpatialWeights, x) -> np.ndarray:
 
 def write_weights_csv(w: SpatialWeights, edges_path, islands_path) -> None:
     """Audit export: an (i, j, weight) edge list plus an island index list."""
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic.replacing(edges_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "weight"])
         for i, (nbrs, wts) in enumerate(zip(w.neighbors, w.weights)):
             for j, wij in zip(nbrs, wts):
                 writer.writerow([i, j, repr(wij)])
-    with open(islands_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic.replacing(islands_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["island"])
         for i in w.islands:

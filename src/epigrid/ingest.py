@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from . import geometry
+from . import atomic, geometry
 from .errors import EngineWarning, GeometryError, ParseError
 
 SURVEILLANCE_COLUMNS = (
@@ -96,14 +96,10 @@ class RasterGrid:
         # row 0 sits at the top of the grid
         return self.yll + (self.nrows - np.arange(self.nrows) - 0.5) * self.cellsize
 
-    def same_grid(self, other: "RasterGrid") -> bool:
-        return (
-            self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self.xll == other.xll
-            and self.yll == other.yll
-            and self.cellsize == other.cellsize
-        )
+    @property
+    def layout(self) -> tuple:
+        """The grid geometry: (ncols, nrows, xll, yll, cellsize)."""
+        return (self.ncols, self.nrows, self.xll, self.yll, self.cellsize)
 
 
 @dataclass(frozen=True)
@@ -339,12 +335,22 @@ _ASCII_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata
 
 
 def parse_ascii_grid(path) -> RasterGrid:
-    """Read an ESRI ASCII grid; the first data row is the northernmost."""
-    with open(path, encoding="utf-8") as fh:
-        tokens_by_line = [line.split() for line in fh]
+    """Read an ESRI ASCII grid; the first data row is the northernmost.
+
+    Every data token goes through float(), all at once; only when one fails
+    are the lines walked token by token to name its line and field.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # the lines text-mode iteration yields; str.splitlines would also
+            # break on \x0c, \x85 and \u2028 and shift the line numbers
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     header: dict[str, float] = {}
     data_start = 0
-    for i, tokens in enumerate(tokens_by_line):
+    for i, line in enumerate(lines):
+        tokens = line.split()
         if len(tokens) == 2 and tokens[0].lower() in _ASCII_HEADER:
             try:
                 header[tokens[0].lower()] = float(tokens[1])
@@ -356,22 +362,24 @@ def parse_ascii_grid(path) -> RasterGrid:
     missing = [k for k in _ASCII_HEADER if k not in header]
     if missing:
         raise ParseError(f"{path}: missing header line(s): {', '.join(missing)}")
+    if not all(header[k].is_integer() for k in ("ncols", "nrows")):
+        raise ParseError(f"{path}: ncols and nrows must be whole numbers")
+    if not all(np.isfinite(header[k]) for k in ("xllcorner", "yllcorner", "cellsize")):
+        raise ParseError(f"{path}: xllcorner, yllcorner, and cellsize must be finite")
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     if ncols <= 0 or nrows <= 0 or header["cellsize"] <= 0:
         raise ParseError(f"{path}: ncols, nrows, and cellsize must be positive")
-    flat: list[float] = []
-    for i, tokens in enumerate(tokens_by_line[data_start:], start=data_start + 1):
-        for j, tok in enumerate(tokens, start=1):
-            try:
-                flat.append(float(tok))
-            except ValueError:
-                raise ParseError(f"{path}: unparsable token {tok!r} at line {i}, field {j}") from None
+    tokens = " ".join(lines[data_start:]).split()
+    try:
+        flat = np.fromiter(map(float, tokens), float, count=len(tokens))
+    except ValueError:
+        _raise_bad_token(path, lines, data_start)
+        raise
     if len(flat) != ncols * nrows:
         raise ParseError(
             f"{path}: expected {ncols * nrows} cells, found {len(flat)}"
         )
-    values = np.asarray(flat, dtype=float).reshape(nrows, ncols)
     return RasterGrid(
         ncols=ncols,
         nrows=nrows,
@@ -379,13 +387,23 @@ def parse_ascii_grid(path) -> RasterGrid:
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
         nodata=header["nodata_value"],
-        values=values,
+        values=flat.reshape(nrows, ncols),
     )
+
+
+def _raise_bad_token(path, lines: list[str], data_start: int) -> None:
+    """ParseError naming the line and field of the first token float() rejects."""
+    for i, line in enumerate(lines[data_start:], start=data_start + 1):
+        for j, tok in enumerate(line.split(), start=1):
+            try:
+                float(tok)
+            except ValueError:
+                raise ParseError(f"{path}: unparsable token {tok!r} at line {i}, field {j}") from None
 
 
 def write_ascii_grid(grid: RasterGrid, path) -> None:
     """Serialize a grid; float values use repr so a round-trip is bit-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic.replacing(path) as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
         fh.write(f"xllcorner {grid.xll!r}\n")

@@ -4,6 +4,16 @@ A cell belongs to a region iff its center lies inside the region's polygon;
 when several regions contain a center (shared borders), the first region in
 list order wins and a tie warning is emitted. All operations follow that one
 assignment, so they agree exactly with a per-cell brute-force sweep.
+
+The assignment is computed once per grid geometry and region list, as a
+ZoneIndex: a stable argsort of the flat owner map plus the offset where each
+region's cells start. Every reduction gathers a raster through that order, so
+each region's values are one contiguous slice in raster (row-major) order.
+Sums are a per-region np.sum over that slice and equal the pairwise sum of
+the same values in the per-cell sweep bit for bit; np.add.reduceat or a
+weighted bincount would add in another order and drift in the last bits.
+class_population alone keeps its weighted bincount (its artifact contract),
+which adds each region's cells one by one in raster order, gathered or not.
 """
 
 from __future__ import annotations
@@ -74,14 +84,41 @@ def assign_cells(grid: RasterGrid, regions: list[AdminRegion]) -> np.ndarray:
     return owner
 
 
-def zonal_mean(grid: RasterGrid, regions: list[AdminRegion]) -> list[ZonalValue]:
+@dataclass(frozen=True, eq=False)
+class ZoneIndex:
+    """The cells of one grid geometry grouped by owning region."""
+
+    regions: tuple[AdminRegion, ...]
+    layout: tuple  # RasterGrid.layout the index was built on
+    order: np.ndarray  # flat indices of the assigned cells, stably sorted by region
+    starts: np.ndarray  # region i owns order[starts[i]:starts[i + 1]]
+
+    @classmethod
+    def build(cls, grid: RasterGrid, regions: list[AdminRegion]) -> "ZoneIndex":
+        """Assign the grid's cells once; a boundary tie warns here, not per raster."""
+        owner = assign_cells(grid, regions).ravel()
+        order = np.argsort(owner, kind="stable")
+        starts = np.searchsorted(owner[order], np.arange(len(regions) + 1))
+        return cls(tuple(regions), grid.layout, order[starts[0]:], starts - starts[0])
+
+    def gather(self, grid: RasterGrid) -> np.ndarray:
+        """The assigned cells' values, grouped by region, in raster order within each."""
+        if grid.layout != self.layout:
+            raise EngineError(
+                f"raster grid (ncols, nrows, xll, yll, cellsize) = {grid.layout} "
+                f"differs from the zone index grid {self.layout}"
+            )
+        return grid.values.ravel()[self.order]
+
+    def groups(self, grid: RasterGrid):
+        """(region, values) per region; values is a contiguous slice in raster order."""
+        return zip(self.regions, np.split(self.gather(grid), self.starts[1:-1]))
+
+
+def zonal_mean(grid: RasterGrid, index: ZoneIndex) -> list[ZonalValue]:
     """Mean raster value per region, nodata excluded; empty footprint -> None."""
-    owner = assign_cells(grid, regions)
     out = []
-    flat_owner = owner.ravel()
-    flat_vals = grid.values.ravel()
-    for ri, region in enumerate(regions):
-        vals = flat_vals[flat_owner == ri]
+    for region, vals in index.groups(grid):
         good = vals[vals != grid.nodata]
         nodata_count = len(vals) - len(good)
         if len(good) == 0:
@@ -98,29 +135,18 @@ def zonal_mean(grid: RasterGrid, regions: list[AdminRegion]) -> list[ZonalValue]
     return out
 
 
-def zonal_sum(grid: RasterGrid, regions: list[AdminRegion]) -> list[tuple[int, float]]:
+def zonal_sum(grid: RasterGrid, index: ZoneIndex) -> list[tuple[int, float]]:
     """Sum of raster values per region, nodata excluded (0 when empty)."""
-    owner = assign_cells(grid, regions)
-    flat_owner = owner.ravel()
-    flat_vals = grid.values.ravel()
-    out = []
-    for ri, region in enumerate(regions):
-        vals = flat_vals[flat_owner == ri]
-        good = vals[vals != grid.nodata]
-        out.append((region.adm_id, float(np.sum(good))))
-    return out
+    return [
+        (region.adm_id, float(np.sum(vals[vals != grid.nodata])))
+        for region, vals in index.groups(grid)
+    ]
 
 
-def tabulate_area(
-    grid: RasterGrid, regions: list[AdminRegion], classes: list[int]
-) -> list[AreaTabulation]:
+def tabulate_area(grid: RasterGrid, index: ZoneIndex, classes: list[int]) -> list[AreaTabulation]:
     """Per-region cell counts and fractions for each requested class code."""
-    owner = assign_cells(grid, regions)
-    flat_owner = owner.ravel()
-    flat_vals = grid.values.ravel()
     out = []
-    for ri, region in enumerate(regions):
-        vals = flat_vals[flat_owner == ri]
+    for region, vals in index.groups(grid):
         covered = vals[vals != grid.nodata]
         counts = {c: int(np.count_nonzero(covered == c)) for c in classes}
         denom = len(covered)
@@ -132,28 +158,25 @@ def tabulate_area(
 def class_population(
     class_grid: RasterGrid,
     pop_grid: RasterGrid,
-    regions: list[AdminRegion],
+    index: ZoneIndex,
     classes: list[int],
 ) -> dict[int, list[tuple[int, float]]]:
     """Population sum per region restricted to each land-cover class.
 
     Both rasters must share one grid; resampling is out of scope here.
     """
-    if not class_grid.same_grid(pop_grid):
+    if class_grid.layout != pop_grid.layout:
         raise EngineError("class raster and population raster are on different grids")
-    owner = assign_cells(pop_grid, regions).ravel()
-    cls = class_grid.values.ravel()
-    pop = pop_grid.values.ravel()
+    n = len(index.regions)
+    zone = np.repeat(np.arange(n), np.diff(index.starts))
+    cls = index.gather(class_grid)
+    pop = index.gather(pop_grid)
     usable = (cls != class_grid.nodata) & (pop != pop_grid.nodata)
     out: dict[int, list[tuple[int, float]]] = {}
     for c in classes:
         sel = usable & (cls == c)
-        sums = np.bincount(
-            owner[sel & (owner >= 0)],
-            weights=pop[sel & (owner >= 0)],
-            minlength=len(regions),
-        ) if np.any(sel & (owner >= 0)) else np.zeros(len(regions))
-        out[c] = [(r.adm_id, float(sums[i])) for i, r in enumerate(regions)]
+        sums = np.bincount(zone[sel], weights=pop[sel], minlength=n)
+        out[c] = [(r.adm_id, float(sums[i])) for i, r in enumerate(index.regions)]
     return out
 
 
@@ -241,17 +264,11 @@ def population_near_water(
     pop: RasterGrid,
     water: list,
     buffer_km: float,
-    regions: list[AdminRegion],
+    index: ZoneIndex,
 ) -> list[tuple[int, float]]:
     """Per-region population within buffer_km of any inland water feature."""
     if not water:
         warnings.warn("empty water set: population near water is 0 everywhere",
                       EngineWarning, stacklevel=2)
-    mask = water_buffer_mask(pop, water, buffer_km)
-    masked = masked_population(pop, mask)
-    owner = assign_cells(pop, regions).ravel()
-    flat = masked.values.ravel()
-    out = []
-    for ri, region in enumerate(regions):
-        out.append((region.adm_id, float(np.sum(flat[owner == ri]))))
-    return out
+    masked = masked_population(pop, water_buffer_mask(pop, water, buffer_km))
+    return [(region.adm_id, float(np.sum(vals))) for region, vals in index.groups(masked)]

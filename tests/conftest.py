@@ -4,6 +4,18 @@ import pytest
 from epigrid import geometry
 from epigrid.ingest import AdminRegion, RasterGrid
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # deterministic and bounded: the same examples on every run, no example
+    # database written to disk, no per-example deadline on a loaded machine
+    settings.register_profile(
+        "epigrid", deadline=None, derandomize=True, database=None, max_examples=60
+    )
+    settings.load_profile("epigrid")
+
 
 def square_region(adm_id, x0, y0, size=1.0, name=None, province="P", country="C"):
     ring = [

@@ -194,10 +194,11 @@ def test_criterion_06_raster_oracles():
         grid, regions, water = _random_fixture(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got_mean = raster.zonal_mean(grid, regions)
-            got_tab = raster.tabulate_area(grid, regions, [1, 2, 3, 4])
+            index = raster.ZoneIndex.build(grid, regions)
+            got_mean = raster.zonal_mean(grid, index)
+            got_tab = raster.tabulate_area(grid, index, [1, 2, 3, 4])
             near = {
-                km: raster.population_near_water(grid, water, km, regions)
+                km: raster.population_near_water(grid, water, km, index)
                 for km in buffers
             }
         want_mean = oracles.zonal_mean_percell(grid, regions)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epigrid import cli, esda, geo, ingest
+from epigrid import cli, esda, geo, ingest, raster
 from epigrid.errors import ConfigError, DependencyError, LockError
 
 from conftest import grid_regions
@@ -214,6 +214,51 @@ class TestFailures:
         assert run_cli(world, "--stage", "esda", "--seed", "99") == 0
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert any(e["event"] == "stage_start" for e in events)
+
+
+class TestZoneIndexPerGrid:
+    """The features stage assigns cells once per distinct grid geometry."""
+
+    def run_features(self, world, monkeypatch, capsys):
+        layouts = []
+        assign_cells = raster.assign_cells
+
+        def counting(grid, regions):
+            layouts.append(grid.layout)
+            return assign_cells(grid, regions)
+
+        assert run_cli(world, "--stage", "ingest") == 0
+        monkeypatch.setattr(raster, "assign_cells", counting)
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "features") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        ties = [e for e in events if e["event"] == "warning" and "more than one region" in e["message"]]
+        return layouts, ties
+
+    def test_one_assignment_and_one_tie_warning_for_one_geometry(self, world, monkeypatch, capsys):
+        # widen D01 half a degree into D02, so 50 cell centers lie in both
+        districts = world.parent / "districts.geojson"
+        doc = json.loads(districts.read_text())
+        ring = doc["features"][0]["geometry"]["coordinates"][0]
+        for point in ring:
+            if point[0] == 31.0:
+                point[0] = 31.5
+        districts.write_text(json.dumps(doc))
+        layouts, ties = self.run_features(world, monkeypatch, capsys)
+        assert len(layouts) == 1  # 19 rasters, one grid geometry
+        assert len(ties) == 1
+        assert ties[0]["message"].startswith("50 cell centers")
+
+    def test_one_assignment_per_distinct_geometry(self, world, monkeypatch, capsys):
+        elevation = world.parent / "elevation.asc"
+        fine = ingest.parse_ascii_grid(elevation)
+        coarse = dataclasses.replace(
+            fine, ncols=20, nrows=20, cellsize=fine.cellsize * 2, values=fine.values[::2, ::2]
+        )
+        ingest.write_ascii_grid(coarse, elevation)
+        layouts, ties = self.run_features(world, monkeypatch, capsys)
+        assert sorted(layouts) == sorted({fine.layout, coarse.layout})
+        assert ties == []
 
 
 class TestLisaExports:

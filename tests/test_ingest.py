@@ -240,6 +240,47 @@ class TestAsciiGrid:
         with pytest.raises(ParseError, match="line 7, field 2"):
             ingest.parse_ascii_grid(write(tmp_path, "g.asc", text))
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("ncols 1e400", "whole numbers"),
+            ("ncols nan", "whole numbers"),
+            ("ncols 2.7", "whole numbers"),
+            ("ncols inf", "whole numbers"),
+            ("ncols -2", "must be positive"),
+        ],
+    )
+    def test_ncols_must_be_a_positive_whole_number(self, tmp_path, line, match):
+        text = f"{line}\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n1 2\n"
+        path = write(tmp_path, "g.asc", text)
+        with pytest.raises(ParseError, match=match) as info:
+            ingest.parse_ascii_grid(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key", ["xllcorner", "yllcorner", "cellsize"])
+    def test_geometry_values_must_be_finite(self, tmp_path, key):
+        header = {"xllcorner": "0", "yllcorner": "0", "cellsize": "1"}
+        header[key] = "nan"
+        text = "ncols 1\nnrows 1\n" + "".join(f"{k} {v}\n" for k, v in header.items())
+        path = write(tmp_path, "g.asc", text + "NODATA_value -9999\n1\n")
+        with pytest.raises(ParseError, match="must be finite"):
+            ingest.parse_ascii_grid(path)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_bytes(b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                         b"NODATA_value -9999\n\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            ingest.parse_ascii_grid(path)
+        assert str(path) in str(info.value)
+
+    def test_line_numbers_count_only_line_breaks(self, tmp_path):
+        # \x0c, \x85 and \u2028 separate tokens but do not start a new line
+        text = ("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+                "1\x0c2\x853\u20284\r\n5 bad\n")
+        with pytest.raises(ParseError, match="'bad' at line 8, field 2"):
+            ingest.parse_ascii_grid(write(tmp_path, "g.asc", text))
+
 
 class TestPointsCsv:
     def test_parse(self, tmp_path):

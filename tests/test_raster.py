@@ -7,6 +7,8 @@ from epigrid.errors import EngineError, EngineWarning
 import oracles
 from conftest import grid_regions, make_grid, square_region
 
+zones = raster.ZoneIndex.build
+
 
 def region_over(x0, y0, x1, y1, adm_id=1):
     ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
@@ -19,12 +21,12 @@ def region_over(x0, y0, x1, y1, adm_id=1):
 class TestZonalMean:
     def test_constant_raster(self):
         grid = make_grid(np.full((4, 4), 3.25))
-        out = raster.zonal_mean(grid, [region_over(0, 0, 2, 4), region_over(2, 0, 4, 4, 2)])
+        out = raster.zonal_mean(grid, zones(grid, [region_over(0, 0, 2, 4), region_over(2, 0, 4, 4, 2)]))
         assert [z.mean for z in out] == [3.25, 3.25]
 
     def test_left_half_of_sequential_values(self):
         grid = make_grid(np.arange(1, 17, dtype=float).reshape(4, 4))
-        out = raster.zonal_mean(grid, [region_over(0, 0, 2, 4)])
+        out = raster.zonal_mean(grid, zones(grid, [region_over(0, 0, 2, 4)]))
         # {1,2,5,6,9,10,13,14} -> 7.5
         assert out[0].mean == 7.5
         assert out[0].cell_count == 8
@@ -33,7 +35,7 @@ class TestZonalMean:
         values = np.full((3, 3), -9999.0)
         values[:, 2] = 5.0
         grid = make_grid(values)
-        out = raster.zonal_mean(grid, [region_over(0, 0, 2, 3)])
+        out = raster.zonal_mean(grid, zones(grid, [region_over(0, 0, 2, 3)]))
         assert out[0].mean is None
         assert out[0].cell_count == 0
         assert out[0].nodata_count == 6
@@ -41,7 +43,7 @@ class TestZonalMean:
     def test_region_outside_extent_warns(self):
         grid = make_grid(np.ones((2, 2)))
         with pytest.warns(EngineWarning, match="no cell centers"):
-            out = raster.zonal_mean(grid, [region_over(10, 10, 12, 12)])
+            out = raster.zonal_mean(grid, zones(grid, [region_over(10, 10, 12, 12)]))
         assert out[0].mean is None
 
     def test_overlapping_regions_first_wins_with_tie_warning(self):
@@ -49,7 +51,7 @@ class TestZonalMean:
         a = region_over(0, 0, 3, 4, adm_id=1)
         b = region_over(1, 0, 4, 4, adm_id=2)
         with pytest.warns(EngineWarning, match="more than one region"):
-            out = raster.zonal_mean(grid, [a, b])
+            out = raster.zonal_mean(grid, zones(grid, [a, b]))
         assert out[0].cell_count == 12  # all of columns 0..2
         assert out[1].cell_count == 4  # only column 3 remains
 
@@ -57,7 +59,7 @@ class TestZonalMean:
 class TestTabulateArea:
     def test_pure_region(self):
         grid = make_grid(np.full((4, 4), 2.0))
-        out = raster.tabulate_area(grid, [region_over(0, 0, 4, 4)], [1, 2, 3])
+        out = raster.tabulate_area(grid, zones(grid, [region_over(0, 0, 4, 4)]), [1, 2, 3])
         assert out[0].fractions == {1: 0.0, 2: 1.0, 3: 0.0}
         assert out[0].counts[2] == 16
 
@@ -66,7 +68,7 @@ class TestTabulateArea:
         values = rng.integers(1, 4, size=(8, 8)).astype(float)
         values[0, 0] = -9999.0
         grid = make_grid(values)
-        out = raster.tabulate_area(grid, [region_over(0, 2, 5, 8)], [1, 2, 3])
+        out = raster.tabulate_area(grid, zones(grid, [region_over(0, 2, 5, 8)]), [1, 2, 3])
         tab = out[0]
         assert sum(tab.counts.values()) == tab.covered
         if tab.covered:
@@ -86,7 +88,7 @@ class TestTabulateArea:
                     values[r, c] = 1.0
                     count += 1
         grid = make_grid(values)
-        out = raster.tabulate_area(grid, [region], [1, 9])
+        out = raster.tabulate_area(grid, zones(grid, [region]), [1, 9])
         tab = out[0]
         assert tab.covered == 156 * 91 == 14196
         assert tab.counts[1] == 11215
@@ -97,7 +99,7 @@ class TestPopulationNearWater:
     def test_zero_buffer_point_water(self):
         grid = make_grid(np.ones((4, 4)))
         water = [geometry.PointSet(np.array([[0.7, 0.7]]))]
-        out = raster.population_near_water(grid, water, 0.0, [region_over(0, 0, 4, 4)])
+        out = raster.population_near_water(grid, water, 0.0, zones(grid, [region_over(0, 0, 4, 4)]))
         assert out[0][1] == 0.0  # no cell center coincides with the point
 
     def test_disc_mass_matches_center_count(self):
@@ -111,7 +113,7 @@ class TestPopulationNearWater:
         center = (n / 2 * cell_deg, 0.0)
         water = [geometry.PointSet(np.array([center]))]
         region = region_over(-1, -1, 2, 1)
-        got = raster.population_near_water(grid, water, 3.0, [region])[0][1]
+        got = raster.population_near_water(grid, water, 3.0, zones(grid, [region]))[0][1]
         want = oracles.population_near_water_percell(grid, water, 3.0, [region])[0][1]
         assert got == want
         # discretized disc area ~ pi * 3^2 km^2 with ~1 km^2 cells
@@ -120,13 +122,13 @@ class TestPopulationNearWater:
     def test_district_with_no_nearby_water_is_zero(self):
         grid = make_grid(np.full((6, 6), 10.0))
         water = [geometry.PointSet(np.array([[100.0, 0.5]]))]
-        out = raster.population_near_water(grid, water, 3.0, [region_over(0, 0, 6, 6, 2157)])
+        out = raster.population_near_water(grid, water, 3.0, zones(grid, [region_over(0, 0, 6, 6, 2157)]))
         assert out == [(2157, 0.0)]
 
     def test_empty_water_warns_and_zeroes(self):
         grid = make_grid(np.ones((3, 3)))
         with pytest.warns(EngineWarning, match="empty water"):
-            out = raster.population_near_water(grid, [], 3.0, [region_over(0, 0, 3, 3)])
+            out = raster.population_near_water(grid, [], 3.0, zones(grid, [region_over(0, 0, 3, 3)]))
         assert out[0][1] == 0.0
 
     def test_polar_latitude_fatal(self):
@@ -145,7 +147,7 @@ class TestPopulationNearWater:
         regions = [region_over(0, 0, 0.06, 0.12), region_over(0.06, 0, 0.12, 0.12, 2)]
         prev = None
         for km in (0.0, 1.0, 3.0, 6.0):
-            vals = [v for _, v in raster.population_near_water(grid, water, km, regions)]
+            vals = [v for _, v in raster.population_near_water(grid, water, km, zones(grid, regions))]
             if prev is not None:
                 assert all(v >= p for v, p in zip(vals, prev))
             prev = vals
@@ -155,8 +157,8 @@ class TestPopulationNearWater:
         grid = make_grid(rng.uniform(0, 50, (10, 10)), cellsize=0.02)
         water = [geometry.PointSet(np.array([[0.05, 0.05]]))]
         regions = [region_over(0, 0, 0.1, 0.2), region_over(0.1, 0, 0.2, 0.2, 2)]
-        masked = raster.population_near_water(grid, water, 2.0, regions)
-        totals = dict(raster.zonal_sum(grid, regions))
+        masked = raster.population_near_water(grid, water, 2.0, zones(grid, regions))
+        totals = dict(raster.zonal_sum(grid, zones(grid, regions)))
         for adm_id, value in masked:
             assert value <= totals[adm_id] + 1e-9
 
@@ -217,8 +219,8 @@ class TestOracleEquivalence:
             regions = [self.random_regions(rng, size, i + 1) for i in range(3)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got_mean = raster.zonal_mean(grid, regions)
-                got_tab = raster.tabulate_area(grid, regions, [1, 2, 3, 4])
+                got_mean = raster.zonal_mean(grid, zones(grid, regions))
+                got_tab = raster.tabulate_area(grid, zones(grid, regions), [1, 2, 3, 4])
             want_mean = oracles.zonal_mean_percell(grid, regions)
             want_tab = oracles.tabulate_percell(grid, regions, [1, 2, 3, 4])
             for g, (adm, mean, count, nodata) in zip(got_mean, want_mean):
@@ -235,9 +237,9 @@ class TestOracleEquivalence:
         cls_grid = make_grid(cls_vals)
         pop_grid = make_grid(pop_vals)
         regions = [region_over(0, 0, 5, 10), region_over(5, 0, 10, 10, 2)]
-        out = raster.class_population(cls_grid, pop_grid, regions, [1, 2, 3])
+        out = raster.class_population(cls_grid, pop_grid, zones(pop_grid, regions), [1, 2, 3])
         # per-region class populations sum to the zonal population sum
-        totals = dict(raster.zonal_sum(pop_grid, regions))
+        totals = dict(raster.zonal_sum(pop_grid, zones(pop_grid, regions)))
         for i, region in enumerate(regions):
             class_sum = sum(out[c][i][1] for c in (1, 2, 3))
             assert class_sum == pytest.approx(totals[region.adm_id], abs=1e-9)
@@ -246,4 +248,71 @@ class TestOracleEquivalence:
         a = make_grid(np.ones((4, 4)))
         b = make_grid(np.ones((5, 4)))
         with pytest.raises(EngineError, match="different grids"):
-            raster.class_population(a, b, [region_over(0, 0, 4, 4)], [1])
+            raster.class_population(a, b, zones(b, [region_over(0, 0, 4, 4)]), [1])
+
+
+class TestZoneIndex:
+    def test_grouping_matches_percell_oracle_on_criterion_06_fixtures(self):
+        import warnings
+
+        from test_acceptance import _random_fixture
+
+        for trial in range(100):
+            grid, regions, _ = _random_fixture(np.random.default_rng(30_000 + trial))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                index = zones(grid, regions)
+            owner = oracles.assign_cells_percell(grid, regions).ravel()
+            assert index.starts[-1] == len(index.order) == np.count_nonzero(owner >= 0)
+            for ri in range(len(regions)):
+                cells = index.order[index.starts[ri]:index.starts[ri + 1]]
+                assert np.array_equal(cells, np.flatnonzero(owner == ri))
+
+    def test_one_index_reused_equals_a_fresh_index_per_raster(self):
+        rng = np.random.default_rng(21)
+        regions = [region_over(0, 0, 5, 7), region_over(4, 2, 9, 9, 2), region_over(20, 20, 21, 21, 3)]
+        water = [geometry.PointSet(np.array([[3.0, 3.0]]))]
+        with pytest.warns(EngineWarning, match="more than one region"):
+            shared = zones(make_grid(np.zeros((9, 9))), regions)
+        for _ in range(4):
+            values = rng.integers(1, 4, size=(9, 9)).astype(float)
+            values[rng.random((9, 9)) < 0.1] = -9999.0
+            grid = make_grid(values)
+            pop = make_grid(rng.uniform(0, 100, (9, 9)))
+            with pytest.warns(EngineWarning):
+                runs = [
+                    (
+                        raster.zonal_mean(grid, index),
+                        raster.zonal_sum(pop, index),
+                        raster.tabulate_area(grid, index, [1, 2, 3]),
+                        raster.class_population(grid, pop, index, [1, 2, 3]),
+                        raster.population_near_water(pop, water, 200.0, index),
+                    )
+                    for index in (shared, zones(grid, regions))
+                ]
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "reduce",
+        [
+            lambda g, index: raster.zonal_mean(g, index),
+            lambda g, index: raster.zonal_sum(g, index),
+            lambda g, index: raster.tabulate_area(g, index, [1]),
+            lambda g, index: raster.class_population(g, g, index, [1]),
+            lambda g, index: raster.population_near_water(g, [geometry.PointSet(np.array([[1.0, 1.0]]))], 1.0, index),
+        ],
+        ids=["zonal_mean", "zonal_sum", "tabulate_area", "class_population", "population_near_water"],
+    )
+    @pytest.mark.parametrize(
+        "other",
+        [
+            make_grid(np.ones((4, 5))),
+            make_grid(np.ones((4, 4)), xll=0.5),
+            make_grid(np.ones((4, 4)), cellsize=0.5),
+        ],
+        ids=["shape", "origin", "cellsize"],
+    )
+    def test_raster_on_another_grid_is_an_engine_error(self, reduce, other):
+        index = zones(make_grid(np.ones((4, 4))), [region_over(0, 0, 4, 4)])
+        with pytest.raises(EngineError, match="differs from the zone index grid"):
+            reduce(other, index)
