@@ -37,7 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, atomic, esda, features, geo, ingest, learn, raster
-from .errors import ConfigError, DependencyError, EngineError, LockError
+from .errors import ConfigError, DependencyError, EngineError, EngineWarning, LockError
 
 DEFAULT_LANDCOVER_CODES = {
     "trees": 1,
@@ -236,6 +236,10 @@ def _emit(event: dict) -> None:
     sys.stdout.flush()
 
 
+def _emit_warning(stage: str | None, message: str, category: type[Warning] = EngineWarning) -> None:
+    _emit({"event": "warning", "stage": stage, "category": category.__name__, "message": message})
+
+
 def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = False) -> None:
     with atomic.replacing(path) as fh:
         json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
@@ -285,8 +289,7 @@ class Manifest:
             if isinstance(doc, dict) and isinstance(doc.get("stages"), dict):
                 self.doc = doc
             else:
-                _emit({"event": "warning", "stage": None,
-                       "message": f"{self.path} is unreadable; every stage re-runs"})
+                _emit_warning(None, f"{self.path} is unreadable; every stage re-runs")
 
     def signature(self, stage: str) -> str | None:
         entry = self.doc["stages"].get(stage)
@@ -335,8 +338,7 @@ class _Lock:
     def __enter__(self):
         pid = _dead_owner(self.path) if self.path.exists() else None
         if pid is not None:
-            _emit({"event": "warning", "stage": None,
-                   "message": f"{self.path} names process {pid}, which is gone; taking the lock over"})
+            _emit_warning(None, f"{self.path} names process {pid}, which is gone; taking the lock over")
             self.path.unlink(missing_ok=True)
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -430,10 +432,10 @@ def _load_panel(cfg: PipelineConfig, out: Path):
         rows = [tuple(map(int, row)) for row in reader if row]
     if {adm for adm, _, _ in rows} != set(row_of):
         raise DependencyError("panel.csv districts do not match the district file")
-    counts = np.zeros((1, len(districts), cfg.n_weeks), dtype=np.int64)
+    counts = np.zeros((len(districts), cfg.n_weeks), dtype=np.int64)
     for adm, week, cases in rows:
-        counts[0, row_of[adm], week - 1] = cases
-    panel = ingest.SurveillancePanel((cfg.disease,), cfg.panel_start, cfg.n_weeks, tuple(row_of), counts)
+        counts[row_of[adm], week - 1] = cases
+    panel = ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, tuple(row_of), counts)
     return districts, panel
 
 
@@ -454,7 +456,7 @@ def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
                 "event": "rows_rejected",
                 "stage": "ingest",
                 "count": len(report.row_errors),
-                "first": report.row_errors[0].message,
+                "rows": [{"line": e.line, "reason": e.message} for e in report.row_errors],
             }
         )
     districts = ingest.parse_district_geojson(cfg.districts_geojson)
@@ -470,11 +472,10 @@ def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
             }
         )
     target = out / "panel.csv"
-    counts = panel.counts_for(panel.diseases[0])
     _write_csv(
         target,
         ["adm_id", "week", "cases"],
-        ([adm, w + 1, int(counts[i, w])] for i, adm in enumerate(panel.districts) for w in range(panel.n_weeks)),
+        ([adm, w + 1, int(panel.counts[i, w])] for i, adm in enumerate(panel.districts) for w in range(panel.n_weeks)),
     )
     return [target]
 
@@ -489,26 +490,14 @@ def _stage_weights(cfg: PipelineConfig, out: Path) -> list[Path]:
 
 def _stage_esda(cfg: PipelineConfig, out: Path) -> list[Path]:
     districts, panel = _load_panel(cfg, out)
-    totals = panel.totals_by_district(cfg.disease).astype(float)
+    totals = panel.counts.sum(axis=1).astype(float)
     w = geo.read_weights_csv(out / "weights.csv", out / "islands.csv", len(districts))
     moran = esda.morans_i(totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed)
     lisa_result = esda.lisa(
         totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed, alpha=cfg.esda_alpha
     )
     moran_path = out / "moran.json"
-    _write_json(
-        moran_path,
-        {
-            "disease": cfg.disease,
-            "I": moran.I,
-            "expected_I": moran.expected_I,
-            "p_value": moran.p_value,
-            "n_permutations": moran.n_permutations,
-            "n_used": moran.n_used,
-            "seed": cfg.esda_seed,
-        },
-        indent=2,
-    )
+    _write_json(moran_path, {"disease": cfg.disease, **asdict(moran), "seed": cfg.esda_seed}, indent=2)
     geojson_path = out / "lisa.geojson"
     export_lisa_geojson(districts, lisa_result, geojson_path)
     csv_path = out / "lisa.csv"
@@ -537,16 +526,13 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     pop_sum = np.array([v for _, v in raster.zonal_sum(population_grid, pop_zones)])
 
     water = ingest.parse_water_geojson(cfg.water_geojson)
+    feature_buffer = cfg.buffers_km[0]  # the others only name masked rasters
+    near_water = np.array(
+        [v for _, v in raster.population_near_water(population_grid, water, feature_buffer, pop_zones)]
+    )
     outputs: list[Path] = []
-    feature_buffer = cfg.buffers_km[0]
-    near_water = None
-    for buffer_km in cfg.buffers_km:
-        vals = np.array(
-            [v for _, v in raster.population_near_water(population_grid, water, buffer_km, pop_zones)]
-        )
-        if buffer_km == feature_buffer:
-            near_water = vals
-        if cfg.write_masked_raster:
+    if cfg.write_masked_raster:
+        for buffer_km in cfg.buffers_km:
             mask = raster.water_buffer_mask(population_grid, water, buffer_km)
             masked = raster.masked_population(population_grid, mask)
             masked_path = out / f"population_within_{buffer_km:g}km.asc"
@@ -574,10 +560,8 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     def weekly_dataset(role: str, agg: str) -> features.DistrictDataset:
         cols = [zonal_means(ingest.parse_ascii_grid(f)) for f in _weekly_raster_files(cfg.rasters[role])]
-        values = np.asarray(cols, dtype=float).T  # (districts, samples)
-        if values.shape[1] == 1:
-            return features.DistrictDataset(values[:, 0], agg=agg)
-        return features.DistrictDataset(values, agg=agg)
+        values = np.asarray(cols, dtype=float).T  # (districts, samples); one sample is static
+        return features.DistrictDataset(values[:, 0] if values.shape[1] == 1 else values, agg=agg)
 
     precip = weekly_dataset("precipitation", cfg.precipitation_agg)
     temp = weekly_dataset("temperature", "mean")
@@ -592,7 +576,7 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     }
     for cls_name in features.LANDCOVER_CLASSES:
         datasets[cls_name] = features.DistrictDataset(composites[cls_name])
-    table = features.assemble_feature_table(panel, datasets, cfg.disease)
+    table = features.assemble_feature_table(panel, datasets)
     table_path = out / "features.csv"
     features.write_feature_csv(table, table_path)
 
@@ -624,7 +608,7 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
         test_fraction=cfg.test_fraction, seed=cfg.learn_seed, stratify=cfg.stratify
     )
     train, test = learn.random_split(table, spec)
-    scaler = features.TableScaler("robust").fit(train.X)
+    scaler = features.TableScaler().fit(train.X)
     train, test = train.with_X(scaler.transform(train.X)), test.with_X(scaler.transform(test.X))
     resampled = learn.resample(
         train, method=cfg.resample_method, seed=cfg.learn_seed, k=cfg.smote_k
@@ -673,7 +657,7 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
     _, test = learn.random_split(table, learn.SplitSpec(**model_doc["split"]))
     test = test.with_X(scaler.transform(test.X))
     entries = learn.permutation_importance(
-        model, test, metric="f1", n_repeats=cfg.importance_repeats, seed=cfg.learn_seed
+        model, test, n_repeats=cfg.importance_repeats, seed=cfg.learn_seed
     )
     csv_path = out / "importance.csv"
     _write_csv(
@@ -688,10 +672,7 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
             "disease": cfg.disease,
             "metric": "f1",
             "n_repeats": cfg.importance_repeats,
-            "ranking": [
-                {"feature": e.feature, "importance": e.importance, "std": e.std}
-                for e in entries
-            ],
+            "ranking": [asdict(e) for e in entries],
         },
         indent=2,
     )
@@ -785,7 +766,7 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
                 exc.stage = st.name  # surfaced in the structured error report
                 raise
             for warning in caught:
-                _emit({"event": "warning", "stage": st.name, "message": str(warning.message)})
+                _emit_warning(st.name, str(warning.message), warning.category)
             manifest.record(st.name, signatures[st.name], inputs, params, outputs)
             _emit({"event": "stage_end", "stage": st.name, "outputs": [p.name for p in outputs]})
     return 0

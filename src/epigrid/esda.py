@@ -95,15 +95,12 @@ def morans_i(x, w: SpatialWeights, n_perm: int = 999, seed: int = 0) -> GlobalMo
 
     observed = stat(z)
     expected = -1.0 / (n - 1)
+    # one-sided in the direction of departure; negating both sides is exact
+    sign = 1.0 if observed >= expected else -1.0
     exceed = 0
-    if observed >= expected:
-        for k in range(n_perm):
-            if stat(np.random.default_rng(seed ^ k).permutation(z)) >= observed:
-                exceed += 1
-    else:
-        for k in range(n_perm):
-            if stat(np.random.default_rng(seed ^ k).permutation(z)) <= observed:
-                exceed += 1
+    for k in range(n_perm):
+        if sign * stat(np.random.default_rng(seed ^ k).permutation(z)) >= sign * observed:
+            exceed += 1
     return GlobalMoranResult(
         I=observed,
         expected_I=expected,
@@ -160,34 +157,25 @@ def lisa(
             exceed += np.where(upper, local_star >= local, local_star <= local)
     p_active = (exceed + 1) / (n_perm + 1)
 
-    local_full = np.full(w.n, np.nan)
-    p_full = np.full(w.n, np.nan)
-    z_full = np.full(w.n, np.nan)
-    lag_full = np.zeros(w.n)
-    local_full[active] = local
-    p_full[active] = p_active
-    z_full[active] = z
-    lag_full[active] = lag_active
+    def full(values: np.ndarray, island_value: float) -> np.ndarray:
+        out = np.full(w.n, island_value)
+        out[active] = values
+        return out
 
+    z_pos, lag_pos = z > 0, lag_active > 0
+    not_significant = (p_active > alpha) | (z == 0.0) | (lag_active == 0.0)
+    active_quadrant = np.select(
+        [not_significant, z_pos & lag_pos, ~z_pos & ~lag_pos, z_pos], ["NS", "HH", "LL", "HL"], "LH"
+    )
     quadrant = ["ISLAND"] * w.n
-    for pos, i in enumerate(active):
-        zi, li, pi = z[pos], lag_active[pos], p_active[pos]
-        if pi > alpha or zi == 0.0 or li == 0.0:
-            quadrant[i] = "NS"
-        elif zi > 0 and li > 0:
-            quadrant[i] = "HH"
-        elif zi < 0 and li < 0:
-            quadrant[i] = "LL"
-        elif zi > 0 and li < 0:
-            quadrant[i] = "HL"
-        else:
-            quadrant[i] = "LH"
+    for i, q in zip(active, active_quadrant.tolist()):
+        quadrant[i] = q
     return LisaResult(
-        local_i=local_full,
+        local_i=full(local, np.nan),
         quadrant=tuple(quadrant),
-        p_value=p_full,
-        z_value=z_full,
-        lag=lag_full,
+        p_value=full(p_active, np.nan),
+        z_value=full(z, np.nan),
+        lag=full(lag_active, 0.0),
         n_permutations=n_perm,
         alpha=alpha,
     )

@@ -101,9 +101,7 @@ def landcover_composite(area, fraction, population) -> tuple[np.ndarray, dict[st
 class TableScaler:
     """Column-wise robust scaler fitted once (on training rows) and never refitted."""
 
-    def __init__(self, kind: str = "robust"):
-        if kind != "robust":
-            raise EngineError(f"unknown scaler kind {kind!r}")
+    def __init__(self):
         self.params: list[RobustParams] | None = None
 
     def fit(self, X: np.ndarray) -> "TableScaler":
@@ -128,7 +126,9 @@ class TableScaler:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TableScaler":
-        scaler = cls(doc["kind"])
+        if doc["kind"] != "robust":
+            raise EngineError(f"unknown scaler kind {doc['kind']!r}")
+        scaler = cls()
         scaler.params = [RobustParams(c["median"], c["q1"], c["q3"]) for c in doc["columns"]]
         return scaler
 
@@ -163,14 +163,8 @@ class FeatureTable:
 
     def take(self, idx) -> "FeatureTable":
         idx = np.asarray(idx)
-        return FeatureTable(
-            adm_ids=self.adm_ids[idx],
-            weeks=self.weeks[idx],
-            X=self.X[idx],
-            feature_names=self.feature_names,
-            cases=self.cases[idx],
-            labels=self.labels[idx],
-        )
+        return replace(self, adm_ids=self.adm_ids[idx], weeks=self.weeks[idx], X=self.X[idx],
+                       cases=self.cases[idx], labels=self.labels[idx])
 
     def with_X(self, X: np.ndarray) -> "FeatureTable":
         if X.shape != self.X.shape:
@@ -212,12 +206,10 @@ def _to_weekly(name: str, ds: DistrictDataset, panel: SurveillancePanel) -> np.n
     """Expand or aggregate one dataset to a (districts, weeks) matrix."""
     values = np.asarray(ds.values, dtype=float)
     d, t = len(panel.districts), panel.n_weeks
+    if len(values) != d:
+        raise EngineError(f"dataset {name!r} has {len(values)} rows, expected {d}")
     if values.ndim == 1:
-        if len(values) != d:
-            raise EngineError(f"dataset {name!r} has {len(values)} rows, expected {d}")
         weekly = np.repeat(values[:, None], t, axis=1)
-    elif values.shape[0] != d:
-        raise EngineError(f"dataset {name!r} has {values.shape[0]} rows, expected {d}")
     elif ds.years is not None:
         if values.shape[1] != len(ds.years):
             raise EngineError(f"dataset {name!r}: column count != len(years)")
@@ -253,17 +245,12 @@ def _to_weekly(name: str, ds: DistrictDataset, panel: SurveillancePanel) -> np.n
     return weekly
 
 
-def assemble_feature_table(
-    panel: SurveillancePanel,
-    datasets: dict[str, DistrictDataset],
-    disease: str | None = None,
-) -> FeatureTable:
+def assemble_feature_table(panel: SurveillancePanel, datasets: dict[str, DistrictDataset]) -> FeatureTable:
     """Emit one row per (district, week), ordered by adm_id then week.
 
     datasets must provide every FEATURE_NAMES entry except "week". Static and
     yearly datasets broadcast across weeks; finer-than-weekly ones aggregate.
     """
-    disease = disease or panel.diseases[0]
     needed = [n for n in FEATURE_NAMES if n != "week"]
     missing = [n for n in needed if n not in datasets]
     if missing:
@@ -272,7 +259,7 @@ def assemble_feature_table(
     weekly = {name: _to_weekly(name, datasets[name], panel) for name in needed}
 
     order = np.argsort(np.asarray(panel.districts), kind="stable")
-    counts = panel.counts_for(disease)[order]
+    counts = panel.counts[order]
     adm_sorted = np.asarray(panel.districts)[order]
 
     n = d * t

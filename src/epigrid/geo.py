@@ -5,6 +5,9 @@ Queen contiguity joins regions whose boundaries share at least one point
 positive length. Adjacency is found through a regular-grid index over
 bounding boxes and must agree exactly with an all-pairs sweep (the test
 oracle), so both use the same geometric predicates.
+
+Weights are always row-standardized: each of region i's k neighbors weighs
+1/k, so every non-island row sums to 1 and an island's row is empty.
 """
 
 from __future__ import annotations
@@ -25,22 +28,8 @@ from .ingest import AdminRegion
 class SpatialWeights:
     n: int
     neighbors: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[float, ...], ...]
-    standardized: bool
+    weights: tuple[tuple[float, ...], ...]  # 1/k for each of a row's k neighbors
     islands: tuple[int, ...]
-
-    def row_standardized(self) -> "SpatialWeights":
-        rows = []
-        for row in self.weights:
-            total = sum(row)
-            rows.append(tuple(w / total for w in row) if total else ())
-        return SpatialWeights(
-            n=self.n,
-            neighbors=self.neighbors,
-            weights=tuple(rows),
-            standardized=True,
-            islands=self.islands,
-        )
 
 
 def flatten(w: SpatialWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -53,8 +42,8 @@ def flatten(w: SpatialWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, vals
 
 
-def from_adjacency(n: int, pairs, standardize: bool = True) -> SpatialWeights:
-    """Build weights from symmetric index pairs, binary then row-standardized."""
+def from_adjacency(n: int, pairs) -> SpatialWeights:
+    """Row-standardized weights from symmetric index pairs."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for i, j in pairs:
         if i == j:
@@ -62,15 +51,12 @@ def from_adjacency(n: int, pairs, standardize: bool = True) -> SpatialWeights:
         nbrs[i].add(j)
         nbrs[j].add(i)
     neighbors = tuple(tuple(sorted(s)) for s in nbrs)
-    islands = tuple(i for i, s in enumerate(neighbors) if not s)
-    w = SpatialWeights(
+    return SpatialWeights(
         n=n,
         neighbors=neighbors,
-        weights=tuple(tuple(1.0 for _ in s) for s in neighbors),
-        standardized=False,
-        islands=islands,
+        weights=tuple(tuple(1.0 / len(s) for _ in s) for s in neighbors),
+        islands=tuple(i for i, s in enumerate(neighbors) if not s),
     )
-    return w.row_standardized() if standardize else w
 
 
 def _grid_candidate_pairs(bboxes: np.ndarray, tolerance: float) -> set[tuple[int, int]]:
@@ -89,9 +75,7 @@ def _grid_candidate_pairs(bboxes: np.ndarray, tolerance: float) -> set[tuple[int
                 bins.setdefault((bx, by), []).append(i)
     pairs: set[tuple[int, int]] = set()
     for members in bins.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.add((members[a], members[b]))
+        pairs.update(itertools.combinations(members, 2))
     return pairs
 
 
@@ -130,7 +114,7 @@ def build_contiguity_weights(
             hit = geometry.max_collinear_overlap(segs[i], segs[j], tolerance) > tolerance
         if hit:
             pairs.append((i, j))
-    w = from_adjacency(n, pairs, standardize=True)
+    w = from_adjacency(n, pairs)
     if len(w.islands) == n:
         warnings.warn("all regions are pairwise disjoint: every region is an island",
                       EngineWarning, stacklevel=2)
@@ -177,13 +161,9 @@ def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
         reader = csv.reader(fh)
         next(reader)
         islands = tuple(int(row[0]) for row in reader if row)
-    standardized = all(
-        not row or abs(sum(row) - 1.0) <= 1e-12 for row in weights
-    )
     return SpatialWeights(
         n=n,
         neighbors=tuple(tuple(r) for r in neighbors),
         weights=tuple(tuple(r) for r in weights),
-        standardized=standardized,
         islands=islands,
     )

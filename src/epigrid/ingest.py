@@ -2,7 +2,9 @@
 plus materialization of the dense district-week panel.
 
 All parsers are pure: they read one file and return immutable structures that
-are safe to share across threads.
+are safe to share across threads. Malformed input, undecodable bytes included,
+raises a ParseError naming the file; only a bad surveillance row is skipped and
+reported instead.
 """
 
 from __future__ import annotations
@@ -59,21 +61,11 @@ class AdminRegion:
 
 @dataclass(frozen=True)
 class SurveillancePanel:
-    diseases: tuple[str, ...]
+    disease: str
     start: date
     n_weeks: int
     districts: tuple[int, ...]  # adm_ids, in region order
-    counts: np.ndarray  # (n_diseases, n_districts, n_weeks) int64
-
-    @property
-    def weeks(self) -> range:
-        return range(1, self.n_weeks + 1)
-
-    def counts_for(self, disease: str) -> np.ndarray:
-        return self.counts[self.diseases.index(disease)]
-
-    def totals_by_district(self, disease: str) -> np.ndarray:
-        return self.counts_for(disease).sum(axis=1)
+    counts: np.ndarray  # (n_districts, n_weeks) int64
 
     def flattened_length(self) -> int:
         return len(self.districts) * self.n_weeks
@@ -140,6 +132,22 @@ def _norm_name(name: str) -> str:
     return name.strip().lower()
 
 
+def _csv_rows(path):
+    """(first line number, row) per row of a UTF-8 CSV file, where a quoted field
+    may span lines; undecodable bytes or a broken field end as a ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            line = 1
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], SurveillanceParseReport]:
     """Parse the weekly surveillance CSV.
 
@@ -148,71 +156,69 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
     the last row and emit a warning.
     """
     report = SurveillanceParseReport()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row") from None
-        col_index: dict[str, int] = {}
-        for i, raw in enumerate(header):
-            name = _norm_header(raw)
-            for role in SURVEILLANCE_COLUMNS:
-                if name == role or name in _HEADER_SYNONYMS.get(role, ()):
-                    col_index[role] = i
-        missing = [c for c in SURVEILLANCE_COLUMNS if c not in col_index]
-        if missing:
-            raise ParseError(f"{path}: header is missing column(s) {', '.join(missing)}")
+    rows = _csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected a header row") from None
+    col_index: dict[str, int] = {}
+    for i, raw in enumerate(header):
+        name = _norm_header(raw)
+        for role in SURVEILLANCE_COLUMNS:
+            if name == role or name in _HEADER_SYNONYMS.get(role, ()):
+                col_index[role] = i
+    missing = [c for c in SURVEILLANCE_COLUMNS if c not in col_index]
+    if missing:
+        raise ParseError(f"{path}: header is missing column(s) {', '.join(missing)}")
 
-        by_key: dict[tuple, tuple[int, SurveillanceRecord]] = {}
-        order = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                report.row_errors.append(RowError(line_no, "too few fields"))
-                continue
-            try:
-                year = int(row[col_index["year"]])
-                week = int(row[col_index["week"]])
-                cases = int(row[col_index["cases"]])
-                deaths = int(row[col_index["deaths"]])
-            except ValueError as exc:
-                report.row_errors.append(RowError(line_no, f"non-integer count: {exc}"))
-                continue
-            if week < 1:
-                report.row_errors.append(RowError(line_no, f"week {week} < 1"))
-                continue
-            if cases < 0 or deaths < 0:
-                report.row_errors.append(RowError(line_no, "negative case or death count"))
-                continue
-            rec = SurveillanceRecord(
-                year=year,
-                week=week,
-                country=row[col_index["country"]].strip(),
-                province=row[col_index["province"]].strip(),
-                district=row[col_index["district"]].strip(),
-                disease=row[col_index["disease"]].strip(),
-                cases=cases,
-                deaths=deaths,
-            )
-            if deaths > cases:
-                report.deaths_exceed_cases += 1
-            key = (
-                rec.year,
-                rec.week,
-                _norm_name(rec.country),
-                _norm_name(rec.province),
-                _norm_name(rec.district),
-                _norm_name(rec.disease),
-            )
-            if key in by_key:
-                report.duplicates += 1
-                order_kept = by_key[key][0]
-                by_key[key] = (order_kept, rec)  # last row wins, position kept
-            else:
-                by_key[key] = (order, rec)
-                order += 1
+    by_key: dict[tuple, tuple[int, SurveillanceRecord]] = {}
+    order = 0
+    for line_no, row in rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            report.row_errors.append(RowError(line_no, "too few fields"))
+            continue
+        try:
+            year = int(row[col_index["year"]])
+            week = int(row[col_index["week"]])
+            cases = int(row[col_index["cases"]])
+            deaths = int(row[col_index["deaths"]])
+        except ValueError as exc:
+            report.row_errors.append(RowError(line_no, f"non-integer count: {exc}"))
+            continue
+        if week < 1:
+            report.row_errors.append(RowError(line_no, f"week {week} < 1"))
+            continue
+        try:
+            record_date(year, week)
+        except (OverflowError, ValueError):
+            report.row_errors.append(RowError(line_no, f"year {year}, week {week} is not a date"))
+            continue
+        if not (0 <= cases < 2**63 and 0 <= deaths < 2**63):
+            report.row_errors.append(RowError(line_no, "case or death count outside [0, 2**63)"))
+            continue
+        rec = SurveillanceRecord(
+            year=year,
+            week=week,
+            country=row[col_index["country"]].strip(),
+            province=row[col_index["province"]].strip(),
+            district=row[col_index["district"]].strip(),
+            disease=row[col_index["disease"]].strip(),
+            cases=cases,
+            deaths=deaths,
+        )
+        if deaths > cases:
+            report.deaths_exceed_cases += 1
+        names = (rec.country, rec.province, rec.district, rec.disease)
+        key = (rec.year, rec.week, *map(_norm_name, names))
+        if key in by_key:
+            report.duplicates += 1
+            order_kept = by_key[key][0]
+            by_key[key] = (order_kept, rec)  # last row wins, position kept
+        else:
+            by_key[key] = (order, rec)
+            order += 1
     if report.duplicates:
         warnings.warn(
             f"{report.duplicates} duplicate (year, week, district, disease) rows; kept the last of each",
@@ -234,15 +240,30 @@ def _read_features(path) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: expected a GeoJSON FeatureCollection")
-    return doc.get("features", [])
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ParseError(f"{path}: features must be a JSON array")
+    for idx, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ParseError(f"{path}: feature {idx} is not a JSON object")
+        for key in ("geometry", "properties"):
+            if not isinstance(feature.get(key) or {}, dict):
+                raise ParseError(f"{path}: feature {idx} {key} is not a JSON object")
+    return features
+
+
+# what malformed coordinates raise in numpy or the geometry checks
+_COORDINATE_ERRORS = (GeometryError, OverflowError, TypeError, ValueError)
 
 
 def _multipolygon(parts) -> geometry.MultiPolygon:
     """GeoJSON polygon coordinates, one list of rings per part: shell, then holes."""
+    if not (isinstance(parts, list) and parts and all(isinstance(r, list) and r for r in parts)):
+        raise GeometryError("expected a non-empty list of polygons, each a non-empty list of rings")
     return geometry.MultiPolygon(
         tuple(
             geometry.Polygon(
@@ -261,6 +282,9 @@ def parse_district_geojson(path) -> list[AdminRegion]:
         props = feature.get("properties") or {}
         if "adm_id" not in props or props["adm_id"] is None:
             raise ParseError(f"{path}: feature {idx} has no adm_id property")
+        adm_id = _whole_number(props["adm_id"])
+        if adm_id is None:
+            raise ParseError(f"{path}: feature {idx} adm_id {props['adm_id']!r} is not a whole number")
         geom = feature.get("geometry") or {}
         gtype = geom.get("type")
         if gtype not in ("Polygon", "MultiPolygon"):
@@ -270,12 +294,10 @@ def parse_district_geojson(path) -> list[AdminRegion]:
         try:
             coords = geom["coordinates"]
             poly = _multipolygon([coords] if gtype == "Polygon" else coords)
-        except (GeometryError, IndexError, TypeError, ValueError) as exc:
+        except _COORDINATE_ERRORS as exc:
             raise ParseError(f"{path}: feature {idx}: {exc}") from exc
-        if not poly.parts:
-            raise ParseError(f"{path}: feature {idx} has empty geometry")
-        if geometry.area(poly) <= 0.0:
-            raise ParseError(f"{path}: feature {idx} has zero area")
+        if not 0.0 < geometry.area(poly) < np.inf:
+            raise ParseError(f"{path}: feature {idx} has zero or non-finite area")
         for key in ("name", "province", "country"):
             if key not in props:
                 warnings.warn(
@@ -285,7 +307,7 @@ def parse_district_geojson(path) -> list[AdminRegion]:
                 )
         regions.append(
             AdminRegion(
-                adm_id=int(props["adm_id"]),
+                adm_id=adm_id,
                 name=str(props.get("name", "")),
                 province=str(props.get("province", "")),
                 country=str(props.get("country", "")),
@@ -302,11 +324,41 @@ def parse_district_geojson(path) -> list[AdminRegion]:
     return regions
 
 
+def _whole_number(value) -> int | None:
+    """value as an int64 if it is an integer, an integral float or a decimal string."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            return None
+    if isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63:
+        return value
+    return None
+
+
+def _positions(coords, least: int) -> np.ndarray:
+    """GeoJSON positions as a finite (k, 2) array with k >= least."""
+    pts = np.asarray(coords, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < least:
+        raise GeometryError(f"expected a list of at least {least} (x, y) positions")
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("positions contain non-finite coordinates")
+    return pts
+
+
+def _lines(parts) -> geometry.LineSet:
+    if not isinstance(parts, list) or not parts:
+        raise GeometryError("expected a non-empty list of lines")
+    return geometry.LineSet(tuple(_positions(p, 2) for p in parts))
+
+
 _WATER_TYPES = {
-    "Point": lambda c: geometry.PointSet(np.asarray([c], dtype=float)),
-    "MultiPoint": lambda c: geometry.PointSet(np.asarray(c, dtype=float)),
-    "LineString": lambda c: geometry.LineSet((np.asarray(c, dtype=float),)),
-    "MultiLineString": lambda c: geometry.LineSet(tuple(np.asarray(p, dtype=float) for p in c)),
+    "Point": lambda c: geometry.PointSet(_positions([c], 1)),
+    "MultiPoint": lambda c: geometry.PointSet(_positions(c, 1)),
+    "LineString": lambda c: _lines([c]),
+    "MultiLineString": _lines,
     "Polygon": lambda c: _multipolygon([c]),
     "MultiPolygon": _multipolygon,
 }
@@ -326,7 +378,7 @@ def parse_water_geojson(path) -> list:
             raise ParseError(f"{path}: water feature {idx} has no coordinates")
         try:
             feats.append(_WATER_TYPES[gtype](geom["coordinates"]))
-        except (GeometryError, IndexError, TypeError, ValueError) as exc:
+        except _COORDINATE_ERRORS as exc:
             raise ParseError(f"{path}: water feature {idx}: {exc}") from exc
     return feats
 
@@ -417,29 +469,28 @@ def write_ascii_grid(grid: RasterGrid, path) -> None:
 
 def parse_points_csv(path) -> PointValueSet:
     """Read a lon,lat,value CSV (relative-wealth style point data)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    try:
+        header = [_norm_header(h) for h in next(rows)[1]]
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    try:
+        i_lon, i_lat, i_val = header.index("lon"), header.index("lat"), header.index("value")
+    except ValueError:
+        raise ParseError(f"{path}: header must name lon, lat, value") from None
+    lons, lats, vals = [], [], []
+    for line_no, row in rows:
+        if not row or all(not c.strip() for c in row):
+            continue
         try:
-            header = [_norm_header(h) for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        try:
-            i_lon, i_lat, i_val = header.index("lon"), header.index("lat"), header.index("value")
-        except ValueError:
-            raise ParseError(f"{path}: header must name lon, lat, value") from None
-        lons, lats, vals = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                lon, lat, val = float(row[i_lon]), float(row[i_lat]), float(row[i_val])
-            except (ValueError, IndexError):
-                raise ParseError(f"{path}: bad point row at line {line_no}") from None
-            if not (np.isfinite(lon) and np.isfinite(lat) and np.isfinite(val)):
-                raise ParseError(f"{path}: non-finite point at line {line_no}")
-            lons.append(lon)
-            lats.append(lat)
-            vals.append(val)
+            lon, lat, val = float(row[i_lon]), float(row[i_lat]), float(row[i_val])
+        except (ValueError, IndexError):
+            raise ParseError(f"{path}: bad point row at line {line_no}") from None
+        if not (np.isfinite(lon) and np.isfinite(lat) and np.isfinite(val)):
+            raise ParseError(f"{path}: non-finite point at line {line_no}")
+        lons.append(lon)
+        lats.append(lat)
+        vals.append(val)
     return PointValueSet(np.asarray(lons), np.asarray(lats), np.asarray(vals))
 
 
@@ -482,7 +533,7 @@ def build_panel(
         lookup[key] = i
 
     report = PanelReport()
-    counts = np.zeros((1, len(districts), n_weeks), dtype=np.int64)
+    counts = np.zeros((len(districts), n_weeks), dtype=np.int64)
     disease_norm = _norm_name(disease)
     for rec in records:
         if _norm_name(rec.disease) != disease_norm:
@@ -496,7 +547,7 @@ def build_panel(
         if w < 1 or w > n_weeks:
             report.dropped_out_of_range += 1
             continue
-        counts[0, idx, w - 1] += rec.cases
+        counts[idx, w - 1] += rec.cases
         report.matched_rows += 1
     if report.dropped_out_of_range:
         warnings.warn(
@@ -505,7 +556,7 @@ def build_panel(
             stacklevel=2,
         )
     panel = SurveillancePanel(
-        diseases=(disease,),
+        disease=disease,
         start=start,
         n_weeks=n_weeks,
         districts=tuple(r.adm_id for r in districts),
@@ -524,23 +575,22 @@ def panel_to_records(panel: SurveillancePanel, districts: list[AdminRegion]) -> 
     out = []
     # ceil so the emitted year-week never maps to a bin before the panel start
     base_week = ((panel.start - date(panel.start.year, 1, 1)).days + 6) // 7
-    for d_i, disease in enumerate(panel.diseases):
-        for r_i, adm_id in enumerate(panel.districts):
-            region = by_id[adm_id]
-            for w in range(panel.n_weeks):
-                c = int(panel.counts[d_i, r_i, w])
-                if c == 0:
-                    continue
-                out.append(
-                    SurveillanceRecord(
-                        year=panel.start.year,
-                        week=base_week + w + 1,
-                        country=region.country,
-                        province=region.province,
-                        district=region.name,
-                        disease=disease,
-                        cases=c,
-                        deaths=0,
-                    )
+    for r_i, adm_id in enumerate(panel.districts):
+        region = by_id[adm_id]
+        for w in range(panel.n_weeks):
+            c = int(panel.counts[r_i, w])
+            if c == 0:
+                continue
+            out.append(
+                SurveillanceRecord(
+                    year=panel.start.year,
+                    week=base_week + w + 1,
+                    country=region.country,
+                    province=region.province,
+                    district=region.name,
+                    disease=panel.disease,
+                    cases=c,
+                    deaths=0,
                 )
+            )
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,16 +140,6 @@ def entropy_from_counts(pos, total) -> np.ndarray:
     return out
 
 
-def gini_impurity(labels) -> float:
-    y = np.asarray(labels)
-    return float(gini_from_counts(np.array(np.sum(y == 1)), len(y)))
-
-
-def entropy_impurity(labels) -> float:
-    y = np.asarray(labels)
-    return float(entropy_from_counts(np.array(np.sum(y == 1)), len(y)))
-
-
 _CRITERIA = {"gini": gini_from_counts, "entropy": entropy_from_counts}
 
 
@@ -174,91 +164,39 @@ class ForestModel:
     feature_names: tuple[str, ...]
 
 
-def _leaf(feature, threshold, left, right, proba1, p1) -> int:
-    node = len(feature)
-    feature.append(-1)
-    threshold.append(np.nan)
-    left.append(-1)
-    right.append(-1)
-    proba1.append(p1)
-    return node
+def _preorder(root, expand) -> Tree:
+    """Build a tree from its root item, numbering the nodes in preorder.
 
-
-def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
-    impurity = _CRITERIA[criterion]
-    n, p = X.shape
-    boot = rng.integers(0, n, size=n)
+    expand(item) returns (p1, None) for a leaf, or (p1, (feature, threshold,
+    left_item, right_item)) for a split. A node is numbered when it is
+    expanded, and a split's whole left subtree is numbered before its right
+    child, so the root is node 0 and every left child is its parent + 1.
+    """
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     proba1: list[float] = []
-    # DFS, left child first; rng is consumed in node-creation order
-    stack = [(boot, 0, -1, False)]
+    stack = [(root, -1, False)]
     while stack:
-        idx, depth, parent, is_right = stack.pop()
-        yb = y[idx]
-        m = len(idx)
-        pos = int(yb.sum())
-        split = None
-        stop = (
-            pos == 0
-            or pos == m
-            or (max_depth is not None and depth >= max_depth)
-            or m < 2 * min_leaf
-        )
-        if not stop:
-            parent_imp = float(impurity(np.array(pos), m))
-            feats = rng.permutation(p)[:q]
-            best_gain = 0.0
-            for f in feats:
-                v = X[idx, f]
-                order = np.argsort(v, kind="stable")
-                vs = v[order]
-                cum_pos = np.cumsum(yb[order])
-                cut = np.flatnonzero(vs[1:] != vs[:-1])  # left block is 0..cut
-                if not len(cut):
-                    continue
-                n_left = cut + 1
-                n_right = m - n_left
-                ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-                if not np.any(ok):
-                    continue
-                cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
-                pos_left = cum_pos[cut]
-                pos_right = pos - pos_left
-                child = (
-                    n_left * impurity(pos_left, n_left)
-                    + n_right * impurity(pos_right, n_right)
-                ) / m
-                gain = parent_imp - child
-                j = int(np.argmax(gain))
-                if gain[j] > best_gain:
-                    lo, hi = vs[cut[j]], vs[cut[j] + 1]
-                    t = (lo + hi) / 2.0
-                    if not (lo <= t < hi):
-                        t = lo  # midpoint rounded onto a sample; keep the partition
-                    best_gain = float(gain[j])
-                    split = (int(f), float(t))
+        item, parent, is_right = stack.pop()
         node = len(feature)
         if parent >= 0:
-            if is_right:
-                right[parent] = node
-            else:
-                left[parent] = node
-        if split is None:
-            _leaf(feature, threshold, left, right, proba1, pos / m)
-            continue
-        f, t = split
-        feature.append(f)
-        threshold.append(t)
+            (right if is_right else left)[parent] = node
+        p1, split = expand(item)
         left.append(-1)
         right.append(-1)
-        proba1.append(pos / m)
-        goes_left = X[idx, f] <= t
-        # push right first so the left child is created (and numbered) first
-        stack.append((idx[~goes_left], depth + 1, node, True))
-        stack.append((idx[goes_left], depth + 1, node, False))
+        proba1.append(p1)
+        if split is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            continue
+        f, t, left_item, right_item = split
+        feature.append(f)
+        threshold.append(t)
+        # push right first so the left child is expanded (and numbered) first
+        stack.append((right_item, node, True))
+        stack.append((left_item, node, False))
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=float),
@@ -266,6 +204,65 @@ def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
         right=np.asarray(right, dtype=np.int32),
         proba1=np.asarray(proba1, dtype=float),
     )
+
+
+def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
+    impurity = _CRITERIA[criterion]
+    n, p = X.shape
+
+    def expand(item):
+        # rng is consumed here, so in node-creation order
+        idx, depth = item
+        yb = y[idx]
+        m = len(idx)
+        pos = int(yb.sum())
+        if (
+            pos == 0
+            or pos == m
+            or (max_depth is not None and depth >= max_depth)
+            or m < 2 * min_leaf
+        ):
+            return pos / m, None
+        parent_imp = float(impurity(np.array(pos), m))
+        feats = rng.permutation(p)[:q]
+        best_gain = 0.0
+        split = None
+        for f in feats:
+            v = X[idx, f]
+            order = np.argsort(v, kind="stable")
+            vs = v[order]
+            cum_pos = np.cumsum(yb[order])
+            cut = np.flatnonzero(vs[1:] != vs[:-1])  # left block is 0..cut
+            if not len(cut):
+                continue
+            n_left = cut + 1
+            n_right = m - n_left
+            ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+            if not np.any(ok):
+                continue
+            cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
+            pos_left = cum_pos[cut]
+            pos_right = pos - pos_left
+            child = (
+                n_left * impurity(pos_left, n_left)
+                + n_right * impurity(pos_right, n_right)
+            ) / m
+            gain = parent_imp - child
+            j = int(np.argmax(gain))
+            if gain[j] > best_gain:
+                lo, hi = vs[cut[j]], vs[cut[j] + 1]
+                t = (lo + hi) / 2.0
+                if not (lo <= t < hi):
+                    t = lo  # midpoint rounded onto a sample; keep the partition
+                best_gain = float(gain[j])
+                split = (int(f), float(t))
+        if split is None:
+            return pos / m, None
+        f, t = split
+        goes_left = X[idx, f] <= t
+        return pos / m, (f, t, (idx[goes_left], depth + 1), (idx[~goes_left], depth + 1))
+
+    return _preorder((rng.integers(0, n, size=n), 0), expand)
 
 
 def train_forest(
@@ -289,6 +286,8 @@ def train_forest(
         raise EngineError(f"unknown criterion {criterion!r}")
     if len(train) < 2:
         raise EngineError("need at least 2 training rows")
+    if not np.all(np.isin(train.labels, (0, 1))):
+        raise EngineError("training labels must be binary 0/1")
     X = np.asarray(train.X, dtype=float)
     y = np.asarray(train.labels, dtype=np.int64)
     p = X.shape[1]
@@ -296,33 +295,17 @@ def train_forest(
         raise EngineError("need at least 1 feature")
     q = features_per_split if features_per_split else int(np.ceil(np.sqrt(p)))
     q = max(1, min(q, p))
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if len(np.unique(y)) < 2:
         warnings.warn(
             "single-class training data: every tree is one leaf", EngineWarning, stacklevel=2
         )
-        p1 = float(classes[0])
-        trees = [
-            Tree(
-                feature=np.array([-1], dtype=np.int32),
-                threshold=np.array([np.nan]),
-                left=np.array([-1], dtype=np.int32),
-                right=np.array([-1], dtype=np.int32),
-                proba1=np.array([p1]),
-            )
-            for _ in range(n_trees)
-        ]
-    else:
 
-        def build(t: int) -> Tree:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-            return _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q)
+    def build(t: int) -> Tree:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        return _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q)
 
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                trees = list(pool.map(build, range(n_trees)))
-        else:
-            trees = [build(t) for t in range(n_trees)]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        trees = list(pool.map(build, range(n_trees)))
     return ForestModel(
         trees=trees,
         criterion=criterion,
@@ -385,19 +368,8 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "mcc": self.mcc,
-            "roc_auc": self.roc_auc,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "confusion": {
-                "tp": self.confusion[0],
-                "fp": self.confusion[1],
-                "fn": self.confusion[2],
-                "tn": self.confusion[3],
-            },
+            **asdict(self),
+            "confusion": dict(zip(("tp", "fp", "fn", "tn"), self.confusion)),
             "undefined": list(self.undefined),
         }
 
@@ -494,13 +466,10 @@ class ImportanceEntry:
 def permutation_importance(
     model: ForestModel,
     test: FeatureTable,
-    metric: str = "f1",
     n_repeats: int = 5,
     seed: int = 0,
 ) -> list[ImportanceEntry]:
-    """Metric drop per shuffled feature column, sorted by mean drop descending."""
-    if metric != "f1":
-        raise EngineError(f"unsupported importance metric {metric!r}")
+    """F1 drop per shuffled feature column, sorted by mean drop descending."""
     if len(test) == 0:
         raise EngineError("importance needs a non-empty evaluation table")
     if n_repeats < 1:
@@ -528,59 +497,22 @@ def permutation_importance(
     return entries
 
 
-def _node_dicts(tree: Tree) -> dict:
-    nodes = []
-    for i in range(len(tree.feature)):
-        if tree.feature[i] < 0:
-            nodes.append({"leaf": True, "p1": float(tree.proba1[i])})
-        else:
-            nodes.append(
-                {
-                    "feature": int(tree.feature[i]),
-                    "threshold": float(tree.threshold[i]),
-                    "left": None,
-                    "right": None,
-                }
-            )
-    for i in range(len(tree.feature)):
-        if tree.feature[i] >= 0:
-            nodes[i]["left"] = nodes[tree.left[i]]
-            nodes[i]["right"] = nodes[tree.right[i]]
-    return nodes[0]
+def _node_dict(tree: Tree, i: int = 0) -> dict:
+    """Node i and its subtree as nested dicts; _expand_dict reads them back."""
+    if tree.feature[i] < 0:
+        return {"leaf": True, "p1": float(tree.proba1[i])}
+    return {
+        "feature": int(tree.feature[i]),
+        "threshold": float(tree.threshold[i]),
+        "left": _node_dict(tree, tree.left[i]),
+        "right": _node_dict(tree, tree.right[i]),
+    }
 
 
-def _nodes_from_dict(root: dict) -> Tree:
-    feature, threshold, left, right, proba1 = [], [], [], [], []
-    stack = [(root, -1, False)]
-    while stack:
-        node, parent, is_right = stack.pop()
-        nid = len(feature)
-        if parent >= 0:
-            if is_right:
-                right[parent] = nid
-            else:
-                left[parent] = nid
-        if node.get("leaf"):
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-            proba1.append(float(node["p1"]))
-        else:
-            feature.append(int(node["feature"]))
-            threshold.append(float(node["threshold"]))
-            left.append(-1)
-            right.append(-1)
-            proba1.append(0.0)
-            stack.append((node["right"], nid, True))
-            stack.append((node["left"], nid, False))
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        proba1=np.asarray(proba1, dtype=float),
-    )
+def _expand_dict(node: dict):
+    if node.get("leaf"):
+        return float(node["p1"]), None
+    return 0.0, (int(node["feature"]), float(node["threshold"]), node["left"], node["right"])
 
 
 def forest_to_dict(model: ForestModel) -> dict:
@@ -594,7 +526,7 @@ def forest_to_dict(model: ForestModel) -> dict:
         "features_per_split": model.features_per_split,
         "seed": model.seed,
         "feature_names": list(model.feature_names),
-        "trees": [_node_dicts(t) for t in model.trees],
+        "trees": [_node_dict(t) for t in model.trees],
     }
 
 
@@ -604,7 +536,7 @@ def forest_from_dict(doc: dict) -> ForestModel:
     if doc.get("version") != MODEL_VERSION:
         raise EngineError(f"unsupported model version {doc.get('version')!r}")
     return ForestModel(
-        trees=[_nodes_from_dict(t) for t in doc["trees"]],
+        trees=[_preorder(t, _expand_dict) for t in doc["trees"]],
         criterion=doc["criterion"],
         n_trees=doc["n_trees"],
         max_depth=doc["max_depth"],

@@ -19,7 +19,7 @@ which adds each region's cells one by one in raster order, gathered or not.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,20 @@ class AreaTabulation:
     covered: int  # non-nodata cells in the region footprint
 
 
+def _window(xs: np.ndarray, ys: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every cell whose center may lie in box = (minx, miny,
+    maxx, maxy), one cell of margin on each side, flattened in raster order;
+    xs and ys are the grid's cell_centers_x() and cell_centers_y()."""
+    minx, miny, maxx, maxy = box
+    ncols, nrows = len(xs), len(ys)
+    c0, c1 = np.searchsorted(xs, [minx, maxx])
+    cols = np.arange(max(c0 - 1, 0), min(c1 + 1, ncols))
+    r1s, r0s = np.searchsorted(ys[::-1], [miny, maxy])  # ys run north to south
+    rows = np.arange(max(nrows - r0s - 1, 0), min(nrows - r1s + 1, nrows))
+    rr, cc = np.meshgrid(rows, cols, indexing="ij")
+    return rr.ravel(), cc.ravel()
+
+
 def assign_cells(grid: RasterGrid, regions: list[AdminRegion]) -> np.ndarray:
     """Region index per cell (-1 = unassigned), first-containing wins."""
     xs = grid.cell_centers_x()
@@ -55,21 +69,14 @@ def assign_cells(grid: RasterGrid, regions: list[AdminRegion]) -> np.ndarray:
     owner = np.full((grid.nrows, grid.ncols), -1, dtype=np.int64)
     ties = 0
     for ri, region in enumerate(regions):
-        minx, miny, maxx, maxy = geometry.bounds(region.geometry)
-        c0, c1 = np.searchsorted(xs, [minx, maxx])
-        cols = np.arange(max(c0 - 1, 0), min(c1 + 1, grid.ncols))
-        ys_south_to_north = ys[::-1]
-        r1s, r0s = np.searchsorted(ys_south_to_north, [miny, maxy])
-        rows = np.arange(max(grid.nrows - r0s - 1, 0), min(grid.nrows - r1s + 1, grid.nrows))
-        if not len(cols) or not len(rows):
+        rr, cc = _window(xs, ys, geometry.bounds(region.geometry))
+        if not len(rr):
             continue
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        pts = np.column_stack([xs[cc.ravel()], ys[rr.ravel()]])
-        inside = geometry.contains_points(region.geometry, pts)
+        inside = geometry.contains_points(region.geometry, np.column_stack([xs[cc], ys[rr]]))
         if not np.any(inside):
             continue
-        r_in = rr.ravel()[inside]
-        c_in = cc.ravel()[inside]
+        r_in = rr[inside]
+        c_in = cc[inside]
         prior = owner[r_in, c_in]
         ties += int(np.count_nonzero(prior >= 0))
         free = prior < 0
@@ -197,10 +204,7 @@ def _feature_scale(feature) -> tuple[float, float, float]:
 
 def _scaled(feature, sx: float, sy: float):
     def scale_coords(arr):
-        out = np.asarray(arr, dtype=float).copy()
-        out[:, 0] *= sx
-        out[:, 1] *= sy
-        return out
+        return np.asarray(arr, dtype=float) * (sx, sy)
 
     if isinstance(feature, geometry.PointSet):
         return geometry.PointSet(scale_coords(feature.coords))
@@ -232,32 +236,18 @@ def water_buffer_mask(grid: RasterGrid, water: list, buffer_km: float) -> np.nda
         minx, miny, maxx, maxy = geometry.bounds(feature)
         pad_x = buffer_km / sx
         pad_y = buffer_km / sy
-        c0, c1 = np.searchsorted(xs, [minx - pad_x, maxx + pad_x])
-        cols = np.arange(max(c0 - 1, 0), min(c1 + 1, grid.ncols))
-        ys_sn = ys[::-1]
-        r1s, r0s = np.searchsorted(ys_sn, [miny - pad_y, maxy + pad_y])
-        rows = np.arange(max(grid.nrows - r0s - 1, 0), min(grid.nrows - r1s + 1, grid.nrows))
-        if not len(cols) or not len(rows):
+        rr, cc = _window(xs, ys, (minx - pad_x, miny - pad_y, maxx + pad_x, maxy + pad_y))
+        if not len(rr):
             continue
-        rr, cc = np.meshgrid(rows, cols, indexing="ij")
-        pts = np.column_stack([xs[cc.ravel()] * sx, ys[rr.ravel()] * sy])
+        pts = np.column_stack([xs[cc] * sx, ys[rr] * sy])
         near = geometry.distance_to(_scaled(feature, sx, sy), pts) <= buffer_km
-        mask[rr.ravel()[near], cc.ravel()[near]] = True
+        mask[rr[near], cc[near]] = True
     return mask
 
 
 def masked_population(grid: RasterGrid, mask: np.ndarray) -> RasterGrid:
     """Population where the mask holds, 0 elsewhere (nodata also becomes 0)."""
-    vals = np.where(mask & (grid.values != grid.nodata), grid.values, 0.0)
-    return RasterGrid(
-        ncols=grid.ncols,
-        nrows=grid.nrows,
-        xll=grid.xll,
-        yll=grid.yll,
-        cellsize=grid.cellsize,
-        nodata=grid.nodata,
-        values=vals,
-    )
+    return replace(grid, values=np.where(mask & (grid.values != grid.nodata), grid.values, 0.0))
 
 
 def population_near_water(

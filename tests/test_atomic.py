@@ -32,7 +32,7 @@ def grid_failing_at_row_2():
 
 def weights_failing_at_row_2():
     return geo.SpatialWeights(n=2, neighbors=((1,), (0,)), weights=((1.0,), (Unprintable(),)),
-                              standardized=False, islands=())
+                              islands=())
 
 
 WRITERS = {

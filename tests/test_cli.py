@@ -305,3 +305,63 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "--stage" in proc.stdout
+
+
+class TestEvents:
+    def events(self, capsys):
+        return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+    def test_rows_rejected_lists_every_row(self, world, capsys):
+        surveillance = world.parent / "surveillance.csv"
+        n_lines = len(surveillance.read_text().splitlines())
+        with open(surveillance, "a", encoding="utf-8") as fh:
+            fh.write("2019,x,Atlantis,North,D01,Cholera,1,0\n")
+            fh.write("2019,2,Atlantis,North,D01,Cholera,-4,0\n")
+        assert run_cli(world, "--stage", "ingest") == 0
+        [rejected] = [e for e in self.events(capsys) if e["event"] == "rows_rejected"]
+        assert rejected["count"] == 2
+        assert [r["line"] for r in rejected["rows"]] == [n_lines + 1, n_lines + 2]
+        assert "non-integer" in rejected["rows"][0]["reason"]
+        assert "outside [0" in rejected["rows"][1]["reason"]
+
+    def test_every_warning_event_names_its_category(self, world, capsys):
+        surveillance = world.parent / "surveillance.csv"
+        first_row = surveillance.read_text().splitlines()[1]
+        with open(surveillance, "a", encoding="utf-8") as fh:
+            fh.write(first_row + "\n")  # a duplicate key
+        out = world.parent / "out"
+        assert run_cli(world, "--stage", "all") == 0
+        (out / "manifest.json").write_text("{")
+        assert run_cli(world, "--stage", "ingest") == 0
+        warned = [e for e in self.events(capsys) if e["event"] == "warning"]
+        assert any("duplicate" in e["message"] for e in warned)
+        assert any("manifest.json" in e["message"] for e in warned)
+        assert all(e["category"] == "EngineWarning" for e in warned)
+        for path in out.iterdir():  # events go to stdout only
+            assert b'"event"' not in path.read_bytes(), path.name
+
+
+class TestWaterBuffers:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_population_near_water_once_for_the_feature_buffer(self, world, monkeypatch, masked):
+        edit_config(world, None, "buffers_km", [3, 10])
+        edit_config(world, None, "write_masked_raster", masked)
+        near, masks = [], []
+        population_near_water, water_buffer_mask = raster.population_near_water, raster.water_buffer_mask
+
+        def counting_near(pop, water, buffer_km, index):
+            near.append(buffer_km)
+            return population_near_water(pop, water, buffer_km, index)
+
+        def counting_mask(grid, water, buffer_km):
+            masks.append(buffer_km)
+            return water_buffer_mask(grid, water, buffer_km)
+
+        assert run_cli(world, "--stage", "ingest") == 0
+        monkeypatch.setattr(raster, "population_near_water", counting_near)
+        monkeypatch.setattr(raster, "water_buffer_mask", counting_mask)
+        assert run_cli(world, "--stage", "features") == 0
+        assert near == [3.0]
+        assert masks == [3.0] + ([3.0, 10.0] if masked else [])
+        written = sorted(p.name for p in (world.parent / "out").glob("population_within_*"))
+        assert written == (["population_within_10km.asc", "population_within_3km.asc"] if masked else [])

@@ -213,3 +213,19 @@ def test_null_rejection_rate_calibrated():
     bound(upper, alpha)
     bound(lower, alpha)
     bound(combined, 2 * alpha)
+
+
+@pytest.mark.parametrize(
+    "field, noise_scale, p_value",
+    [("clustered", 1.0, 0.065), ("checkerboard", 2.0, 0.06)],
+)
+def test_global_p_values_pinned(field, noise_scale, p_value):
+    """Pinned p-values in both tails: a clustered field departs upward, a
+    noisy checkerboard under rook contiguity downward."""
+    w = geo.build_contiguity_weights(grid_regions(6, 6), kind="rook")
+    row, col = np.divmod(np.arange(36), 6)
+    base = (col >= 3) if field == "clustered" else ((row + col) % 2 == 1)
+    x = base.astype(float) + noise_scale * np.random.default_rng(11).normal(size=36)
+    result = esda.morans_i(x, w, n_perm=199, seed=5)
+    assert (result.I > result.expected_I) == (field == "clustered")
+    assert result.p_value == p_value

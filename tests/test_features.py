@@ -75,9 +75,9 @@ def test_table_scaler_no_leakage_and_no_refit():
     rng = np.random.default_rng(4)
     train = rng.normal(size=(50, 3)) * [1, 10, 100]
     test = rng.normal(size=(20, 3)) * [1, 10, 100]
-    scaler = features.TableScaler("robust").fit(train)
+    scaler = features.TableScaler().fit(train)
     t1 = scaler.transform(test)
-    fresh = features.TableScaler("robust").fit(train)
+    fresh = features.TableScaler().fit(train)
     assert np.array_equal(t1, fresh.transform(test))
     with pytest.raises(EngineError, match="refit"):
         scaler.fit(train)
@@ -110,11 +110,11 @@ def make_panel(counts, start=date(2019, 1, 1)):
     counts = np.asarray(counts)
     d, t = counts.shape
     return ingest.SurveillancePanel(
-        diseases=("m",),
+        disease="m",
         start=start,
         n_weeks=t,
         districts=tuple(11 + i for i in range(d)),
-        counts=counts[None, :, :],
+        counts=counts,
     )
 
 

@@ -106,7 +106,7 @@ def test_weights_csv_roundtrip(tmp_path):
     assert back.neighbors == w.neighbors
     assert back.weights == w.weights
     assert back.islands == w.islands
-    assert back.standardized
+    assert all(sum(row) == 1.0 for i, row in enumerate(back.weights) if i not in back.islands)
 
 
 def test_unknown_kind_and_empty_regions():

@@ -188,6 +188,88 @@ class TestWaterGeojson:
             ingest.parse_water_geojson(path)
 
 
+UNIT_RING = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+def collection(*features):
+    return json.dumps({"type": "FeatureCollection", "features": list(features)})
+
+
+def district(adm_id, geometry=None):
+    return {
+        "type": "Feature",
+        "properties": {"adm_id": adm_id, "name": "N", "province": "P", "country": "C"},
+        "geometry": geometry or {"type": "Polygon", "coordinates": [UNIT_RING]},
+    }
+
+
+def water(gtype, coordinates):
+    return {"type": "Feature", "properties": {}, "geometry": {"type": gtype, "coordinates": coordinates}}
+
+
+class TestMalformedInputs:
+    """Each input that once escaped as another exception, or parsed silently."""
+
+    @pytest.mark.parametrize(
+        "parse, data, match",
+        [
+            (ingest.parse_surveillance_csv, HEADER.encode() + b"2019,1,C,P,D,m,\xff,0\n", "not UTF-8"),
+            (ingest.parse_points_csv, b"lon,lat,value\n1,2,\xfe\n", "not UTF-8"),
+            (ingest.parse_district_geojson, collection(5), "feature 0 is not a JSON object"),
+            (ingest.parse_district_geojson,
+             collection({"type": "Feature", "properties": {"adm_id": 1}, "geometry": [1]}),
+             "feature 0 geometry is not a JSON object"),
+            (ingest.parse_district_geojson,
+             collection({"type": "Feature", "properties": [1], "geometry": None}),
+             "feature 0 properties is not a JSON object"),
+            (ingest.parse_district_geojson, json.dumps({"type": "FeatureCollection", "features": 5}),
+             "features must be a JSON array"),
+            (ingest.parse_district_geojson, collection(district("abc")), "adm_id 'abc' is not a whole number"),
+            (ingest.parse_district_geojson, collection(district([1])), r"adm_id \[1\] is not a whole number"),
+            (ingest.parse_district_geojson, collection(district(1.5)), "adm_id 1.5 is not a whole number"),
+            (ingest.parse_district_geojson, collection(district(2**63)), "is not a whole number"),
+            (ingest.parse_district_geojson, collection(district(1, {"type": "MultiPolygon", "coordinates": []})),
+             "non-empty list of polygons"),
+            (ingest.parse_district_geojson, "[" * 100_000, "invalid JSON"),
+            (ingest.parse_water_geojson, collection(5), "feature 0 is not a JSON object"),
+            (ingest.parse_water_geojson, collection(water("Point", [1, 2, 3])), r"\(x, y\) positions"),
+            (ingest.parse_water_geojson, collection(water("Point", [float("nan"), 2])), "non-finite"),
+            (ingest.parse_water_geojson, collection(water("Point", [10**400, 2])), "water feature 0"),
+            (ingest.parse_water_geojson, collection(water("LineString", [[1, 2]])), "at least 2"),
+            (ingest.parse_water_geojson, collection(water("MultiLineString", [])), "non-empty list of lines"),
+            (ingest.parse_water_geojson, collection(water("MultiPoint", [])), "at least 1"),
+        ],
+    )
+    def test_raises_parse_error_naming_the_file(self, tmp_path, parse, data, match):
+        path = tmp_path / "input"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        with pytest.raises(ParseError, match=match) as info:
+            parse(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_whole_number_adm_ids_accepted(self, tmp_path):
+        square = {"type": "Polygon", "coordinates": [[[x + 2, y] for x, y in UNIT_RING]]}
+        path = write(tmp_path, "d.geojson", collection(district(4.0), district("7", square)))
+        assert [r.adm_id for r in ingest.parse_district_geojson(path)] == [4, 7]
+
+    def test_row_errors_name_the_first_line_of_the_row(self, tmp_path):
+        text = HEADER + '2019,1,C,P,"D\nX",m,1,0\n\n2019,x,C,P,D,m,1,0\n'
+        _, report = ingest.parse_surveillance_csv(write(tmp_path, "s.csv", text))
+        assert [e.line for e in report.row_errors] == [5]
+        path = write(tmp_path, "p.csv", 'lon,lat,value\n1,2,"3\n"\n1,2,x\n')
+        with pytest.raises(ParseError, match="line 4"):
+            ingest.parse_points_csv(path)
+
+    def test_rows_outside_the_calendar_rejected(self, tmp_path):
+        text = HEADER + "0,1,C,P,D,m,1,0\n2019,99999999,C,P,D,m,1,0\n2019,1,C,P,D,m,99999999999999999999,0\n"
+        records, report = ingest.parse_surveillance_csv(write(tmp_path, "s.csv", text))
+        assert records == []
+        assert [e.line for e in report.row_errors] == [2, 3, 4]
+        assert "not a date" in report.row_errors[0].message
+        assert "not a date" in report.row_errors[1].message
+        assert "outside [0, 2**63)" in report.row_errors[2].message
+
+
 class TestAsciiGrid:
     def test_minimal_grid(self, tmp_path):
         text = (
@@ -326,7 +408,7 @@ class TestBuildPanel:
 
     def test_no_records_zero_panel(self):
         panel, _ = ingest.build_panel([], self.districts(), self.START, 5, "m")
-        assert panel.counts.shape == (1, 2, 5)
+        assert panel.counts.shape == (2, 5)
         assert panel.counts.sum() == 0
 
     def test_unmatched_names_reported_and_dropped(self):

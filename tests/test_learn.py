@@ -100,10 +100,10 @@ class TestResample:
 
 
 def test_impurity_closed_forms():
-    assert learn.gini_impurity([0, 1]) == 0.5
-    assert learn.entropy_impurity([0, 1]) == 1.0
-    assert learn.gini_impurity([1, 1, 1]) == 0.0
-    assert learn.entropy_impurity([0, 0]) == 0.0
+    assert learn.gini_from_counts(1, 2) == 0.5
+    assert learn.entropy_from_counts(1, 2) == 1.0
+    assert learn.gini_from_counts(3, 3) == 0.0
+    assert learn.entropy_from_counts(0, 2) == 0.0
 
 
 class TestForest:
@@ -130,6 +130,33 @@ class TestForest:
             assert tree.proba1[0] == 1.0
         labels, scores = learn.predict(model, t)
         assert np.all(scores == 1.0)
+
+    def test_all_negative_training_data_single_leaf(self):
+        t = table_from(np.arange(6)[:, None], np.zeros(6, dtype=int))
+        with pytest.warns(EngineWarning, match="single-class"):
+            model = learn.train_forest(t, n_trees=3, seed=0)
+        for tree in model.trees:
+            assert tree.feature.tolist() == [-1] and tree.proba1.tolist() == [0.0]
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 1], [2, 2, 2, 2], [-1, 0, 1, 0]])
+    def test_non_binary_labels_fatal(self, labels):
+        t = table_from(np.arange(4)[:, None], labels)
+        with pytest.raises(EngineError, match="binary"):
+            learn.train_forest(t, n_trees=2, seed=0)
+
+    def test_nodes_numbered_in_preorder(self):
+        t = self.separable_1d(300, seed=4)
+        X = np.column_stack([t.X, np.random.default_rng(3).normal(size=(len(t), 2))])
+        model = learn.train_forest(table_from(X, t.labels), n_trees=4, seed=5)
+
+        def size(tree, i):
+            return 1 if tree.feature[i] < 0 else 1 + size(tree, tree.left[i]) + size(tree, tree.right[i])
+
+        for tree in model.trees:
+            assert size(tree, 0) == len(tree.feature)
+            for i in np.flatnonzero(tree.feature >= 0):
+                assert tree.left[i] == i + 1
+                assert tree.right[i] == i + 1 + size(tree, i + 1)
 
     def test_determinism_and_thread_independence(self):
         t = self.separable_1d(400, seed=9)
@@ -163,6 +190,20 @@ class TestForest:
         l1, s1 = learn.predict(model, t)
         l2, s2 = learn.predict(back, t)
         assert np.array_equal(s1, s2) and np.array_equal(l1, l2)
+
+
+    def test_json_roundtrip_reproduces_every_node(self):
+        t = self.separable_1d(300, seed=6)
+        X = np.column_stack([t.X, np.random.default_rng(2).normal(size=(len(t), 2))])
+        model = learn.train_forest(table_from(X, t.labels), n_trees=6, seed=4)
+        back = learn.forest_from_dict(json.loads(json.dumps(learn.forest_to_dict(model))))
+        assert len(back.trees) == len(model.trees)
+        for a, b in zip(model.trees, back.trees):
+            assert np.array_equal(a.feature, b.feature)
+            assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
+            assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
+            leaf = a.feature < 0
+            assert np.array_equal(a.proba1[leaf], b.proba1[leaf])
 
 
 class TestEvaluate:
@@ -273,9 +314,3 @@ class TestImportance:
             entries = learn.permutation_importance(model, test, n_repeats=3, seed=trial)
             wins += entries[0].feature == "x2"
         assert wins >= 19  # rank-1 in >= 95% of seeded trials
-
-    def test_unknown_metric_fatal(self):
-        t = synthetic.box_table(100, positive_rate=0.3, n_features=3, seed=1)
-        model = learn.train_forest(t, n_trees=2, seed=1)
-        with pytest.raises(EngineError, match="metric"):
-            learn.permutation_importance(model, t, metric="accuracy")
