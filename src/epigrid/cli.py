@@ -21,7 +21,6 @@ timestamps, so a run is reproducible bit-for-bit from config + inputs + seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -37,7 +36,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, atomic, esda, features, geo, ingest, learn, raster
-from .errors import ConfigError, DependencyError, EngineError, EngineWarning, LockError
+from .errors import ConfigError, DependencyError, EngineError, EngineWarning, LockError, ParseError
 
 DEFAULT_LANDCOVER_CODES = {
     "trees": 1,
@@ -48,6 +47,7 @@ DEFAULT_LANDCOVER_CODES = {
 }
 
 _RASTER_ROLES = ("elevation", "population", "landcover", "precipitation", "temperature")
+_WEEKLY_ROLES = ("precipitation", "temperature")  # a file, or a directory of weekly .asc files
 
 # ---------------------------------------------------------------------------
 # config fields
@@ -87,10 +87,12 @@ def _choice(*options: str) -> Spec:
     return Spec("one of " + ", ".join(map(repr, options)), lambda v: isinstance(v, str) and v in options)
 
 
-def _input_path(v, base: Path) -> Path:
+def _input_path(v, base: Path, directory_ok: bool = False) -> Path:
     path = base / v
     if not path.exists():
         raise ConfigError(f"input path does not exist: {path}")
+    if not (path.is_file() or (directory_ok and path.is_dir())):
+        raise ConfigError(f"input path is not a file: {path}")
     return path
 
 
@@ -104,7 +106,7 @@ _RASTERS = Spec(
     lambda v: isinstance(v, dict)
     and set(_RASTER_ROLES) <= set(v)
     and all(_TEXT.ok(p) for p in v.values()),
-    lambda v, base: {role: _input_path(p, base) for role, p in v.items()},
+    lambda v, base: {role: _input_path(p, base, role in _WEEKLY_ROLES) for role, p in v.items()},
 )
 _LANDCOVER = Spec(
     "an object of integer class codes",
@@ -189,12 +191,11 @@ def _lookup(doc: dict, key: str, path: Path):
 def load_config(path, seed_override=None, threads_override=None) -> PipelineConfig:
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = ingest.read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
     overrides = {"--seed": seed_override, "--threads": threads_override}
@@ -246,13 +247,6 @@ def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = Fa
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with atomic.replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -283,8 +277,8 @@ class Manifest:
         self.doc = {"version": __version__, "stages": {}}
         if self.path.exists():
             try:
-                doc = json.loads(self.path.read_text(encoding="utf-8"))
-            except ValueError:
+                doc = ingest.read_json(self.path)
+            except ParseError:
                 doc = None
             if isinstance(doc, dict) and isinstance(doc.get("stages"), dict):
                 self.doc = doc
@@ -408,7 +402,7 @@ def export_lisa_csv(regions, result: esda.LisaResult, path) -> None:
         x = _float_or_none(x)
         return "" if x is None else repr(x)
 
-    _write_csv(
+    ingest.write_csv(
         Path(path),
         ["adm_id", "local_i", "p_value", "quadrant"],
         (
@@ -425,17 +419,14 @@ def export_lisa_csv(regions, result: esda.LisaResult, path) -> None:
 def _load_panel(cfg: PipelineConfig, out: Path):
     """The districts, and the panel that panel.csv holds with its districts in region order."""
     districts = ingest.parse_district_geojson(cfg.districts_geojson)
-    row_of = {r.adm_id: i for i, r in enumerate(districts)}
-    with open(out / "panel.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [tuple(map(int, row)) for row in reader if row]
-    if {adm for adm, _, _ in rows} != set(row_of):
-        raise DependencyError("panel.csv districts do not match the district file")
-    counts = np.zeros((len(districts), cfg.n_weeks), dtype=np.int64)
-    for adm, week, cases in rows:
-        counts[row_of[adm], week - 1] = cases
-    panel = ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, tuple(row_of), counts)
+    adm_ids = tuple(r.adm_id for r in districts)
+    path = out / "panel.csv"
+    rows = list(ingest.read_csv(path, ("adm_id", "week", "cases"), (int, int, int)))
+    # the ingest stage writes weeks 1..n_weeks of every district, in region order
+    if [row[:2] for row in rows] != [(adm, w) for adm in adm_ids for w in range(1, cfg.n_weeks + 1)]:
+        raise ParseError(f"{path}: expected weeks 1..{cfg.n_weeks} of every district in {cfg.districts_geojson}")
+    counts = np.array([cases for _, _, cases in rows], dtype=np.int64).reshape(len(adm_ids), cfg.n_weeks)
+    panel = ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, adm_ids, counts)
     return districts, panel
 
 
@@ -472,7 +463,7 @@ def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
             }
         )
     target = out / "panel.csv"
-    _write_csv(
+    ingest.write_csv(
         target,
         ["adm_id", "week", "cases"],
         ([adm, w + 1, int(panel.counts[i, w])] for i, adm in enumerate(panel.districts) for w in range(panel.n_weeks)),
@@ -637,7 +628,7 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
     _write_json(metrics_path, {"disease": cfg.disease, **report.to_dict()}, indent=2)
     metrics_csv = out / "metrics.csv"
     names = ["accuracy", "balanced_accuracy", "mcc", "roc_auc", "f1", "precision", "recall"]
-    _write_csv(
+    ingest.write_csv(
         metrics_csv,
         ["metric", "value"],
         [
@@ -649,18 +640,22 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
 
 
 def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
-    with open(out / "model.json", encoding="utf-8") as fh:
-        model_doc = json.load(fh)
-    model = learn.forest_from_dict(model_doc)
-    scaler = features.TableScaler.from_dict(model_doc["scaler"])
+    model_path = out / "model.json"
+    model_doc = ingest.read_json(model_path)
+    try:
+        model = learn.forest_from_dict(model_doc)
+        scaler = features.TableScaler.from_dict(model_doc["scaler"])
+        split = learn.SplitSpec(**model_doc["split"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{model_path}: not a model document: {type(exc).__name__}: {exc}") from None
     table = features.read_feature_csv(out / "features.csv")
-    _, test = learn.random_split(table, learn.SplitSpec(**model_doc["split"]))
+    _, test = learn.random_split(table, split)
     test = test.with_X(scaler.transform(test.X))
     entries = learn.permutation_importance(
         model, test, n_repeats=cfg.importance_repeats, seed=cfg.learn_seed
     )
     csv_path = out / "importance.csv"
-    _write_csv(
+    ingest.write_csv(
         csv_path,
         ["feature", "importance", "std"],
         ([e.feature, repr(e.importance), repr(e.std)] for e in entries),

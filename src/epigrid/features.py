@@ -9,14 +9,12 @@ scaling of whole tables is fitted on training rows only.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
 
 import numpy as np
 
-from . import atomic, geometry
+from . import geometry, ingest
 from .errors import EngineError, EngineWarning, SchemaMismatchError
 from .ingest import AdminRegion, PointValueSet, SurveillancePanel
 
@@ -139,13 +137,11 @@ class DistrictDataset:
 
     values has one row per panel district:
       (d,)            static, broadcast to every week
-      (d, len(years)) yearly (years given), broadcast within each year
       (d, T)          weekly
       (d, m*T)        sub-weekly, aggregated per week by agg
     """
 
     values: np.ndarray
-    years: tuple[int, ...] | None = None
     agg: str = "mean"
 
 
@@ -198,10 +194,6 @@ def points_to_district_values(points: PointValueSet, regions: list[AdminRegion])
     return out
 
 
-def _week_years(start: date, n_weeks: int) -> np.ndarray:
-    return np.array([(start + timedelta(days=7 * w)).year for w in range(n_weeks)])
-
-
 def _to_weekly(name: str, ds: DistrictDataset, panel: SurveillancePanel) -> np.ndarray:
     """Expand or aggregate one dataset to a (districts, weeks) matrix."""
     values = np.asarray(ds.values, dtype=float)
@@ -210,20 +202,6 @@ def _to_weekly(name: str, ds: DistrictDataset, panel: SurveillancePanel) -> np.n
         raise EngineError(f"dataset {name!r} has {len(values)} rows, expected {d}")
     if values.ndim == 1:
         weekly = np.repeat(values[:, None], t, axis=1)
-    elif ds.years is not None:
-        if values.shape[1] != len(ds.years):
-            raise EngineError(f"dataset {name!r}: column count != len(years)")
-        wanted = _week_years(panel.start, t)
-        years = np.asarray(ds.years)
-        # clamp weeks outside the covered years to the nearest available year
-        col = np.abs(wanted[None, :] - years[:, None]).argmin(axis=0)
-        if np.any((wanted < years.min()) | (wanted > years.max())):
-            warnings.warn(
-                f"dataset {name!r} does not cover every panel year; clamped to nearest",
-                EngineWarning,
-                stacklevel=3,
-            )
-        weekly = values[:, col]
     elif values.shape[1] == t:
         weekly = values
     elif values.shape[1] % t == 0:
@@ -248,8 +226,8 @@ def _to_weekly(name: str, ds: DistrictDataset, panel: SurveillancePanel) -> np.n
 def assemble_feature_table(panel: SurveillancePanel, datasets: dict[str, DistrictDataset]) -> FeatureTable:
     """Emit one row per (district, week), ordered by adm_id then week.
 
-    datasets must provide every FEATURE_NAMES entry except "week". Static and
-    yearly datasets broadcast across weeks; finer-than-weekly ones aggregate.
+    datasets must provide every FEATURE_NAMES entry except "week". Static
+    datasets broadcast across weeks; finer-than-weekly ones aggregate.
     """
     needed = [n for n in FEATURE_NAMES if n != "week"]
     missing = [n for n in needed if n not in datasets]
@@ -282,39 +260,23 @@ def assemble_feature_table(panel: SurveillancePanel, datasets: dict[str, Distric
 
 
 def write_feature_csv(table: FeatureTable, path) -> None:
-    with atomic.replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in range(len(table)):
-            row = [i + 1, int(table.adm_ids[i])]
-            row.extend(repr(float(v)) for v in table.X[i])
-            row.append(int(table.cases[i]))
-            row.append(int(table.labels[i]))
-            writer.writerow(row)
+    columns = zip(table.adm_ids, table.X, table.cases, table.labels)
+    rows = ([i, int(adm), *map(repr, map(float, x)), int(cases), int(label)]
+            for i, (adm, x, cases, label) in enumerate(columns, 1))
+    ingest.write_csv(path, CSV_COLUMNS, rows)
 
 
 def read_feature_csv(path) -> FeatureTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_COLUMNS:
-            raise SchemaMismatchError(
-                f"{path}: unexpected feature columns {header!r}"
-            )
-        adm, X, cases, labels = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            adm.append(int(row[1]))
-            X.append([float(v) for v in row[2 : 2 + len(FEATURE_NAMES)]])
-            cases.append(int(row[-2]))
-            labels.append(int(row[-1]))
-    X = np.asarray(X, dtype=float)
+    types = (int, int) + (float,) * len(FEATURE_NAMES) + (int, int)
+    # one fixed-width record per row: no per-row Python object outlives its row
+    dtype = np.dtype([(name, np.int64 if t is int else float) for name, t in zip(CSV_COLUMNS, types)])
+    rows = np.fromiter(ingest.read_csv(path, CSV_COLUMNS, types), dtype)
+    X = np.column_stack([rows[name] for name in FEATURE_NAMES])
     return FeatureTable(
-        adm_ids=np.asarray(adm, dtype=np.int64),
+        adm_ids=rows["adm_id"].copy(),  # contiguous copies, not strided views of rows
         weeks=X[:, 0].astype(np.int64),
         X=X,
         feature_names=FEATURE_NAMES,
-        cases=np.asarray(cases, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64),
+        cases=rows["cases"].copy(),
+        labels=rows["label"].copy(),
     )

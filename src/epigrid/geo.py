@@ -12,15 +12,14 @@ Weights are always row-standardized: each of region i's k neighbors weighs
 
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import atomic, geometry
-from .errors import EngineError, EngineWarning
+from . import geometry, ingest
+from .errors import EngineError, EngineWarning, ParseError
 from .ingest import AdminRegion
 
 
@@ -132,35 +131,29 @@ def spatial_lag(w: SpatialWeights, x) -> np.ndarray:
 
 def write_weights_csv(w: SpatialWeights, edges_path, islands_path) -> None:
     """Audit export: an (i, j, weight) edge list plus an island index list."""
-    with atomic.replacing(edges_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "weight"])
-        for i, (nbrs, wts) in enumerate(zip(w.neighbors, w.weights)):
-            for j, wij in zip(nbrs, wts):
-                writer.writerow([i, j, repr(wij)])
-    with atomic.replacing(islands_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["island"])
-        for i in w.islands:
-            writer.writerow([i])
+    rows = enumerate(zip(w.neighbors, w.weights))
+    edges = ([i, j, repr(wij)] for i, (nbrs, wts) in rows for j, wij in zip(nbrs, wts))
+    ingest.write_csv(edges_path, ("i", "j", "weight"), edges)
+    ingest.write_csv(islands_path, ("island",), ([i] for i in w.islands))
 
 
 def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
+    """The weights write_weights_csv wrote for n regions. Each edge it writes
+    lies in 0..n-1 and has a mirror edge, and the islands are the regions
+    without an edge; files that break this were cut short or edited and raise
+    a ParseError."""
     neighbors: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[float]] = [[] for _ in range(n)]
-    with open(edges_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            i, j, wij = int(row[0]), int(row[1]), float(row[2])
-            neighbors[i].append(j)
-            weights[i].append(wij)
-    with open(islands_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        islands = tuple(int(row[0]) for row in reader if row)
+    for i, j, wij in ingest.read_csv(edges_path, ("i", "j", "weight"), (int, int, float)):
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"{edges_path}: edge ({i}, {j}) leaves the regions 0..{n - 1}")
+        neighbors[i].append(j)
+        weights[i].append(wij)
+    islands = tuple(i for (i,) in ingest.read_csv(islands_path, ("island",), (int,)))
+    if any(i not in neighbors[j] for i, nbrs in enumerate(neighbors) for j in nbrs):
+        raise ParseError(f"{edges_path}: an edge has no mirror edge")
+    if set(islands) != {i for i, nbrs in enumerate(neighbors) if not nbrs}:
+        raise ParseError(f"{islands_path}: the islands are not the regions without an edge in {edges_path}")
     return SpatialWeights(
         n=n,
         neighbors=tuple(tuple(r) for r in neighbors),

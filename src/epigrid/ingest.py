@@ -1,16 +1,21 @@
-"""Parsers for surveillance CSVs, district GeoJSON, ASCII grids, and point CSVs,
-plus materialization of the dense district-week panel.
+"""The one reader and writer of every file the pipeline reads or writes, plus
+materialization of the dense district-week panel.
 
-All parsers are pure: they read one file and return immutable structures that
-are safe to share across threads. Malformed input, undecodable bytes included,
-raises a ParseError naming the file; only a bad surveillance row is skipped and
-reported instead.
+Parsers read surveillance CSVs, district and water GeoJSON, ASCII grids and
+point CSVs; read_csv/write_csv are the CSV format of every CSV artifact,
+read_json decodes every JSON file (config, manifest, model), and every writer
+replaces its file atomically. Parsers are pure: they read one file and return
+immutable structures that are safe to share across threads. Malformed input,
+undecodable bytes included, raises a ParseError naming the file (a wrong
+artifact header a SchemaMismatchError); only a bad surveillance row is skipped
+and reported instead.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -18,7 +23,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import atomic, geometry
-from .errors import EngineWarning, GeometryError, ParseError
+from .errors import EngineWarning, GeometryError, ParseError, SchemaMismatchError
 
 SURVEILLANCE_COLUMNS = (
     "year",
@@ -132,7 +137,7 @@ def _norm_name(name: str) -> str:
     return name.strip().lower()
 
 
-def _csv_rows(path):
+def csv_rows(path):
     """(first line number, row) per row of a UTF-8 CSV file, where a quoted field
     may span lines; undecodable bytes or a broken field end as a ParseError."""
     try:
@@ -148,6 +153,53 @@ def _csv_rows(path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+# operator.call is new in Python 3.11; the lambda is its slower equivalent
+_call = getattr(operator, "call", lambda convert, value: convert(value))
+
+
+def read_csv(path, header, types):
+    """Each non-blank row after the header, as a tuple with column k converted
+    by types[k]. Another header is a SchemaMismatchError. A row of another
+    width or a value its type rejects (ValueError) is a ParseError naming the
+    file and line, and so is a last row without a line end: write_csv ends
+    every row with one, so such a file was cut short."""
+    rows = csv_rows(path)
+    found = next(rows, (1, None))[1]
+    if found != list(header):
+        raise SchemaMismatchError(f"{path}: expected the columns {list(header)}, found {found}")
+    with open(path, "rb") as fh:
+        fh.seek(-1, 2)  # the header row is there, so the file is not empty
+        if fh.read(1) != b"\n":
+            raise ParseError(f"{path}: the last row has no line end; the file was cut short")
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+        try:
+            yield tuple(map(_call, types, row))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {line}: {exc}") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and every row; path is replaced only once all are written."""
+    with atomic.replacing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path):
+    """The document a UTF-8 JSON file holds; undecodable bytes, invalid JSON or
+    nesting past the recursion limit end as a ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
 def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], SurveillanceParseReport]:
     """Parse the weekly surveillance CSV.
 
@@ -156,7 +208,7 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
     the last row and emit a warning.
     """
     report = SurveillanceParseReport()
-    rows = _csv_rows(path)
+    rows = csv_rows(path)
     try:
         _, header = next(rows)
     except StopIteration:
@@ -171,8 +223,7 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
     if missing:
         raise ParseError(f"{path}: header is missing column(s) {', '.join(missing)}")
 
-    by_key: dict[tuple, tuple[int, SurveillanceRecord]] = {}
-    order = 0
+    by_key: dict[tuple, SurveillanceRecord] = {}
     for line_no, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -214,11 +265,7 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
         key = (rec.year, rec.week, *map(_norm_name, names))
         if key in by_key:
             report.duplicates += 1
-            order_kept = by_key[key][0]
-            by_key[key] = (order_kept, rec)  # last row wins, position kept
-        else:
-            by_key[key] = (order, rec)
-            order += 1
+        by_key[key] = rec  # the last row wins; the key keeps its first position
     if report.duplicates:
         warnings.warn(
             f"{report.duplicates} duplicate (year, week, district, disease) rows; kept the last of each",
@@ -231,17 +278,12 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
             EngineWarning,
             stacklevel=2,
         )
-    records = [rec for _, rec in sorted(by_key.values(), key=lambda kv: kv[0])]
-    return records, report
+    return list(by_key.values()), report
 
 
 def _read_features(path) -> list:
     """The feature list of a GeoJSON FeatureCollection file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: expected a GeoJSON FeatureCollection")
     features = doc.get("features", [])
@@ -367,7 +409,7 @@ _WATER_TYPES = {
 def parse_water_geojson(path) -> list:
     """Read water features from a GeoJSON FeatureCollection, order preserved:
     points and multipoints as PointSet, (multi)linestrings as LineSet,
-    (multi)polygons as MultiPolygon."""
+    (multi)polygons as MultiPolygon. Positions are (lon, lat) in degrees."""
     feats = []
     for idx, feature in enumerate(_read_features(path)):
         geom = feature.get("geometry") or {}
@@ -377,9 +419,12 @@ def parse_water_geojson(path) -> list:
         if "coordinates" not in geom:
             raise ParseError(f"{path}: water feature {idx} has no coordinates")
         try:
-            feats.append(_WATER_TYPES[gtype](geom["coordinates"]))
+            feat = _WATER_TYPES[gtype](geom["coordinates"])
         except _COORDINATE_ERRORS as exc:
             raise ParseError(f"{path}: water feature {idx}: {exc}") from exc
+        if np.any(np.abs(geometry.vertices(feat)) > (180.0, 90.0)):
+            raise ParseError(f"{path}: water feature {idx} has a position outside lon [-180, 180], lat [-90, 90]")
+        feats.append(feat)
     return feats
 
 
@@ -469,7 +514,7 @@ def write_ascii_grid(grid: RasterGrid, path) -> None:
 
 def parse_points_csv(path) -> PointValueSet:
     """Read a lon,lat,value CSV (relative-wealth style point data)."""
-    rows = _csv_rows(path)
+    rows = csv_rows(path)
     try:
         header = [_norm_header(h) for h in next(rows)[1]]
     except StopIteration:

@@ -205,6 +205,38 @@ class TestFailures:
         assert (key or "--seed") in err["message"]
         assert not (world.parent / "out" / "panel.csv").exists()
 
+    @pytest.mark.parametrize("text", [b'{"disease": "\xff"}', b"[" * 100_000], ids=["not_utf8", "nested"])
+    def test_unreadable_config_is_config_error(self, world, capsys, text):
+        world.write_bytes(text)
+        assert run_cli(world, "--stage", "all") == 1
+        err = error_report(capsys)
+        assert err["type"] == "ConfigError" and "traceback" not in err
+        assert str(world) in err["message"]
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("surveillance_csv",), ("districts_geojson",), ("water_geojson",), ("wealth_points_csv",),
+         ("rasters", "elevation"), ("rasters", "population"), ("rasters", "landcover")],
+    )
+    def test_directory_where_a_file_belongs_is_config_error(self, world, capsys, keys):
+        doc = json.loads(world.read_text())
+        node = doc["paths"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "precipitation"
+        world.write_text(json.dumps(doc))
+        assert run_cli(world, "--stage", "all") == 1
+        err = error_report(capsys)
+        assert err["type"] == "ConfigError" and "is not a file" in err["message"]
+        assert not (world.parent / "out" / "panel.csv").exists()
+
+    def test_weekly_rasters_take_a_file_or_a_directory(self, world):
+        doc = json.loads(world.read_text())
+        doc["paths"]["rasters"]["precipitation"] = "precipitation/week_001.asc"
+        world.write_text(json.dumps(doc))
+        rasters = cli.load_config(world).rasters
+        assert rasters["precipitation"].is_file() and rasters["temperature"].is_dir()
+
     def test_seed_override_triggers_rerun(self, world, capsys):
         assert run_cli(world, "--stage", "esda") == 1  # needs ingest first
         capsys.readouterr()
@@ -214,6 +246,93 @@ class TestFailures:
         assert run_cli(world, "--stage", "esda", "--seed", "99") == 0
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert any(e["event"] == "stage_start" for e in events)
+
+
+def cut(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def not_utf8(data: bytes) -> bytes:
+    return cut(data) + b"\xff" + data[len(data) // 2 :]
+
+
+def first_row(edit):
+    """Apply edit to the first data row of a CSV artifact; a file with no data
+    row (the mini world has no island) gets the row "0" first."""
+
+    def damage(data: bytes) -> bytes:
+        header, _, rows = data.partition(b"\r\n")
+        row, _, rest = (rows or b"0\r\n").partition(b"\r\n")
+        return header + b"\r\n" + edit(row) + b"\r\n" + rest
+
+    return damage
+
+
+def first_tree(edit):
+    def damage(data: bytes) -> bytes:
+        doc = json.loads(data)
+        edit(doc["trees"][0])
+        return json.dumps(doc).encode()
+
+    return damage
+
+
+CSV_DAMAGE = {
+    "truncated": cut,
+    # a one-field row without its field is blank and skipped, so it gets a second field
+    "short_row": first_row(lambda row: row.rpartition(b",")[0] or row + b",0"),
+    "non_numeric": first_row(lambda row: b"abc" + row.lstrip(b"0123456789")),
+    "not_utf8": not_utf8,
+}
+MODEL_DAMAGE = {
+    "truncated": cut,
+    "short_row": first_tree(lambda root: root.pop("threshold")),
+    "non_numeric": first_tree(lambda root: root.update(threshold="abc")),
+    "not_utf8": not_utf8,
+}
+READERS = {
+    "panel.csv": "esda",
+    "weights.csv": "esda",
+    "islands.csv": "esda",
+    "features.csv": "train",
+    "model.json": "importance",
+}
+
+
+class TestDamagedArtifacts:
+    """A damaged artifact stops the stage that reads it with a report naming
+    the file, never with a traceback."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, mini_world, tmp_path_factory):
+        world = tmp_path_factory.mktemp("finished") / "world"
+        shutil.copytree(Path(mini_world).parent, world)
+        assert run_cli(world / "config.json", "--stage", "all") == 0
+        return world
+
+    @pytest.mark.parametrize("damage", sorted(CSV_DAMAGE))
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_damaged_artifact_is_a_parse_error(self, finished, tmp_path, capsys, name, damage):
+        world = tmp_path / "world"
+        shutil.copytree(finished, world)
+        path = world / "out" / name
+        path.write_bytes((MODEL_DAMAGE if name == "model.json" else CSV_DAMAGE)[damage](path.read_bytes()))
+        capsys.readouterr()
+        assert run_cli(world / "config.json", "--stage", READERS[name]) == 1
+        err = error_report(capsys)
+        assert err["type"] in ("ParseError", "SchemaMismatchError")
+        assert "traceback" not in err
+        assert str(path) in err["message"]
+
+    def test_panel_missing_its_last_week_is_a_parse_error(self, finished, tmp_path, capsys):
+        world = tmp_path / "world"
+        shutil.copytree(finished, world)
+        path = world / "out" / "panel.csv"
+        path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")  # cut at a row end
+        capsys.readouterr()
+        assert run_cli(world / "config.json", "--stage", "esda") == 1
+        err = error_report(capsys)
+        assert err["type"] == "ParseError" and "expected weeks 1..8 of every district" in err["message"]
 
 
 class TestZoneIndexPerGrid:

@@ -169,20 +169,6 @@ class TestAssemble:
         )
         assert t2.X[:, j].tolist() == [21.0, 70.0]
 
-    def test_yearly_broadcast_with_clamp(self):
-        counts = np.zeros((1, 60), dtype=int)
-        panel = make_panel(counts, start=date(2019, 6, 1))
-        yearly = features.DistrictDataset(
-            np.array([[5.0, 9.0]]), years=(2019, 2020)
-        )
-        table = features.assemble_feature_table(
-            panel, full_datasets(1, 60, temperature=yearly)
-        )
-        j = table.feature_names.index("temperature")
-        got = table.X[:, j]
-        # weeks starting 2019-06-01: the year rolls over within 60 weeks
-        assert got[0] == 5.0 and got[-1] == 9.0
-
     def test_missing_dataset_fatal(self):
         panel = make_panel([[1]])
         datasets = full_datasets(1, 1)

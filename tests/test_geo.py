@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epigrid import geo
-from epigrid.errors import EngineError, EngineWarning
+from epigrid.errors import EngineError, EngineWarning, ParseError
 
 import oracles
 from conftest import grid_regions, grid_truth_pairs, jittered_grid_regions, square_region
@@ -107,6 +107,25 @@ def test_weights_csv_roundtrip(tmp_path):
     assert back.weights == w.weights
     assert back.islands == w.islands
     assert all(sum(row) == 1.0 for i, row in enumerate(back.weights) if i not in back.islands)
+
+
+EDGES, ISLANDS = "i,j,weight\r\n0,1,1.0\r\n1,0,1.0\r\n", "island\r\n2\r\n"  # 3 regions, 2 an island
+
+
+@pytest.mark.parametrize(
+    "edges, islands, match",
+    [
+        (EDGES + "2,3,1.0\r\n", ISLANDS, "leaves the regions"),
+        ("i,j,weight\r\n0,1,1.0\r\n", ISLANDS, "no mirror edge"),
+        (EDGES, "island\r\n", "islands are not"),
+    ],
+    ids=["out_of_range", "no_mirror", "island_missing"],
+)
+def test_inconsistent_weights_csv_fatal(tmp_path, edges, islands, match):
+    (tmp_path / "w.csv").write_text(edges)
+    (tmp_path / "i.csv").write_text(islands)
+    with pytest.raises(ParseError, match=match):
+        geo.read_weights_csv(tmp_path / "w.csv", tmp_path / "i.csv", 3)
 
 
 def test_unknown_kind_and_empty_regions():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epigrid import ingest
-from epigrid.errors import EngineWarning, ParseError
+from epigrid.errors import EngineWarning, ParseError, SchemaMismatchError
 
 from conftest import grid_regions, square_region
 
@@ -66,12 +66,11 @@ class TestSurveillanceCsv:
         path = write(
             tmp_path,
             "s.csv",
-            HEADER + "2019,1,X,P,A,Malaria,4,0\n2019,1,X,P,A,Malaria,9,0\n",
+            HEADER + "2019,1,X,P,A,Malaria,4,0\n2019,1,X,P,B,Malaria,7,0\n2019,1,X,P,A,Malaria,9,0\n",
         )
         with pytest.warns(EngineWarning, match="duplicate"):
             records, report = ingest.parse_surveillance_csv(path)
-        assert len(records) == 1
-        assert records[0].cases == 9
+        assert [(r.district, r.cases) for r in records] == [("A", 9), ("B", 7)]
         assert report.duplicates == 1
 
     def test_deaths_exceeding_cases_warns_only(self, tmp_path):
@@ -207,6 +206,23 @@ def water(gtype, coordinates):
     return {"type": "Feature", "properties": {}, "geometry": {"type": gtype, "coordinates": coordinates}}
 
 
+@pytest.mark.parametrize(
+    "text, error, match",
+    [
+        ("i,j\r\n0,1\r\n", SchemaMismatchError, r"expected the columns \['i', 'j', 'weight'\]"),
+        ("i,j,weight\r\n0,1,0.5\r\n1,0,0.5,9\r\n", ParseError, "line 3 has 4 fields, expected 3"),
+        ("i,j,weight\r\n0,x,0.5\r\n", ParseError, "line 2: invalid literal"),
+        ("i,j,weight\r\n0,1,0.5\r\n1,0,0.3", ParseError, "cut short"),  # cut inside a valid number
+    ],
+    ids=["header", "width", "value", "cut_short"],
+)
+def test_read_csv_rejects(tmp_path, text, error, match):
+    path = write(tmp_path, "w.csv", text)
+    with pytest.raises(error, match=match) as info:
+        list(ingest.read_csv(path, ("i", "j", "weight"), (int, int, float)))
+    assert str(info.value).startswith(f"{path}: ")
+
+
 class TestMalformedInputs:
     """Each input that once escaped as another exception, or parsed silently."""
 
@@ -238,6 +254,9 @@ class TestMalformedInputs:
             (ingest.parse_water_geojson, collection(water("LineString", [[1, 2]])), "at least 2"),
             (ingest.parse_water_geojson, collection(water("MultiLineString", [])), "non-empty list of lines"),
             (ingest.parse_water_geojson, collection(water("MultiPoint", [])), "at least 1"),
+            (ingest.parse_water_geojson, collection(water("Point", [5, 365])), "water feature 0 .* outside lon"),
+            (ingest.parse_water_geojson, collection(water("Point", [5, 5]), water("LineString", [[0, 0], [-181, 0]])),
+             "water feature 1 .* outside lon"),
         ],
     )
     def test_raises_parse_error_naming_the_file(self, tmp_path, parse, data, match):
