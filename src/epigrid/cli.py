@@ -518,17 +518,19 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     water = ingest.parse_water_geojson(cfg.water_geojson)
     feature_buffer = cfg.buffers_km[0]  # the others only name masked rasters
-    near_water = np.array(
-        [v for _, v in raster.population_near_water(population_grid, water, feature_buffer, pop_zones)]
-    )
     outputs: list[Path] = []
     if cfg.write_masked_raster:
         for buffer_km in cfg.buffers_km:
             mask = raster.water_buffer_mask(population_grid, water, buffer_km)
             masked = raster.masked_population(population_grid, mask)
+            if buffer_km == feature_buffer:
+                near = raster.near_water_totals(masked, water, pop_zones)
             masked_path = out / f"population_within_{buffer_km:g}km.asc"
             ingest.write_ascii_grid(masked, masked_path)
             outputs.append(masked_path)
+    else:
+        near = raster.population_near_water(population_grid, water, feature_buffer, pop_zones)
+    near_water = np.array([v for _, v in near])
 
     codes = cfg.landcover_codes
     tabulation = raster.tabulate_area(landcover_grid, zones(landcover_grid), list(codes.values()))
@@ -646,7 +648,7 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
         model = learn.forest_from_dict(model_doc)
         scaler = features.TableScaler.from_dict(model_doc["scaler"])
         split = learn.SplitSpec(**model_doc["split"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, EngineError) as exc:
         raise ParseError(f"{model_path}: not a model document: {type(exc).__name__}: {exc}") from None
     table = features.read_feature_csv(out / "features.csv")
     _, test = learn.random_split(table, split)

@@ -206,9 +206,28 @@ def _preorder(root, expand) -> Tree:
     )
 
 
-def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
+def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per column, its sorted distinct values and each row's index into them.
+
+    codes[f, i] is the rank of X[i, f] among column f's distinct values, in
+    the smallest unsigned dtype that holds the largest distinct count. Equal
+    values (-0.0 and 0.0 included) share a code, so rows compare by code
+    exactly as they compare by value.
+    """
+    values = [np.unique(col) for col in X.T]
+    dtype = np.min_scalar_type(max(len(v) for v in values) - 1)
+    codes = np.empty((X.shape[1], len(X)), dtype=dtype)
+    for f, v in enumerate(values):
+        codes[f] = np.searchsorted(v, X[:, f])
+    codes.flags.writeable = False  # shared by the tree threads
+    return codes, values
+
+
+def _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
     impurity = _CRITERIA[criterion]
-    n, p = X.shape
+    p, n = codes.shape
+    n_codes = max(len(v) for v in values)
+    offset = np.arange(0, q * n_codes, n_codes)[:, None]  # feature row r counts codes from r * n_codes
 
     def expand(item):
         # rng is consumed here, so in node-creation order
@@ -225,42 +244,47 @@ def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
             return pos / m, None
         parent_imp = float(impurity(np.array(pos), m))
         feats = rng.permutation(p)[:q]
-        best_gain = 0.0
-        split = None
-        for f in feats:
-            v = X[idx, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            cum_pos = np.cumsum(yb[order])
-            cut = np.flatnonzero(vs[1:] != vs[:-1])  # left block is 0..cut
-            if not len(cut):
-                continue
-            n_left = cut + 1
-            n_right = m - n_left
-            ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-            if not np.any(ok):
-                continue
-            cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
-            pos_left = cum_pos[cut]
-            pos_right = pos - pos_left
-            child = (
-                n_left * impurity(pos_left, n_left)
-                + n_right * impurity(pos_right, n_right)
-            ) / m
-            gain = parent_imp - child
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                lo, hi = vs[cut[j]], vs[cut[j] + 1]
-                t = (lo + hi) / 2.0
-                if not (lo <= t < hi):
-                    t = lo  # midpoint rounded onto a sample; keep the partition
-                best_gain = float(gain[j])
-                split = (int(f), float(t))
-        if split is None:
+        block = codes[feats[:, None], idx]  # (q, m)
+        # cut c of feature row r puts n_left[r, c] rows, pos_left[r, c] of them
+        # positive, on the left; cuts run in increasing value order
+        hist = 4 * m >= n_codes
+        if hist:  # count each feature's codes
+            n_at = np.bincount((block + offset).ravel(), minlength=q * n_codes).reshape(q, -1)
+            pos_at = np.bincount(
+                (block[:, yb == 1] + offset).ravel(), minlength=q * n_codes
+            ).reshape(q, -1)
+            n_left = np.cumsum(n_at, axis=1)
+            pos_left = np.cumsum(pos_at, axis=1)
+            ok = (n_at > 0) & (n_left < m)  # a code present here and a larger one too
+        else:  # sort each feature's codes
+            order = np.argsort(block, axis=1, kind="stable")
+            ranked = np.sort(block, axis=1)
+            n_left = np.repeat(np.arange(1, m)[None, :], q, axis=0)
+            pos_left = np.cumsum(yb[order], axis=1)
+            ok = ranked[:, 1:] != ranked[:, :-1]  # left block is 0..cut
+        ok &= (n_left >= min_leaf) & (n_left <= m - min_leaf)
+        row, cut = np.nonzero(ok)  # features in feats order, then cuts in value order
+        if not len(row):
             return pos / m, None
-        f, t = split
-        goes_left = X[idx, f] <= t
-        return pos / m, (f, t, (idx[goes_left], depth + 1), (idx[~goes_left], depth + 1))
+        n_l, pos_l = n_left[row, cut], pos_left[row, cut]
+        n_r = m - n_l
+        child = (n_l * impurity(pos_l, n_l) + n_r * impurity(pos - pos_l, n_r)) / m
+        gain = parent_imp - child
+        j = int(np.argmax(gain))  # the first maximum
+        if not gain[j] > 0.0:
+            return pos / m, None
+        r, c = row[j], cut[j]
+        if hist:
+            lo_code, hi_code = c, c + 1 + int(np.argmax(n_at[r, c + 1 :] > 0))
+        else:
+            lo_code, hi_code = ranked[r, c], ranked[r, c + 1]
+        f = int(feats[r])
+        lo, hi = values[f][lo_code], values[f][hi_code]
+        t = (lo + hi) / 2.0
+        if not (lo <= t < hi):
+            t = lo  # midpoint rounded onto a sample; keep the partition
+        goes_left = block[r] <= lo_code
+        return pos / m, (f, float(t), (idx[goes_left], depth + 1), (idx[~goes_left], depth + 1))
 
     return _preorder((rng.integers(0, n, size=n), 0), expand)
 
@@ -281,6 +305,17 @@ def train_forest(
     values; the best (feature, threshold) maximizes the impurity decrease.
     Tree t draws all its randomness from sub-seed (seed, t), so thread count
     never changes the model.
+
+    The search runs on rank codes: each column's values are replaced once by
+    their index among its sorted distinct values. A node with at least a
+    quarter as many rows as the largest distinct count counts its codes into
+    per-feature histograms; a smaller node sorts them. Either way each cut
+    sees the same integer left counts and left positives, in the same order,
+    as a sort of the raw values would give, and its threshold comes from the
+    same two neighbouring values, so gains and thresholds are the same
+    floats. All sampled features are scored in one pass and the first
+    maximum wins: the first feature in sampled order, then the first cut in
+    value order, which is what a strict > over features one by one picks.
     """
     if criterion not in _CRITERIA:
         raise EngineError(f"unknown criterion {criterion!r}")
@@ -293,16 +328,21 @@ def train_forest(
     p = X.shape[1]
     if p < 1:
         raise EngineError("need at least 1 feature")
+    bad = ~np.isfinite(X).all(axis=0)
+    if bad.any():
+        names = [train.feature_names[f] for f in np.flatnonzero(bad)]
+        raise EngineError(f"training features hold non-finite values: {', '.join(names)}")
     q = features_per_split if features_per_split else int(np.ceil(np.sqrt(p)))
     q = max(1, min(q, p))
     if len(np.unique(y)) < 2:
         warnings.warn(
             "single-class training data: every tree is one leaf", EngineWarning, stacklevel=2
         )
+    codes, values = _rank_codes(X)
 
     def build(t: int) -> Tree:
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        return _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q)
+        return _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q)
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         trees = list(pool.map(build, range(n_trees)))
@@ -318,31 +358,45 @@ def train_forest(
     )
 
 
-def _tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(X), dtype=np.int64)
+def _leaves(tree: Tree, X: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The leaf that row X[rows[i]] reaches walking down from node[i]; X is
+    C-contiguous, so row r's column f is X.ravel()[r * p + f]."""
+    flat = X.ravel()
+    kids = np.column_stack([tree.right, tree.left]).ravel()  # [2i + (x <= t)]
     is_leaf = tree.feature < 0
-    active = np.flatnonzero(~is_leaf[node])
-    while len(active):
-        cur = node[active]
-        f = tree.feature[cur]
-        goes_left = X[active, f] <= tree.threshold[cur]
-        node[active] = np.where(goes_left, tree.left[cur], tree.right[cur])
-        active = active[~is_leaf[node[active]]]
-    return tree.proba1[node]
+    out = node.astype(np.int32)
+    live = np.flatnonzero(~is_leaf[out])
+    cur, base = out[live], rows[live] * X.shape[1]
+    while len(live):
+        cur = kids[2 * cur + (flat[base + tree.feature[cur]] <= tree.threshold[cur])]
+        done = is_leaf[cur]
+        if done.any():
+            out[live[done]] = cur[done]
+            going = ~done
+            live, cur, base = live[going], cur[going], base[going]
+    return out
+
+
+def _vote(trees: list[Tree], leaves, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and mean class-1 scores from each tree's leaf per row, the
+    scores summed in tree order."""
+    total = np.zeros(n_rows)
+    for tree, leaf in zip(trees, leaves):
+        total += tree.proba1[leaf]
+    scores = total / len(trees)
+    return (scores >= 0.5).astype(np.int64), scores
 
 
 def predict_matrix(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise SchemaMismatchError(
             f"matrix shape {X.shape} does not match the model's "
             f"{len(model.feature_names)} features"
         )
-    total = np.zeros(len(X))
-    for tree in model.trees:
-        total += _tree_scores(tree, X)
-    scores = total / len(model.trees)
-    return (scores >= 0.5).astype(np.int64), scores
+    rows = np.arange(len(X))
+    root = np.zeros(len(X), dtype=np.int32)
+    return _vote(model.trees, (_leaves(tree, X, rows, root) for tree in model.trees), len(X))
 
 
 def predict(model: ForestModel, rows: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
@@ -463,29 +517,83 @@ class ImportanceEntry:
     std: float
 
 
+def _subtree_ends(tree: Tree) -> np.ndarray:
+    """end[i] is one past node i's last descendant: preorder numbering makes
+    node i's subtree the range [i, end[i])."""
+    last = np.arange(len(tree.feature), dtype=np.int32)
+    while True:  # follow right children down to each subtree's last node
+        inner = np.flatnonzero(tree.feature[last] >= 0)
+        if not len(inner):
+            return last + 1
+        last[inner] = tree.right[last[inner]]
+
+
+def _first_split_on(tree: Tree, end: np.ndarray, leaf: np.ndarray, j: int) -> np.ndarray:
+    """Per row, the topmost node on its path to `leaf` that splits on
+    feature j, or -1 where the path has none."""
+    start = np.full(len(leaf), -1, dtype=np.int32)
+    on_j = np.flatnonzero(tree.feature == j)
+    if len(on_j):
+        # a split on j is topmost unless it lies inside an earlier one's
+        # subtree; the topmost ones have disjoint subtrees, so one search
+        # finds each row's
+        reach = np.maximum.accumulate(end[on_j])
+        tops = on_j[np.r_[True, on_j[1:] >= reach[:-1]]]
+        top = tops[np.maximum(np.searchsorted(tops, leaf, side="right") - 1, 0)]
+        meets = (top <= leaf) & (leaf < end[top])
+        start[meets] = top[meets]
+    return start
+
+
+def _rerouted(trees: list[Tree], leaves, starts, X: np.ndarray):
+    """Each tree's leaf per row of X, from its leaf per row before one
+    column changed and the node where each row's path first meets that
+    column (-1: never); one tree at a time."""
+    for tree, leaf, start in zip(trees, leaves, starts):
+        rows = np.flatnonzero(start >= 0)
+        moved = leaf.copy()
+        moved[rows] = _leaves(tree, X, rows, start[rows])
+        yield moved
+
+
 def permutation_importance(
     model: ForestModel,
     test: FeatureTable,
     n_repeats: int = 5,
     seed: int = 0,
 ) -> list[ImportanceEntry]:
-    """F1 drop per shuffled feature column, sorted by mean drop descending."""
+    """F1 drop per shuffled feature column, sorted by mean drop descending.
+
+    Shuffling column j can only change a row's path below the topmost node
+    on it that splits on j; a row whose path never meets j keeps its leaf.
+    So each tree's leaf per row is found once, and each shuffle re-routes
+    only the rows that meet j, from that node down. The leaves are the ones
+    a full traversal of the shuffled matrix reaches, and the per-tree scores
+    are summed in tree order as predict_matrix sums them, so every shuffled
+    F1 is the same float.
+    """
     if len(test) == 0:
         raise EngineError("importance needs a non-empty evaluation table")
     if n_repeats < 1:
         raise EngineError("n_repeats must be >= 1")
     labels, _ = predict(model, test)
     baseline = f1_score(test.labels, labels)
+    X = np.ascontiguousarray(test.X, dtype=float)
+    Xp = X.copy()
+    everyone = np.arange(len(X))
+    root = np.zeros(len(X), dtype=np.int32)
+    leaves = [_leaves(tree, X, everyone, root) for tree in model.trees]
+    ends = [_subtree_ends(tree) for tree in model.trees]
     entries = []
-    X = test.X
     for j, name in enumerate(model.feature_names):
+        starts = [_first_split_on(t, e, leaf, j) for t, e, leaf in zip(model.trees, ends, leaves)]
         shuffled_scores = np.empty(n_repeats)
-        Xp = X.copy()
         for r in range(n_repeats):
             rng = np.random.default_rng(np.random.SeedSequence((seed, j, r)))
             Xp[:, j] = rng.permutation(X[:, j])
-            pred, _ = predict_matrix(model, Xp)
+            pred, _ = _vote(model.trees, _rerouted(model.trees, leaves, starts, Xp), len(X))
             shuffled_scores[r] = f1_score(test.labels, pred)
+        Xp[:, j] = X[:, j]
         entries.append(
             ImportanceEntry(
                 feature=name,
@@ -498,7 +606,7 @@ def permutation_importance(
 
 
 def _node_dict(tree: Tree, i: int = 0) -> dict:
-    """Node i and its subtree as nested dicts; _expand_dict reads them back."""
+    """Node i and its subtree as nested dicts; _dict_expander reads them back."""
     if tree.feature[i] < 0:
         return {"leaf": True, "p1": float(tree.proba1[i])}
     return {
@@ -509,10 +617,30 @@ def _node_dict(tree: Tree, i: int = 0) -> dict:
     }
 
 
-def _expand_dict(node: dict):
-    if node.get("leaf"):
-        return float(node["p1"]), None
-    return 0.0, (int(node["feature"]), float(node["threshold"]), node["left"], node["right"])
+def _dict_expander(n_features: int):
+    """The _preorder expand for nested node dicts over n_features columns.
+
+    A node _node_dict could not have written is a ValueError: a non-object,
+    a leaf p1 outside [0, 1], a split on a feature outside 0..n_features-1
+    or at a non-finite threshold.
+    """
+
+    def expand(node):
+        if not isinstance(node, dict):
+            raise ValueError(f"a tree node is a {type(node).__name__}, not an object")
+        if node.get("leaf"):
+            p1 = float(node["p1"])
+            if not 0.0 <= p1 <= 1.0:
+                raise ValueError(f"leaf p1 {p1!r} is outside [0, 1]")
+            return p1, None
+        f, t = int(node["feature"]), float(node["threshold"])
+        if not 0 <= f < n_features:
+            raise ValueError(f"split on feature {f}, outside 0..{n_features - 1}")
+        if not np.isfinite(t):
+            raise ValueError(f"split threshold {t!r} is not finite")
+        return 0.0, (f, t, node["left"], node["right"])
+
+    return expand
 
 
 def forest_to_dict(model: ForestModel) -> dict:
@@ -535,13 +663,18 @@ def forest_from_dict(doc: dict) -> ForestModel:
         raise EngineError(f"not a forest document: format={doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:
         raise EngineError(f"unsupported model version {doc.get('version')!r}")
+    feature_names = tuple(doc["feature_names"])
+    expand = _dict_expander(len(feature_names))
+    trees = [_preorder(t, expand) for t in doc["trees"]]
+    if not trees or len(trees) != doc["n_trees"]:
+        raise ValueError(f"{len(trees)} trees for n_trees {doc['n_trees']!r}")
     return ForestModel(
-        trees=[_preorder(t, _expand_dict) for t in doc["trees"]],
+        trees=trees,
         criterion=doc["criterion"],
         n_trees=doc["n_trees"],
         max_depth=doc["max_depth"],
         min_leaf=doc["min_leaf"],
         features_per_split=doc["features_per_split"],
         seed=doc["seed"],
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=feature_names,
     )

@@ -257,8 +257,12 @@ def population_near_water(
     index: ZoneIndex,
 ) -> list[tuple[int, float]]:
     """Per-region population within buffer_km of any inland water feature."""
+    return near_water_totals(masked_population(pop, water_buffer_mask(pop, water, buffer_km)), water, index)
+
+
+def near_water_totals(masked: RasterGrid, water: list, index: ZoneIndex) -> list[tuple[int, float]]:
+    """Per-region total of `masked`, a masked_population raster built from `water`."""
     if not water:
         warnings.warn("empty water set: population near water is 0 everywhere",
                       EngineWarning, stacklevel=2)
-    masked = masked_population(pop, water_buffer_mask(pop, water, buffer_km))
     return [(region.adm_id, float(np.sum(vals))) for region, vals in index.groups(masked)]

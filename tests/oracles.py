@@ -10,11 +10,16 @@ the IEEE ops.
 from __future__ import annotations
 
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from epigrid import geometry
+from epigrid.errors import EngineError, EngineWarning, SchemaMismatchError
+from epigrid.features import FeatureTable
 from epigrid.geo import SpatialWeights
+from epigrid.learn import _CRITERIA, ForestModel, ImportanceEntry, Tree, _preorder, f1_score
 from epigrid.raster import _feature_scale
 
 
@@ -323,3 +328,193 @@ def pairwise_auc(y_true, scores) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# --- learn ------------------------------------------------------------------
+#
+# The forest and the importance loop as they were before rank-coded split
+# search and re-routed importance: one argsort per sampled feature per node,
+# and a full traversal of every tree for every shuffled column.  The bodies
+# are kept as they were; the fast paths must match them bit for bit.
+
+
+def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
+    impurity = _CRITERIA[criterion]
+    n, p = X.shape
+
+    def expand(item):
+        # rng is consumed here, so in node-creation order
+        idx, depth = item
+        yb = y[idx]
+        m = len(idx)
+        pos = int(yb.sum())
+        if (
+            pos == 0
+            or pos == m
+            or (max_depth is not None and depth >= max_depth)
+            or m < 2 * min_leaf
+        ):
+            return pos / m, None
+        parent_imp = float(impurity(np.array(pos), m))
+        feats = rng.permutation(p)[:q]
+        best_gain = 0.0
+        split = None
+        for f in feats:
+            v = X[idx, f]
+            order = np.argsort(v, kind="stable")
+            vs = v[order]
+            cum_pos = np.cumsum(yb[order])
+            cut = np.flatnonzero(vs[1:] != vs[:-1])  # left block is 0..cut
+            if not len(cut):
+                continue
+            n_left = cut + 1
+            n_right = m - n_left
+            ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+            if not np.any(ok):
+                continue
+            cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
+            pos_left = cum_pos[cut]
+            pos_right = pos - pos_left
+            child = (
+                n_left * impurity(pos_left, n_left)
+                + n_right * impurity(pos_right, n_right)
+            ) / m
+            gain = parent_imp - child
+            j = int(np.argmax(gain))
+            if gain[j] > best_gain:
+                lo, hi = vs[cut[j]], vs[cut[j] + 1]
+                t = (lo + hi) / 2.0
+                if not (lo <= t < hi):
+                    t = lo  # midpoint rounded onto a sample; keep the partition
+                best_gain = float(gain[j])
+                split = (int(f), float(t))
+        if split is None:
+            return pos / m, None
+        f, t = split
+        goes_left = X[idx, f] <= t
+        return pos / m, (f, t, (idx[goes_left], depth + 1), (idx[~goes_left], depth + 1))
+
+    return _preorder((rng.integers(0, n, size=n), 0), expand)
+
+
+def train_forest(
+    train: FeatureTable,
+    criterion: str = "gini",
+    n_trees: int = 100,
+    max_depth: int | None = None,
+    min_leaf: int = 1,
+    features_per_split: int | None = None,
+    seed: int = 0,
+    n_threads: int = 1,
+) -> ForestModel:
+    """Bootstrap-aggregated trees with per-node feature subsampling.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values; the best (feature, threshold) maximizes the impurity decrease.
+    Tree t draws all its randomness from sub-seed (seed, t), so thread count
+    never changes the model.
+    """
+    if criterion not in _CRITERIA:
+        raise EngineError(f"unknown criterion {criterion!r}")
+    if len(train) < 2:
+        raise EngineError("need at least 2 training rows")
+    if not np.all(np.isin(train.labels, (0, 1))):
+        raise EngineError("training labels must be binary 0/1")
+    X = np.asarray(train.X, dtype=float)
+    y = np.asarray(train.labels, dtype=np.int64)
+    p = X.shape[1]
+    if p < 1:
+        raise EngineError("need at least 1 feature")
+    q = features_per_split if features_per_split else int(np.ceil(np.sqrt(p)))
+    q = max(1, min(q, p))
+    if len(np.unique(y)) < 2:
+        warnings.warn(
+            "single-class training data: every tree is one leaf", EngineWarning, stacklevel=2
+        )
+
+    def build(t: int) -> Tree:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        return _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q)
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        trees = list(pool.map(build, range(n_trees)))
+    return ForestModel(
+        trees=trees,
+        criterion=criterion,
+        n_trees=n_trees,
+        max_depth=max_depth,
+        min_leaf=min_leaf,
+        features_per_split=q,
+        seed=seed,
+        feature_names=tuple(train.feature_names),
+    )
+
+
+def _tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
+    node = np.zeros(len(X), dtype=np.int64)
+    is_leaf = tree.feature < 0
+    active = np.flatnonzero(~is_leaf[node])
+    while len(active):
+        cur = node[active]
+        f = tree.feature[cur]
+        goes_left = X[active, f] <= tree.threshold[cur]
+        node[active] = np.where(goes_left, tree.left[cur], tree.right[cur])
+        active = active[~is_leaf[node[active]]]
+    return tree.proba1[node]
+
+
+def predict_matrix(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
+        raise SchemaMismatchError(
+            f"matrix shape {X.shape} does not match the model's "
+            f"{len(model.feature_names)} features"
+        )
+    total = np.zeros(len(X))
+    for tree in model.trees:
+        total += _tree_scores(tree, X)
+    scores = total / len(model.trees)
+    return (scores >= 0.5).astype(np.int64), scores
+
+
+def predict(model: ForestModel, rows: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and class-1 scores; the row schema must match training."""
+    if tuple(rows.feature_names) != tuple(model.feature_names):
+        raise SchemaMismatchError(
+            f"feature names {rows.feature_names!r} do not match model {model.feature_names!r}"
+        )
+    return predict_matrix(model, rows.X)
+
+
+def permutation_importance(
+    model: ForestModel,
+    test: FeatureTable,
+    n_repeats: int = 5,
+    seed: int = 0,
+) -> list[ImportanceEntry]:
+    """F1 drop per shuffled feature column, sorted by mean drop descending."""
+    if len(test) == 0:
+        raise EngineError("importance needs a non-empty evaluation table")
+    if n_repeats < 1:
+        raise EngineError("n_repeats must be >= 1")
+    labels, _ = predict(model, test)
+    baseline = f1_score(test.labels, labels)
+    entries = []
+    X = test.X
+    for j, name in enumerate(model.feature_names):
+        shuffled_scores = np.empty(n_repeats)
+        Xp = X.copy()
+        for r in range(n_repeats):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, j, r)))
+            Xp[:, j] = rng.permutation(X[:, j])
+            pred, _ = predict_matrix(model, Xp)
+            shuffled_scores[r] = f1_score(test.labels, pred)
+        entries.append(
+            ImportanceEntry(
+                feature=name,
+                importance=float(baseline - shuffled_scores.mean()),
+                std=float(shuffled_scores.std(ddof=0)),
+            )
+        )
+    entries.sort(key=lambda e: -e.importance)
+    return entries

@@ -268,13 +268,17 @@ def first_row(edit):
     return damage
 
 
-def first_tree(edit):
+def model_doc(edit):
     def damage(data: bytes) -> bytes:
         doc = json.loads(data)
-        edit(doc["trees"][0])
+        edit(doc)
         return json.dumps(doc).encode()
 
     return damage
+
+
+def first_tree(edit):
+    return model_doc(lambda doc: edit(doc["trees"][0]))
 
 
 CSV_DAMAGE = {
@@ -289,6 +293,32 @@ MODEL_DAMAGE = {
     "short_row": first_tree(lambda root: root.pop("threshold")),
     "non_numeric": first_tree(lambda root: root.update(threshold="abc")),
     "not_utf8": not_utf8,
+}
+
+
+def first_leaf(edit):
+    def walk(node):
+        if node.get("leaf"):
+            edit(node)
+        else:
+            walk(node["left"])
+
+    return first_tree(walk)
+
+
+# model.json that decodes as JSON but holds what the trainer cannot write
+MODEL_DECODE_DAMAGE = {
+    "format_unknown": model_doc(lambda doc: doc.update(format="other-forest")),
+    "version_2": model_doc(lambda doc: doc.update(version=2)),
+    "scaler_kind_unknown": model_doc(lambda doc: doc["scaler"].update(kind="minmax")),
+    "no_trees": model_doc(lambda doc: doc.update(trees=[], n_trees=0)),
+    "fewer_trees_than_n_trees": model_doc(lambda doc: doc["trees"].pop()),
+    "feature_99": first_tree(lambda root: root.update(feature=99)),
+    "feature_negative": first_tree(lambda root: root.update(feature=-1)),
+    "threshold_infinite": first_tree(lambda root: root.update(threshold=float("inf"))),
+    "threshold_nan": first_tree(lambda root: root.update(threshold=float("nan"))),
+    "child_a_list": first_tree(lambda root: root.update(left=[])),
+    "leaf_p1_above_one": first_leaf(lambda leaf: leaf.update(p1=2.0)),
 }
 READERS = {
     "panel.csv": "esda",
@@ -310,19 +340,30 @@ class TestDamagedArtifacts:
         assert run_cli(world / "config.json", "--stage", "all") == 0
         return world
 
-    @pytest.mark.parametrize("damage", sorted(CSV_DAMAGE))
-    @pytest.mark.parametrize("name", sorted(READERS))
-    def test_damaged_artifact_is_a_parse_error(self, finished, tmp_path, capsys, name, damage):
+    def damaged_run_report(self, finished, tmp_path, capsys, name, damage):
+        """The error report of the stage reading `name` after `damage`."""
         world = tmp_path / "world"
         shutil.copytree(finished, world)
         path = world / "out" / name
-        path.write_bytes((MODEL_DAMAGE if name == "model.json" else CSV_DAMAGE)[damage](path.read_bytes()))
+        path.write_bytes(damage(path.read_bytes()))
         capsys.readouterr()
         assert run_cli(world / "config.json", "--stage", READERS[name]) == 1
         err = error_report(capsys)
-        assert err["type"] in ("ParseError", "SchemaMismatchError")
         assert "traceback" not in err
         assert str(path) in err["message"]
+        return err
+
+    @pytest.mark.parametrize("damage", sorted(CSV_DAMAGE))
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_damaged_artifact_is_a_parse_error(self, finished, tmp_path, capsys, name, damage):
+        edit = (MODEL_DAMAGE if name == "model.json" else CSV_DAMAGE)[damage]
+        err = self.damaged_run_report(finished, tmp_path, capsys, name, edit)
+        assert err["type"] in ("ParseError", "SchemaMismatchError")
+
+    @pytest.mark.parametrize("damage", sorted(MODEL_DECODE_DAMAGE))
+    def test_model_the_trainer_cannot_write_is_a_parse_error(self, finished, tmp_path, capsys, damage):
+        err = self.damaged_run_report(finished, tmp_path, capsys, "model.json", MODEL_DECODE_DAMAGE[damage])
+        assert err["type"] == "ParseError"
 
     def test_panel_missing_its_last_week_is_a_parse_error(self, finished, tmp_path, capsys):
         world = tmp_path / "world"
@@ -480,7 +521,20 @@ class TestWaterBuffers:
         monkeypatch.setattr(raster, "population_near_water", counting_near)
         monkeypatch.setattr(raster, "water_buffer_mask", counting_mask)
         assert run_cli(world, "--stage", "features") == 0
-        assert near == [3.0]
-        assert masks == [3.0] + ([3.0, 10.0] if masked else [])
+        # with masked rasters the feature is summed from the 3 km one
+        assert near == ([] if masked else [3.0])
+        assert masks == ([3.0, 10.0] if masked else [3.0])
         written = sorted(p.name for p in (world.parent / "out").glob("population_within_*"))
         assert written == (["population_within_10km.asc", "population_within_3km.asc"] if masked else [])
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_empty_water_set_warns_once(self, world, capsys, masked):
+        edit_config(world, None, "buffers_km", [3, 10])
+        edit_config(world, None, "write_masked_raster", masked)
+        (world.parent / "water.geojson").write_text('{"type": "FeatureCollection", "features": []}')
+        assert run_cli(world, "--stage", "ingest") == 0
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "features") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        warned = [e["message"] for e in events if e["event"] == "warning"]
+        assert [m for m in warned if "water" in m] == ["empty water set: population near water is 0 everywhere"]

@@ -314,3 +314,91 @@ class TestImportance:
             entries = learn.permutation_importance(model, test, n_repeats=3, seed=trial)
             wins += entries[0].feature == "x2"
         assert wins >= 19  # rank-1 in >= 95% of seeded trials
+
+
+def same_forest(a, b):
+    """Bit-identical trees: every node array, inner-node p1 included."""
+    assert json.dumps(learn.forest_to_dict(a)) == json.dumps(learn.forest_to_dict(b))
+    for ta, tb in zip(a.trees, b.trees, strict=True):
+        for name in ("feature", "threshold", "left", "right", "proba1"):
+            assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
+
+
+EPS = np.finfo(float).eps  # (1 + EPS + 1 + 2 * EPS) / 2 rounds onto the larger value
+
+
+def feature_matrix(kind, n, p, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "few_values":  # every node large enough for the histograms
+        return rng.integers(0, 6, (n, p)).astype(float)
+    if kind == "all_distinct":  # only the top nodes reach the histograms
+        return rng.normal(size=(n, p))
+    if kind == "signed_zeros_and_ties":  # -0.0 == 0.0, neighbours one ulp apart
+        pool = np.array([-0.0, 0.0, -5e-324, 5e-324, 1e-300, 1.0, 1.0 + EPS, 1.0 + 2 * EPS, -2.0])
+        return rng.choice(pool, (n, p))
+    # "mixed": 40 distinct values, so both paths run within one tree
+    return rng.integers(0, 40, (n, p)) / 7.0
+
+
+class TestOracleEquivalence:
+    """train_forest and permutation_importance give bit for bit what the
+    per-feature argsort and full-traversal versions in oracles.py give."""
+
+    def tables(self, kind, seed=0, n=360, p=4):
+        X = feature_matrix(kind, n, p, seed)
+        rng = np.random.default_rng(seed + 1)
+        score = X[:, 0] - X[:, 1] + 0.5 * rng.normal(size=n)
+        y = (score > np.quantile(score, 0.7)).astype(int)
+        t = table_from(X, y)
+        return learn.random_split(t, learn.SplitSpec(0.3, seed=seed))
+
+    def check(self, train, test, **kw):
+        fast = learn.train_forest(train, n_trees=4, **kw)
+        same_forest(fast, oracles.train_forest(train, n_trees=4, **kw))
+        got = learn.permutation_importance(fast, test, n_repeats=3, seed=kw.get("seed", 0))
+        assert repr(got) == repr(oracles.permutation_importance(fast, test, n_repeats=3, seed=kw.get("seed", 0)))
+        return fast, got
+
+    @pytest.mark.parametrize("kind", ["few_values", "all_distinct", "signed_zeros_and_ties", "mixed"])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("min_leaf, max_depth", [(1, None), (5, None), (1, 3), (5, 3)])
+    @pytest.mark.parametrize("features_per_split", [1, 4])
+    def test_matches_oracle(self, kind, criterion, min_leaf, max_depth, features_per_split):
+        train, test = self.tables(kind, seed=min_leaf + features_per_split)
+        self.check(
+            train, test, criterion=criterion, min_leaf=min_leaf, max_depth=max_depth,
+            features_per_split=features_per_split, seed=2,
+        )
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_smote_resampled_table(self, criterion):
+        train, test = self.tables("all_distinct", seed=5)
+        smoted = learn.resample(train, "smote", seed=5).table
+        self.check(smoted, test, criterion=criterion, seed=5)
+
+    def test_unused_feature_scores_exactly_zero(self):
+        train, test = self.tables("mixed", seed=6)
+        train = table_from(np.column_stack([train.X, np.full(len(train), 3.0)]), train.labels)
+        test = table_from(np.column_stack([test.X, np.full(len(test), 3.0)]), test.labels)
+        model, entries = self.check(train, test, seed=6)
+        assert not any(np.any(t.feature == 4) for t in model.trees)
+        unused = next(e for e in entries if e.feature == "x4")
+        assert (unused.importance, unused.std) == (0.0, 0.0)
+
+    def test_one_leaf_forest(self):
+        train, test = self.tables("mixed", seed=7)
+        single = table_from(train.X, np.ones(len(train), dtype=int))
+        with pytest.warns(EngineWarning, match="single-class"):
+            model, entries = self.check(single, test, seed=7)
+        assert all(len(t.feature) == 1 for t in model.trees)
+        assert all((e.importance, e.std) == (0.0, 0.0) for e in entries)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_fatal(bad):
+    t = synthetic.box_table(400, 0.3, seed=1)
+    X = t.X.copy()
+    X[::7, 0] = bad
+    with pytest.raises(EngineError, match="non-finite values: x0"):
+        learn.train_forest(t.with_X(X), n_trees=3, seed=0)
+
