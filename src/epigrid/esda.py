@@ -17,6 +17,11 @@ values (conditional permutation); every draw again derives from
 permutation so the whole sweep stays deterministic and O(edges) per draw.
 Pseudo p-values are (exceedances + 1) / (n_perm + 1), one-sided in the
 direction of departure, so 999 permutations floor p at exactly 0.001.
+
+Both tests work on the weights' edge arrays restricted to the non-island
+regions and renumbered 0..n_used-1; every lag, observed or permuted, is one
+geo.edge_lag call over those edges. A LISA draw permutes which value each
+edge reads: edge e, the t-th of its row, reads slot t of that row's window.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geo
 from .errors import ConstantFieldError, EngineError, InsufficientRegionsError
-from .geo import SpatialWeights, flatten
 
 QUADRANTS = ("HH", "LL", "HL", "LH", "NS", "ISLAND")
 
@@ -54,14 +59,12 @@ class LisaResult:
     alpha: float
 
 
-def _active_subgraph(x, w: SpatialWeights):
-    """Restrict x and the edge list to non-island regions, reindexed compactly."""
+def _active_subgraph(x, w: geo.SpatialWeights):
+    """Restrict x and the weights to non-island regions, reindexed compactly."""
     x = np.asarray(x, dtype=float)
     if x.shape != (w.n,):
         raise EngineError(f"vector length {x.shape} does not match weights n={w.n}")
-    island = np.zeros(w.n, dtype=bool)
-    island[list(w.islands)] = True
-    active = np.flatnonzero(~island)
+    active = np.flatnonzero(w.degrees)
     n_used = len(active)
     if n_used < 2:
         raise InsufficientRegionsError(f"{n_used} non-island regions; need at least 2")
@@ -70,27 +73,27 @@ def _active_subgraph(x, w: SpatialWeights):
         raise ConstantFieldError("analysis variable is constant over usable regions")
     compact = np.full(w.n, -1, dtype=np.int64)
     compact[active] = np.arange(n_used)
-    rows, cols, vals = flatten(w)
     # symmetry of contiguity means no edge can touch an island
-    return xa, active, compact[rows], compact[cols], vals, n_used
+    return xa, active, geo.SpatialWeights(n_used, compact[w.rows], compact[w.cols], w.weights)
 
 
-def morans_i(x, w: SpatialWeights, n_perm: int = 999, seed: int = 0) -> GlobalMoranResult:
+def morans_i(x, w: geo.SpatialWeights, n_perm: int = 999, seed: int = 0) -> GlobalMoranResult:
     """Global Moran's I with a one-sided permutation pseudo p-value."""
     if n_perm < 1:
         raise EngineError("n_perm must be >= 1")
     if seed < 0:
         raise EngineError("seed must be non-negative")
-    xa, _, rows, cols, vals, n = _active_subgraph(x, w)
+    xa, _, wa = _active_subgraph(x, w)
+    n = wa.n
     z = xa - xa.mean()
     den = float(np.sum(z * z))
-    s0 = float(np.sum(vals))
+    s0 = float(np.sum(wa.weights))
     if s0 == 0.0:
         raise InsufficientRegionsError("weights have no edges")
     denom = s0 * den  # single division keeps clean cases (e.g. n=2 -> -1) exact
 
     def stat(values: np.ndarray) -> float:
-        lag = np.bincount(rows, weights=vals * values[cols], minlength=n)
+        lag = geo.edge_lag(wa, values[wa.cols])
         return float(n * np.sum(values * lag) / denom)
 
     observed = stat(z)
@@ -112,7 +115,7 @@ def morans_i(x, w: SpatialWeights, n_perm: int = 999, seed: int = 0) -> GlobalMo
 
 def lisa(
     x,
-    w: SpatialWeights,
+    w: geo.SpatialWeights,
     n_perm: int = 999,
     seed: int = 0,
     alpha: float = 0.05,
@@ -130,10 +133,11 @@ def lisa(
         raise EngineError("seed must be non-negative")
     if not (0.0 < alpha <= 1.0):
         raise EngineError("alpha must be in (0, 1]")
-    xa, active, rows, cols, vals, n = _active_subgraph(x, w)
+    xa, active, wa = _active_subgraph(x, w)
+    n, rows = wa.n, wa.rows
     z = xa - xa.mean()
     m2 = float(np.sum(z * z)) / n
-    lag_active = np.bincount(rows, weights=vals * z[cols], minlength=n)
+    lag_active = geo.edge_lag(wa, z[wa.cols])
     local = z * lag_active / m2
 
     exceed = np.zeros(n, dtype=np.int64)
@@ -145,14 +149,13 @@ def lisa(
         offsets = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_OFFSET_STREAM,))
         ).integers(0, n_others, size=n)
-        row_change = np.flatnonzero(np.diff(rows, prepend=-1))
-        slot = np.arange(len(rows)) - row_change[np.searchsorted(row_change, np.arange(len(rows)), side="right") - 1]
+        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # rank within its row
         base = (offsets[rows] + slot) % n_others
         for k in range(n_perm):
             perm = np.random.default_rng(seed ^ k).permutation(n_others)
             pos = perm[base]
             drawn = pos + (pos >= rows)  # skip the held-out region itself
-            lag_star = np.bincount(rows, weights=vals * z[drawn], minlength=n)
+            lag_star = geo.edge_lag(wa, z[drawn])
             local_star = z * lag_star / m2
             exceed += np.where(upper, local_star >= local, local_star <= local)
     p_active = (exceed + 1) / (n_perm + 1)

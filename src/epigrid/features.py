@@ -68,10 +68,6 @@ def minmax_scale(column) -> tuple[np.ndarray, MinMaxParams]:
     return (x - params.low) / params.span, params
 
 
-def minmax_inverse(scaled, params: MinMaxParams) -> np.ndarray:
-    return np.asarray(scaled, dtype=float) * params.span + params.low
-
-
 def robust_scale(column) -> tuple[np.ndarray, RobustParams]:
     """(x - median) / IQR with linearly interpolated quartiles.
 

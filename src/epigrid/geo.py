@@ -7,7 +7,10 @@ bounding boxes and must agree exactly with an all-pairs sweep (the test
 oracle), so both use the same geometric predicates.
 
 Weights are always row-standardized: each of region i's k neighbors weighs
-1/k, so every non-island row sums to 1 and an island's row is empty.
+1/k, so every non-island row sums to 1 and an island's row is empty. They
+are stored as an edge list of three parallel arrays, rows (non-decreasing),
+cols and weights, so that one bincount over the edges gives the spatial lag
+of any vector; `edge_lag` is that kernel, for this module and for esda.
 """
 
 from __future__ import annotations
@@ -23,39 +26,41 @@ from .errors import EngineError, EngineWarning, ParseError
 from .ingest import AdminRegion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialWeights:
+    """Edge e joins region rows[e] to region cols[e] with weight weights[e]."""
+
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[float, ...], ...]  # 1/k for each of a row's k neighbors
-    islands: tuple[int, ...]
+    rows: np.ndarray  # int64, non-decreasing: a region's edges are contiguous
+    cols: np.ndarray  # int64
+    weights: np.ndarray  # 1/k for each of a row's k edges
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """The number of edges of each region."""
+        return np.bincount(self.rows, minlength=self.n)
 
-def flatten(w: SpatialWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge-list view: parallel (row, col, weight) arrays in row order."""
-    rows = np.fromiter(
-        (i for i, nbrs in enumerate(w.neighbors) for _ in nbrs), dtype=np.int64
-    )
-    cols = np.fromiter(itertools.chain.from_iterable(w.neighbors), dtype=np.int64)
-    vals = np.fromiter(itertools.chain.from_iterable(w.weights), dtype=float)
-    return rows, cols, vals
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each region's neighbors in edge order; an island's is empty."""
+        cuts = np.searchsorted(self.rows, np.arange(1, self.n))
+        return tuple(tuple(part.tolist()) for part in np.split(self.cols, cuts))
+
+    @property
+    def islands(self) -> tuple[int, ...]:
+        """The regions without an edge, ascending."""
+        return tuple(np.flatnonzero(self.degrees == 0).tolist())
 
 
 def from_adjacency(n: int, pairs) -> SpatialWeights:
-    """Row-standardized weights from symmetric index pairs."""
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pairs:
-        if i == j:
-            continue
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    neighbors = tuple(tuple(sorted(s)) for s in nbrs)
-    return SpatialWeights(
-        n=n,
-        neighbors=neighbors,
-        weights=tuple(tuple(1.0 / len(s) for _ in s) for s in neighbors),
-        islands=tuple(i for i, s in enumerate(neighbors) if not s),
-    )
+    """Row-standardized weights from index pairs in 0..n-1, in either direction;
+    self-pairs and repeats are dropped."""
+    pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # both directions, sorted by row and then column, each edge once
+    edges = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
+    rows, cols = edges.T.copy()  # contiguous
+    return SpatialWeights(n, rows, cols, 1.0 / np.bincount(rows, minlength=n)[rows])
 
 
 def _grid_candidate_pairs(bboxes: np.ndarray, tolerance: float) -> set[tuple[int, int]]:
@@ -114,10 +119,17 @@ def build_contiguity_weights(
         if hit:
             pairs.append((i, j))
     w = from_adjacency(n, pairs)
-    if len(w.islands) == n:
+    if not w.rows.size:
         warnings.warn("all regions are pairwise disjoint: every region is an island",
                       EngineWarning, stacklevel=2)
     return w
+
+
+def edge_lag(w: SpatialWeights, edge_values: np.ndarray) -> np.ndarray:
+    """Per region, the weighted sum of one value per edge (in edge order): the
+    spatial lag for x[w.cols], a permutation draw's lag for permuted values.
+    A region without an edge gets 0."""
+    return np.bincount(w.rows, weights=w.weights * edge_values, minlength=w.n)
 
 
 def spatial_lag(w: SpatialWeights, x) -> np.ndarray:
@@ -125,38 +137,45 @@ def spatial_lag(w: SpatialWeights, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (w.n,):
         raise EngineError(f"vector has length {x.shape}, weights expect {w.n}")
-    rows, cols, vals = flatten(w)
-    return np.bincount(rows, weights=vals * x[cols], minlength=w.n)
+    return edge_lag(w, x[w.cols])
 
 
 def write_weights_csv(w: SpatialWeights, edges_path, islands_path) -> None:
     """Audit export: an (i, j, weight) edge list plus an island index list."""
-    rows = enumerate(zip(w.neighbors, w.weights))
-    edges = ([i, j, repr(wij)] for i, (nbrs, wts) in rows for j, wij in zip(nbrs, wts))
+    # tolist: the csv module writes a Python float as its repr, a numpy scalar would not
+    edges = zip(w.rows.tolist(), w.cols.tolist(), w.weights.tolist())
     ingest.write_csv(edges_path, ("i", "j", "weight"), edges)
     ingest.write_csv(islands_path, ("island",), ([i] for i in w.islands))
 
 
 def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
     """The weights write_weights_csv wrote for n regions. Each edge it writes
-    lies in 0..n-1 and has a mirror edge, and the islands are the regions
-    without an edge; files that break this were cut short or edited and raise
-    a ParseError."""
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    weights: list[list[float]] = [[] for _ in range(n)]
-    for i, j, wij in ingest.read_csv(edges_path, ("i", "j", "weight"), (int, int, float)):
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"{edges_path}: edge ({i}, {j}) leaves the regions 0..{n - 1}")
-        neighbors[i].append(j)
-        weights[i].append(wij)
-    islands = tuple(i for (i,) in ingest.read_csv(islands_path, ("island",), (int,)))
-    if any(i not in neighbors[j] for i, nbrs in enumerate(neighbors) for j in nbrs):
-        raise ParseError(f"{edges_path}: an edge has no mirror edge")
-    if set(islands) != {i for i, nbrs in enumerate(neighbors) if not nbrs}:
+    joins two distinct regions in 0..n-1 once, has a mirror edge and weighs
+    1/k of its row's k edges, and the islands are the regions without an edge;
+    files that break this were cut short or edited and raise a ParseError."""
+    dtype = [("i", np.int64), ("j", np.int64), ("weight", float)]
+    try:
+        table = np.fromiter(ingest.read_csv(edges_path, ("i", "j", "weight"), (int, int, float)), dtype)
+    except OverflowError:  # an index past int64 is past n - 1 too
+        raise ParseError(f"{edges_path}: an edge leaves the regions 0..{n - 1}") from None
+    # stable: each row keeps its edges in file order, so every sum adds in that order
+    table = table[np.argsort(table["i"], kind="stable")]
+    w = SpatialWeights(n, table["i"].copy(), table["j"].copy(), table["weight"].copy())
+    rows, cols = w.rows, w.cols
+
+    def check(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ParseError(f"{edges_path}: edge ({rows[e]}, {cols[e]}) {what}")
+
+    check((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n), f"leaves the regions 0..{n - 1}")
+    check(rows == cols, "joins a region to itself")
+    key = rows * n + cols
+    ordered = np.sort(key)
+    check(np.isin(key, ordered[1:][ordered[1:] == ordered[:-1]]), "appears twice")
+    check(~np.isin(cols * n + rows, key), "has no mirror edge")
+    islands = {i for (i,) in ingest.read_csv(islands_path, ("island",), (int,))}
+    if islands != set(w.islands):
         raise ParseError(f"{islands_path}: the islands are not the regions without an edge in {edges_path}")
-    return SpatialWeights(
-        n=n,
-        neighbors=tuple(tuple(r) for r in neighbors),
-        weights=tuple(tuple(r) for r in weights),
-        islands=islands,
-    )
+    check(w.weights != 1.0 / w.degrees[rows], "does not weigh 1/k of its row's k edges")
+    return w

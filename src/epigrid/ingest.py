@@ -608,34 +608,3 @@ def build_panel(
         counts=counts,
     )
     return panel, report
-
-
-def panel_to_records(panel: SurveillancePanel, districts: list[AdminRegion]) -> list[SurveillanceRecord]:
-    """Serialize non-zero panel cells back to records (audit / round-trip).
-
-    Weeks are emitted relative to the start year and may exceed 52 so that
-    re-ingesting lands each record in its original serial week.
-    """
-    by_id = {r.adm_id: r for r in districts}
-    out = []
-    # ceil so the emitted year-week never maps to a bin before the panel start
-    base_week = ((panel.start - date(panel.start.year, 1, 1)).days + 6) // 7
-    for r_i, adm_id in enumerate(panel.districts):
-        region = by_id[adm_id]
-        for w in range(panel.n_weeks):
-            c = int(panel.counts[r_i, w])
-            if c == 0:
-                continue
-            out.append(
-                SurveillanceRecord(
-                    year=panel.start.year,
-                    week=base_week + w + 1,
-                    country=region.country,
-                    province=region.province,
-                    district=region.name,
-                    disease=panel.disease,
-                    cases=c,
-                    deaths=0,
-                )
-            )
-    return out

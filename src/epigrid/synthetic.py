@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ingest
 from .features import FeatureTable
-from .ingest import RasterGrid, write_ascii_grid
+from .ingest import RasterGrid
 
 
 def box_table(
@@ -160,19 +161,19 @@ def make_mini_world(outdir, seed: int = 7, n_weeks: int = 8) -> Path:
     n = 40  # 40x40 cells, 0.1 degree
     yy, xx = np.mgrid[0:n, 0:n]
     elevation = 200.0 + 15.0 * xx + 8.0 * (n - yy) + rng.normal(0, 5, (n, n)).round(2)
-    write_ascii_grid(_mini_grid(elevation), out / "elevation.asc")
+    ingest.write_ascii_grid(_mini_grid(elevation), out / "elevation.asc")
     population = np.round(50.0 + 400.0 * rng.random((n, n)), 2)
-    write_ascii_grid(_mini_grid(population), out / "population.asc")
+    ingest.write_ascii_grid(_mini_grid(population), out / "population.asc")
     landcover = (1 + ((xx // 5) + (yy // 5)) % 5).astype(float)
-    write_ascii_grid(_mini_grid(landcover), out / "landcover.asc")
+    ingest.write_ascii_grid(_mini_grid(landcover), out / "landcover.asc")
 
     (out / "precipitation").mkdir(exist_ok=True)
     (out / "temperature").mkdir(exist_ok=True)
     for w in range(1, n_weeks + 1):
         precip = np.round(5.0 + 3.0 * np.sin(w / 2.0) + rng.random((n, n)) * 2.0, 3)
-        write_ascii_grid(_mini_grid(precip), out / "precipitation" / f"week_{w:03d}.asc")
+        ingest.write_ascii_grid(_mini_grid(precip), out / "precipitation" / f"week_{w:03d}.asc")
         temp = np.round(26.0 + 2.0 * np.cos(w / 3.0) + (yy - n / 2) * 0.05, 3)
-        write_ascii_grid(_mini_grid(temp), out / "temperature" / f"week_{w:03d}.asc")
+        ingest.write_ascii_grid(_mini_grid(temp), out / "temperature" / f"week_{w:03d}.asc")
 
     water = {
         "type": "FeatureCollection",

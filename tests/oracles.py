@@ -115,9 +115,8 @@ def contiguity_pairs(regions, kind: str, tol: float) -> set[tuple[int, int]]:
 
 def dense_weights(w: SpatialWeights) -> np.ndarray:
     dense = np.zeros((w.n, w.n))
-    for i, (nbrs, wts) in enumerate(zip(w.neighbors, w.weights)):
-        for j, wij in zip(nbrs, wts):
-            dense[i, j] = wij
+    for i, j, wij in zip(w.rows.tolist(), w.cols.tolist(), w.weights.tolist()):
+        dense[i, j] = wij
     return dense
 
 
@@ -153,7 +152,7 @@ def lisa_naive(x, w: SpatialWeights, n_perm: int, seed: int):
     wts = []
     for g in active:
         rows.append([compact[j] for j in w.neighbors[g]])
-        wts.append(list(w.weights[g]))
+        wts.append(w.weights[w.rows == g].tolist())
     local = np.empty(n)
     for i in range(n):
         lag = 0.0

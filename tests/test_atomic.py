@@ -31,8 +31,8 @@ def grid_failing_at_row_2():
 
 
 def weights_failing_at_row_2():
-    return geo.SpatialWeights(n=2, neighbors=((1,), (0,)), weights=((1.0,), (Unprintable(),)),
-                              islands=())
+    return geo.SpatialWeights(n=2, rows=np.array([0, 1]), cols=np.array([1, 0]),
+                              weights=np.array([1.0, Unprintable()], dtype=object))
 
 
 WRITERS = {

@@ -12,6 +12,14 @@ def neighbor_sets(w):
     return [set(nbrs) for nbrs in w.neighbors]
 
 
+def assert_same_weights(a, b):
+    """Equal region count and bit-identical edge arrays of the same dtypes."""
+    assert a.n == b.n
+    for name in ("rows", "cols", "weights"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+
+
 def test_2x2_queen_every_cell_has_three_neighbors():
     w = geo.build_contiguity_weights(grid_regions(2, 2), kind="queen")
     assert [len(n) for n in w.neighbors] == [3, 3, 3, 3]
@@ -40,8 +48,7 @@ def test_grid_index_equals_bruteforce_method(kind):
         regions = jittered_grid_regions(5, 4, np.random.default_rng(100 + trial), jitter=0.3)
         fast = geo.build_contiguity_weights(regions, kind=kind)
         slow = geo.from_adjacency(len(regions), oracles.contiguity_pairs(regions, kind, 1e-9))
-        assert fast.neighbors == slow.neighbors
-        assert fast.weights == slow.weights
+        assert_same_weights(fast, slow)
 
 
 def test_adjacency_symmetric_and_rows_standardized():
@@ -52,9 +59,10 @@ def test_adjacency_symmetric_and_rows_standardized():
         assert i not in nbrs
         for j in nbrs:
             assert i in sets[j]
-    for i, row in enumerate(w.weights):
+    row_sums = np.bincount(w.rows, weights=w.weights, minlength=w.n)
+    for i, total in enumerate(row_sums):
         if i not in w.islands:
-            assert abs(sum(row) - 1.0) <= 1e-12
+            assert abs(total - 1.0) <= 1e-12
 
 
 def test_all_disjoint_regions_are_islands():
@@ -103,10 +111,20 @@ def test_weights_csv_roundtrip(tmp_path):
     edges, islands = tmp_path / "w.csv", tmp_path / "i.csv"
     geo.write_weights_csv(w, edges, islands)
     back = geo.read_weights_csv(edges, islands, w.n)
-    assert back.neighbors == w.neighbors
-    assert back.weights == w.weights
+    assert_same_weights(back, w)
     assert back.islands == w.islands
-    assert all(sum(row) == 1.0 for i, row in enumerate(back.weights) if i not in back.islands)
+    rows = [back.weights[back.rows == i].tolist() for i in range(back.n)]
+    assert all(sum(row) == 1.0 for i, row in enumerate(rows) if i not in back.islands)
+
+
+def test_weights_csv_rows_in_any_order(tmp_path):
+    # a triangle listed out of row order; each row keeps its edges in file order
+    edges = "i,j,weight\r\n1,0,0.5\r\n0,2,0.5\r\n2,0,0.5\r\n0,1,0.5\r\n2,1,0.5\r\n1,2,0.5\r\n"
+    (tmp_path / "w.csv").write_text(edges)
+    (tmp_path / "i.csv").write_text("island\r\n")
+    w = geo.read_weights_csv(tmp_path / "w.csv", tmp_path / "i.csv", 3)
+    assert w.rows.tolist() == [0, 0, 1, 1, 2, 2]
+    assert w.neighbors == ((2, 1), (0, 2), (0, 1))
 
 
 EDGES, ISLANDS = "i,j,weight\r\n0,1,1.0\r\n1,0,1.0\r\n", "island\r\n2\r\n"  # 3 regions, 2 an island
@@ -116,10 +134,15 @@ EDGES, ISLANDS = "i,j,weight\r\n0,1,1.0\r\n1,0,1.0\r\n", "island\r\n2\r\n"  # 3 
     "edges, islands, match",
     [
         (EDGES + "2,3,1.0\r\n", ISLANDS, "leaves the regions"),
+        (EDGES + "0,99999999999999999999,1.0\r\n", ISLANDS, "leaves the regions"),
         ("i,j,weight\r\n0,1,1.0\r\n", ISLANDS, "no mirror edge"),
         (EDGES, "island\r\n", "islands are not"),
+        (EDGES + "0,1,1.0\r\n", ISLANDS, r"edge \(0, 1\) appears twice"),
+        ("i,j,weight\r\n0,1,0.5\r\n1,0,1.0\r\n", ISLANDS, r"edge \(0, 1\) does not weigh 1/k"),
+        (EDGES + "2,2,1.0\r\n", "island\r\n", "joins a region to itself"),
     ],
-    ids=["out_of_range", "no_mirror", "island_missing"],
+    ids=["out_of_range", "past_int64", "no_mirror", "island_missing", "duplicate", "not_1_over_k",
+         "self_loop"],
 )
 def test_inconsistent_weights_csv_fatal(tmp_path, edges, islands, match):
     (tmp_path / "w.csv").write_text(edges)

@@ -478,7 +478,7 @@ class TestBuildPanel:
             panel, _ = ingest.build_panel(records_for(entries), districts, self.START, n_weeks, "m")
             assert panel.flattened_length() == len(districts) * n_weeks
 
-    def test_sum_preservation_and_idempotence(self):
+    def test_sum_preservation_and_week_bins(self):
         rng = np.random.default_rng(13)
         districts = grid_regions(3, 2)
         entries = [
@@ -493,25 +493,25 @@ class TestBuildPanel:
         ]
         records = records_for(entries)
         panel, report = ingest.build_panel(records, districts, self.START, 6, "m")
-        in_range_total = sum(
-            r.cases
-            for r in records
-            if 1 <= ingest.week_index(ingest.record_date(r.year, r.week), self.START) <= 6
-        )
-        assert panel.counts.sum() == in_range_total
+        row = {region.name: i for i, region in enumerate(districts)}
+        expected = np.zeros((len(districts), 6), dtype=np.int64)
+        for r in records:
+            w = ingest.week_index(ingest.record_date(r.year, r.week), self.START)
+            if 1 <= w <= 6:
+                expected[row[r.district], w - 1] += r.cases
+        assert np.array_equal(panel.counts, expected)
+        assert panel.counts.sum() == sum(r.cases for r in records)  # weeks 1..6 all fit
 
-        replayed = ingest.panel_to_records(panel, districts)
-        panel2, _ = ingest.build_panel(replayed, districts, self.START, 6, "m")
-        assert np.array_equal(panel.counts, panel2.counts)
-
-    def test_idempotence_with_unaligned_start(self):
+    def test_week_bins_with_unaligned_start(self):
         districts = self.districts()
         entries = [(2019, 10, "D0", "m", 5), (2019, 30, "D1", "m", 2)]
         start = date(2019, 2, 20)  # not a multiple of 7 days past Jan 1
         panel, _ = ingest.build_panel(records_for(entries), districts, start, 30, "m")
-        replayed = ingest.panel_to_records(panel, districts)
-        panel2, _ = ingest.build_panel(replayed, districts, start, 30, "m")
-        assert np.array_equal(panel.counts, panel2.counts)
+        # week 10 starts 2019-03-05, 13 days in; week 30 starts 2019-07-23, 153 days in
+        assert [ingest.week_index(ingest.record_date(2019, w), start) for w in (10, 30)] == [2, 22]
+        expected = np.zeros((2, 30), dtype=np.int64)
+        expected[0, 1], expected[1, 21] = 5, 2
+        assert np.array_equal(panel.counts, expected)
 
     def test_empty_district_list_fatal(self):
         with pytest.raises(ParseError, match="empty"):
