@@ -421,7 +421,7 @@ def _load_panel(cfg: PipelineConfig, out: Path):
     districts = ingest.parse_district_geojson(cfg.districts_geojson)
     adm_ids = tuple(r.adm_id for r in districts)
     path = out / "panel.csv"
-    rows = list(ingest.read_csv(path, ("adm_id", "week", "cases"), (int, int, int)))
+    rows = list(ingest.read_csv(path, ("adm_id", "week", "cases"), (ingest.int64,) * 3))
     # the ingest stage writes weeks 1..n_weeks of every district, in region order
     if [row[:2] for row in rows] != [(adm, w) for adm in adm_ids for w in range(1, cfg.n_weeks + 1)]:
         raise ParseError(f"{path}: expected weeks 1..{cfg.n_weeks} of every district in {cfg.districts_geojson}")

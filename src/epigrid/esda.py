@@ -8,20 +8,20 @@ Local statistic per region, with m2 = sum_k z_k^2 / n:
 
     I_i = (z_i / m2) * sum_j w_ij z_j
 
-Inference is by permutation. The global test shuffles values across
-non-island positions; permutation k draws from a generator seeded with
-seed XOR k, so results are independent of how permutations are scheduled.
-The local test holds z_i fixed and redraws its neighbors from the remaining
-values (conditional permutation); every draw again derives from
-(seed XOR permutation index), with fixed per-region offsets into one shared
-permutation so the whole sweep stays deterministic and O(edges) per draw.
+Inference is by permutation, with one generator per test:
+SeedSequence((seed, 0)) for the global test, SeedSequence((seed, 1)) for the
+local one, and draw k is the k-th permutation drawn from it. The global test
+shuffles values across non-island positions. The local test holds z_i fixed
+and redraws its neighbors from the other n_used - 1 values (conditional
+permutation): one permutation of 0..n_used-2 per draw is shared by every
+region, as in PySAL's crand table, and region i skips itself in it.
 Pseudo p-values are (exceedances + 1) / (n_perm + 1), one-sided in the
 direction of departure, so 999 permutations floor p at exactly 0.001.
 
 Both tests work on the weights' edge arrays restricted to the non-island
 regions and renumbered 0..n_used-1; every lag, observed or permuted, is one
 geo.edge_lag call over those edges. A LISA draw permutes which value each
-edge reads: edge e, the t-th of its row, reads slot t of that row's window.
+edge reads: edge e, the t-th of its row, reads entry t of the draw.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ import numpy as np
 
 from . import geo
 from .errors import ConstantFieldError, EngineError, InsufficientRegionsError
-
-QUADRANTS = ("HH", "LL", "HL", "LH", "NS", "ISLAND")
-
-# spawn key for the per-region offsets of the conditional-permutation sweep
-_OFFSET_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,8 @@ def morans_i(x, w: geo.SpatialWeights, n_perm: int = 999, seed: int = 0) -> Glob
     expected = -1.0 / (n - 1)
     # one-sided in the direction of departure; negating both sides is exact
     sign = 1.0 if observed >= expected else -1.0
-    exceed = 0
-    for k in range(n_perm):
-        if sign * stat(np.random.default_rng(seed ^ k).permutation(z)) >= sign * observed:
-            exceed += 1
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    exceed = sum(sign * stat(rng.permutation(z)) >= sign * observed for _ in range(n_perm))
     return GlobalMoranResult(
         I=observed,
         expected_I=expected,
@@ -142,22 +135,13 @@ def lisa(
 
     exceed = np.zeros(n, dtype=np.int64)
     upper = local >= 0.0
-    n_others = n - 1
-    if n_others >= 1 and len(rows):
-        # slot t of row i reads position (offset_i + t) mod (n-1) of one shared
-        # permutation of that row's "other" regions; offsets are fixed per seed
-        offsets = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_OFFSET_STREAM,))
-        ).integers(0, n_others, size=n)
-        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # rank within its row
-        base = (offsets[rows] + slot) % n_others
-        for k in range(n_perm):
-            perm = np.random.default_rng(seed ^ k).permutation(n_others)
-            pos = perm[base]
-            drawn = pos + (pos >= rows)  # skip the held-out region itself
-            lag_star = geo.edge_lag(wa, z[drawn])
-            local_star = z * lag_star / m2
-            exceed += np.where(upper, local_star >= local, local_star <= local)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # rank within its row
+    for _ in range(n_perm):
+        pos = rng.permutation(n - 1)[slot]
+        drawn = pos + (pos >= rows)  # skip the held-out region itself
+        local_star = z * geo.edge_lag(wa, z[drawn]) / m2
+        exceed += np.where(upper, local_star >= local, local_star <= local)
     p_active = (exceed + 1) / (n_perm + 1)
 
     def full(values: np.ndarray, island_value: float) -> np.ndarray:

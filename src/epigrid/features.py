@@ -263,9 +263,9 @@ def write_feature_csv(table: FeatureTable, path) -> None:
 
 
 def read_feature_csv(path) -> FeatureTable:
-    types = (int, int) + (float,) * len(FEATURE_NAMES) + (int, int)
+    types = (ingest.int64,) * 2 + (float,) * len(FEATURE_NAMES) + (ingest.int64,) * 2
     # one fixed-width record per row: no per-row Python object outlives its row
-    dtype = np.dtype([(name, np.int64 if t is int else float) for name, t in zip(CSV_COLUMNS, types)])
+    dtype = np.dtype([(name, np.int64 if t is ingest.int64 else float) for name, t in zip(CSV_COLUMNS, types)])
     rows = np.fromiter(ingest.read_csv(path, CSV_COLUMNS, types), dtype)
     X = np.column_stack([rows[name] for name in FEATURE_NAMES])
     return FeatureTable(

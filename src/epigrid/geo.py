@@ -154,10 +154,8 @@ def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
     1/k of its row's k edges, and the islands are the regions without an edge;
     files that break this were cut short or edited and raise a ParseError."""
     dtype = [("i", np.int64), ("j", np.int64), ("weight", float)]
-    try:
-        table = np.fromiter(ingest.read_csv(edges_path, ("i", "j", "weight"), (int, int, float)), dtype)
-    except OverflowError:  # an index past int64 is past n - 1 too
-        raise ParseError(f"{edges_path}: an edge leaves the regions 0..{n - 1}") from None
+    types = (ingest.int64, ingest.int64, float)
+    table = np.fromiter(ingest.read_csv(edges_path, ("i", "j", "weight"), types), dtype)
     # stable: each row keeps its edges in file order, so every sum adds in that order
     table = table[np.argsort(table["i"], kind="stable")]
     w = SpatialWeights(n, table["i"].copy(), table["j"].copy(), table["weight"].copy())
@@ -174,7 +172,7 @@ def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
     ordered = np.sort(key)
     check(np.isin(key, ordered[1:][ordered[1:] == ordered[:-1]]), "appears twice")
     check(~np.isin(cols * n + rows, key), "has no mirror edge")
-    islands = {i for (i,) in ingest.read_csv(islands_path, ("island",), (int,))}
+    islands = {i for (i,) in ingest.read_csv(islands_path, ("island",), (ingest.int64,))}
     if islands != set(w.islands):
         raise ParseError(f"{islands_path}: the islands are not the regions without an edge in {edges_path}")
     check(w.weights != 1.0 / w.degrees[rows], "does not weigh 1/k of its row's k edges")

@@ -157,6 +157,15 @@ def csv_rows(path):
 _call = getattr(operator, "call", lambda convert, value: convert(value))
 
 
+def int64(text: str) -> int:
+    """The integer column type of CSV artifacts: text as an int that numpy's
+    int64 holds; anything else is a ValueError."""
+    value = int(text)
+    if -(2**63) <= value < 2**63:
+        return value
+    raise ValueError(f"{text} is outside the int64 range")
+
+
 def read_csv(path, header, types):
     """Each non-blank row after the header, as a tuple with column k converted
     by types[k]. Another header is a SchemaMismatchError. A row of another

@@ -443,14 +443,21 @@ def roc_auc_score(y_true, scores) -> float:
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def f1_score(y_true, y_pred) -> float:
+def _confusion(y_true, y_pred) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) of labels against predictions, 1 positive and 0 negative."""
     y = np.asarray(y_true)
     yp = np.asarray(y_pred)
-    tp = int(np.sum((y == 1) & (yp == 1)))
-    fp = int(np.sum((y == 0) & (yp == 1)))
-    fn = int(np.sum((y == 1) & (yp == 0)))
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    cells = ((1, 1), (0, 1), (1, 0), (0, 0))
+    return tuple(int(np.sum((y == truth) & (yp == pred))) for truth, pred in cells)
+
+
+def _f1(tp: int, fp: int, fn: int) -> float:
+    """2tp / (2tp + fp + fn) in integers until the one division; 0 without a tp."""
+    return 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+
+
+def f1_score(y_true, y_pred) -> float:
+    return _f1(*_confusion(y_true, y_pred)[:3])
 
 
 def evaluate(labels_true, labels_pred, scores) -> MetricsReport:
@@ -468,10 +475,7 @@ def evaluate(labels_true, labels_pred, scores) -> MetricsReport:
         raise EngineError("labels_true, labels_pred, and scores must align")
     if not np.all(np.isin(y, (0, 1))) or not np.all(np.isin(yp, (0, 1))):
         raise EngineError("labels must be binary 0/1")
-    tp = int(np.sum((y == 1) & (yp == 1)))
-    fp = int(np.sum((y == 0) & (yp == 1)))
-    fn = int(np.sum((y == 1) & (yp == 0)))
-    tn = int(np.sum((y == 0) & (yp == 0)))
+    tp, fp, fn, tn = _confusion(y, yp)
     undefined: list[str] = []
 
     def ratio(num, den, name):
@@ -483,7 +487,8 @@ def evaluate(labels_true, labels_pred, scores) -> MetricsReport:
     accuracy = (tp + tn) / len(y)
     precision = ratio(tp, tp + fp, "precision")
     recall = ratio(tp, tp + fn, "recall")
-    f1 = ratio(2 * precision * recall, precision + recall, "f1")
+    if tp == 0:  # precision + recall is 0, so 2PR / (P + R) is undefined
+        undefined.append("f1")
     tnr = ratio(tn, tn + fp, "tnr")
     balanced = (recall + tnr) / 2.0
     mcc_den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
@@ -502,7 +507,7 @@ def evaluate(labels_true, labels_pred, scores) -> MetricsReport:
         balanced_accuracy=balanced,
         mcc=mcc,
         roc_auc=auc,
-        f1=f1,
+        f1=_f1(tp, fp, fn),
         precision=precision,
         recall=recall,
         confusion=(tp, fp, fn, tn),

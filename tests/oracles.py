@@ -139,6 +139,24 @@ def moran_double_sum(x, w: SpatialWeights) -> float:
     return n * num / (s0 * den)
 
 
+def moran_p_naive(x, w: SpatialWeights, n_perm: int, seed: int) -> float:
+    """Global pseudo p-value by a plain loop over the same stream, each draw
+    scored by the double sum. A permutation's order depends only on the
+    length, so shuffling x draws what esda.morans_i's shuffle of z draws."""
+    x = np.asarray(x, dtype=float)
+    active = [i for i in range(w.n) if i not in w.islands]
+    observed = moran_double_sum(x, w)
+    upper = observed >= -1.0 / (len(active) - 1)
+    stream = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    exceed = 0
+    for _ in range(n_perm):
+        shuffled = x.copy()
+        shuffled[active] = stream.permutation(x[active])
+        star = moran_double_sum(shuffled, w)
+        exceed += star >= observed if upper else star <= observed
+    return (exceed + 1) / (n_perm + 1)
+
+
 def lisa_naive(x, w: SpatialWeights, n_perm: int, seed: int):
     """Conditional permutation re-done with plain loops, same seed scheme."""
     x = np.asarray(x, dtype=float)
@@ -159,16 +177,14 @@ def lisa_naive(x, w: SpatialWeights, n_perm: int, seed: int):
         for j, wij in zip(rows[i], wts[i]):
             lag += wij * z[j]
         local[i] = z[i] * lag / m2
-    offsets = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    ).integers(0, n - 1, size=n)
+    stream = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     exceed = np.zeros(n, dtype=int)
-    for k in range(n_perm):
-        perm = np.random.default_rng(seed ^ k).permutation(n - 1)
+    for _ in range(n_perm):
+        perm = stream.permutation(n - 1)
         for i in range(n):
             lag = 0.0
             for slot, wij in enumerate(wts[i]):
-                pos = perm[(offsets[i] + slot) % (n - 1)]
+                pos = perm[slot]
                 j = pos + (1 if pos >= i else 0)
                 lag += wij * z[j]
             star = z[i] * lag / m2

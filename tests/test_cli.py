@@ -287,12 +287,14 @@ CSV_DAMAGE = {
     "short_row": first_row(lambda row: row.rpartition(b",")[0] or row + b",0"),
     "non_numeric": first_row(lambda row: b"abc" + row.lstrip(b"0123456789")),
     "not_utf8": not_utf8,
+    "past_int64": first_row(lambda row: b"".join(row.rpartition(b",")[:2]) + b"99999999999999999999"),
 }
 MODEL_DAMAGE = {
     "truncated": cut,
     "short_row": first_tree(lambda root: root.pop("threshold")),
     "non_numeric": first_tree(lambda root: root.update(threshold="abc")),
     "not_utf8": not_utf8,
+    "past_int64": first_tree(lambda root: root.update(feature=99999999999999999999)),
 }
 
 

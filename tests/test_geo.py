@@ -134,7 +134,7 @@ EDGES, ISLANDS = "i,j,weight\r\n0,1,1.0\r\n1,0,1.0\r\n", "island\r\n2\r\n"  # 3 
     "edges, islands, match",
     [
         (EDGES + "2,3,1.0\r\n", ISLANDS, "leaves the regions"),
-        (EDGES + "0,99999999999999999999,1.0\r\n", ISLANDS, "leaves the regions"),
+        (EDGES + "0,99999999999999999999,1.0\r\n", ISLANDS, "line 4: 99999999999999999999 is outside the int64"),
         ("i,j,weight\r\n0,1,1.0\r\n", ISLANDS, "no mirror edge"),
         (EDGES, "island\r\n", "islands are not"),
         (EDGES + "0,1,1.0\r\n", ISLANDS, r"edge \(0, 1\) appears twice"),
