@@ -9,13 +9,16 @@ the one list of config keys: each field's JSON key, strict type, default,
 range or enum check and the stage params it feeds. load_config, its
 validation and every manifest params dict come from that table.
 
-Each stage writes its artifacts plus a manifest entry keyed by a signature
-over input hashes and parameters; re-running a stage whose signature and
-outputs are unchanged is a no-op unless --force is given. A stage refuses to
-run while an upstream stage's recorded signature differs from its current
-one. Relative paths in the config resolve against the config file's
-directory. Log lines on stdout are JSON events; artifacts carry no
-timestamps, so a run is reproducible bit-for-bit from config + inputs + seeds.
+Each stage writes its artifacts plus a manifest entry: the digests of the
+files it read and wrote, its params and a signature over both. The manifest
+vouches for a stage's files when it recorded them under the stage's current
+signature and each file on disk has its recorded digest. A stage is skipped
+(unless --force is given) when the manifest vouches for all of its outputs,
+and it reads an upstream artifact only if the manifest vouches for that file;
+anything else is a DependencyError naming the file. Relative config paths
+resolve against the config file's directory. Log lines on stdout are JSON
+events; artifacts carry no timestamps, so a run is reproducible bit-for-bit
+from config + inputs + seeds.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ CONFIG_FIELDS = (
     Field("output_dir", "output_dir", _OUTPUT),
 )
 
-PipelineConfig = make_dataclass("PipelineConfig", [f.attr for f in CONFIG_FIELDS])
+PipelineConfig = make_dataclass("PipelineConfig", ["config_dir", *(f.attr for f in CONFIG_FIELDS)])
 
 
 def _lookup(doc: dict, key: str, path: Path):
@@ -215,7 +218,7 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
             values[f.attr] = f.spec.convert(value, path.parent)
         except ValueError:
             raise ConfigError(f"{path}: {name} must be {f.spec.what}; got {value!r}") from None
-    return PipelineConfig(**values)
+    return PipelineConfig(config_dir=path.parent, **values)
 
 
 def _params(cfg: PipelineConfig, stage: str) -> dict:
@@ -242,38 +245,33 @@ def _emit_warning(stage: str | None, message: str, category: type[Warning] = Eng
 
 
 def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = False) -> None:
+    # json.dumps, unlike json.dump, uses the C encoder when there is no indent
     with atomic.replacing(path) as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n")
 
 
 def _sha256(path: Path) -> str:
+    """sha256 of a file's bytes, or of a directory's file names and file digests."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _hash_input(path: Path) -> str:
     if path.is_dir():
-        h = hashlib.sha256()
         for child in sorted(path.iterdir()):
             if child.is_file():
                 h.update(child.name.encode())
                 h.update(_sha256(child).encode())
-        return h.hexdigest()
-    return _sha256(path)
-
-
-def _signature(inputs: dict[str, str], params: dict) -> str:
-    doc = json.dumps({"inputs": inputs, "params": params}, sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
+    else:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                h.update(block)
+    return h.hexdigest()
 
 
 class Manifest:
+    """What each stage recorded in manifest.json, and this run's digest table."""
+
     def __init__(self, outdir: Path):
+        self.outdir = outdir
         self.path = outdir / "manifest.json"
+        self.digests: dict[Path, str] = {}  # hashed once per run; record() refreshes what a stage writes
         self.doc = {"version": __version__, "stages": {}}
         if self.path.exists():
             try:
@@ -285,26 +283,36 @@ class Manifest:
             else:
                 _emit_warning(None, f"{self.path} is unreadable; every stage re-runs")
 
-    def signature(self, stage: str) -> str | None:
-        entry = self.doc["stages"].get(stage)
-        return entry.get("signature") if isinstance(entry, dict) else None
+    def digest(self, path: Path) -> str:
+        if path not in self.digests:
+            if not path.exists():
+                raise DependencyError(f"{path} is missing")
+            self.digests[path] = _sha256(path)
+        return self.digests[path]
 
-    def is_current(self, stage: str, signature: str, outdir: Path) -> bool:
-        if self.signature(stage) != signature:
+    def vouches(self, stage: str, signature: str, names=None) -> bool:
+        """Whether `stage` recorded `names` (default: all of its outputs) under `signature`
+        and each of those files on disk still has its recorded digest."""
+        entry = self.doc["stages"].get(stage)
+        if not isinstance(entry, dict) or entry.get("signature") != signature:
             return False
-        for name, digest in self.doc["stages"][stage].get("outputs", {}).items():
-            target = outdir / name
-            if not target.exists() or _sha256(target) != digest:
+        outputs = entry.get("outputs")
+        if not isinstance(outputs, dict) or not outputs:
+            return False
+        for name in outputs if names is None else names:
+            path = self.outdir / name
+            if name not in outputs or not path.exists() or self.digest(path) != outputs[name]:
                 return False
         return True
 
     def record(self, stage: str, signature: str, inputs: dict, params: dict, outputs: list[Path]) -> None:
+        self.digests.update((p, _sha256(p)) for p in outputs)
         self.doc["version"] = __version__
         self.doc["stages"][stage] = {
             "signature": signature,
             "inputs": inputs,
             "params": params,
-            "outputs": {p.name: _sha256(p) for p in outputs},
+            "outputs": {p.name: self.digests[p] for p in outputs},
         }
         _write_json(self.path, self.doc, indent=2, sort_keys=True)
 
@@ -687,13 +695,6 @@ class Stage:
     upstream: dict[str, tuple[str, ...]]  # upstream stage -> the artifacts of it this stage reads
     config_inputs: tuple[str, ...]  # PipelineConfig attributes naming input files
 
-    def inputs(self, cfg: PipelineConfig, out: Path) -> list[Path]:
-        paths = [out / name for names in self.upstream.values() for name in names]
-        for attr in self.config_inputs:
-            value = getattr(cfg, attr)
-            paths.extend(value.values() if isinstance(value, dict) else [value])
-        return paths
-
 
 PIPELINE = (
     Stage("ingest", _stage_ingest, {}, ("surveillance_csv", "districts_geojson")),
@@ -716,25 +717,17 @@ PIPELINE = (
 STAGES = tuple(s.name for s in PIPELINE)
 
 
-def _current(stage: Stage, cfg: PipelineConfig, out: Path) -> tuple[dict[str, str], dict, str]:
-    """Input digests, params and signature of a stage as it would run now."""
-    inputs = {p.name: _hash_input(p) for p in stage.inputs(cfg, out)}
+def _current(stage: Stage, cfg: PipelineConfig, out: Path, manifest: Manifest) -> tuple[dict, dict, str]:
+    """Input digests, params and signature of a stage as it would run now. An upstream
+    artifact is keyed by its name, a config input by its path from the config's directory."""
+    inputs = {name: manifest.digest(out / name) for names in stage.upstream.values() for name in names}
+    for attr in stage.config_inputs:
+        value = getattr(cfg, attr)
+        for path in value.values() if isinstance(value, dict) else [value]:
+            inputs[os.path.relpath(path, cfg.config_dir)] = manifest.digest(path)
     params = _params(cfg, stage.name)
-    return inputs, params, _signature(inputs, params)
-
-
-def _check_upstream(stage: Stage, cfg, out: Path, manifest: Manifest, signatures: dict) -> None:
-    """Refuse to run on upstream artifacts that are missing or were made for another config."""
-    for up, names in stage.upstream.items():
-        recorded = manifest.signature(up)
-        if recorded is None or any(not (out / name).exists() for name in names):
-            raise DependencyError(f"{', '.join(names)} missing; run the {up!r} stage first")
-        if up not in signatures:
-            signatures[up] = _current(next(s for s in PIPELINE if s.name == up), cfg, out)[2]
-        if signatures[up] != recorded:
-            raise DependencyError(
-                f"the {up!r} stage's outputs are stale for this config; re-run the {up!r} stage first"
-            )
+    doc = json.dumps({"inputs": inputs, "params": params}, sort_keys=True)
+    return inputs, params, hashlib.sha256(doc.encode()).hexdigest()
 
 
 def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
@@ -745,14 +738,20 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _Lock(out):
         manifest = Manifest(out)
-        signatures: dict[str, str] = {}
         for st in PIPELINE:
             if stage not in ("all", st.name):
                 continue
             try:
-                _check_upstream(st, cfg, out, manifest, signatures)
-                inputs, params, signatures[st.name] = _current(st, cfg, out)
-                if not force and manifest.is_current(st.name, signatures[st.name], out):
+                for up, names in st.upstream.items():
+                    up_signature = _current(next(s for s in PIPELINE if s.name == up), cfg, out, manifest)[2]
+                    for name in names:
+                        if not manifest.vouches(up, up_signature, [name]):
+                            raise DependencyError(
+                                f"the manifest does not vouch for {out / name}: it is missing, has changed "
+                                f"or was made for another config; run the {up!r} stage first"
+                            )
+                inputs, params, signature = _current(st, cfg, out, manifest)
+                if not force and manifest.vouches(st.name, signature):
                     _emit({"event": "stage_skip", "stage": st.name, "reason": "signature match"})
                     continue
                 _emit({"event": "stage_start", "stage": st.name})
@@ -764,7 +763,7 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
                 raise
             for warning in caught:
                 _emit_warning(st.name, str(warning.message), warning.category)
-            manifest.record(st.name, signatures[st.name], inputs, params, outputs)
+            manifest.record(st.name, signature, inputs, params, outputs)
             _emit({"event": "stage_end", "stage": st.name, "outputs": [p.name for p in outputs]})
     return 0
 

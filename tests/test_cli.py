@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -331,9 +333,26 @@ READERS = {
 }
 
 
+def vouch_for(out: Path, name: str) -> None:
+    """Record the bytes `name` holds now as its writer stage's output digest."""
+    manifest = out / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    entry = next(e for e in doc["stages"].values() if name in e["outputs"])
+    entry["outputs"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def cut_at_row_end(data: bytes) -> bytes:
+    """Drop the last data row: what is left is well-formed, only shorter."""
+    return data.rsplit(b"\r\n", 2)[0] + b"\r\n"
+
+
 class TestDamagedArtifacts:
     """A damaged artifact stops the stage that reads it with a report naming
-    the file, never with a traceback."""
+    the file, never with a traceback. Each case runs in two arms: the damage
+    alone, which the manifest does not vouch for, is a DependencyError; with
+    the writer's recorded digest rewritten to match the damage, the reader's
+    own checks must catch it."""
 
     @pytest.fixture(scope="class")
     def finished(self, mini_world, tmp_path_factory):
@@ -342,40 +361,114 @@ class TestDamagedArtifacts:
         assert run_cli(world / "config.json", "--stage", "all") == 0
         return world
 
-    def damaged_run_report(self, finished, tmp_path, capsys, name, damage):
+    @pytest.fixture(params=[False, True], ids=["unvouched", "vouched"])
+    def vouched(self, request):
+        return request.param
+
+    def damaged_run_report(self, finished, tmp_path, capsys, name, damage, vouched):
         """The error report of the stage reading `name` after `damage`."""
         world = tmp_path / "world"
         shutil.copytree(finished, world)
         path = world / "out" / name
         path.write_bytes(damage(path.read_bytes()))
+        if vouched:
+            vouch_for(world / "out", name)
         capsys.readouterr()
         assert run_cli(world / "config.json", "--stage", READERS[name]) == 1
         err = error_report(capsys)
         assert "traceback" not in err
         assert str(path) in err["message"]
+        assert vouched or err["type"] == "DependencyError"
         return err
 
     @pytest.mark.parametrize("damage", sorted(CSV_DAMAGE))
     @pytest.mark.parametrize("name", sorted(READERS))
-    def test_damaged_artifact_is_a_parse_error(self, finished, tmp_path, capsys, name, damage):
+    def test_damaged_artifact_is_a_parse_error(self, finished, tmp_path, capsys, name, damage, vouched):
         edit = (MODEL_DAMAGE if name == "model.json" else CSV_DAMAGE)[damage]
-        err = self.damaged_run_report(finished, tmp_path, capsys, name, edit)
-        assert err["type"] in ("ParseError", "SchemaMismatchError")
+        err = self.damaged_run_report(finished, tmp_path, capsys, name, edit, vouched)
+        assert not vouched or err["type"] in ("ParseError", "SchemaMismatchError")
 
     @pytest.mark.parametrize("damage", sorted(MODEL_DECODE_DAMAGE))
-    def test_model_the_trainer_cannot_write_is_a_parse_error(self, finished, tmp_path, capsys, damage):
-        err = self.damaged_run_report(finished, tmp_path, capsys, "model.json", MODEL_DECODE_DAMAGE[damage])
-        assert err["type"] == "ParseError"
+    def test_model_the_trainer_cannot_write_is_a_parse_error(self, finished, tmp_path, capsys, damage, vouched):
+        edit = MODEL_DECODE_DAMAGE[damage]
+        err = self.damaged_run_report(finished, tmp_path, capsys, "model.json", edit, vouched)
+        assert not vouched or err["type"] == "ParseError"
 
     def test_panel_missing_its_last_week_is_a_parse_error(self, finished, tmp_path, capsys):
-        world = tmp_path / "world"
-        shutil.copytree(finished, world)
-        path = world / "out" / "panel.csv"
-        path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")  # cut at a row end
-        capsys.readouterr()
-        assert run_cli(world / "config.json", "--stage", "esda") == 1
-        err = error_report(capsys)
+        err = self.damaged_run_report(finished, tmp_path, capsys, "panel.csv", cut_at_row_end, vouched=True)
         assert err["type"] == "ParseError" and "expected weeks 1..8 of every district" in err["message"]
+
+    @pytest.mark.parametrize("name", ["panel.csv", "features.csv"])
+    def test_artifact_cut_at_a_row_boundary_is_a_dependency_error(self, finished, tmp_path, capsys, name):
+        # nothing in features.csv says how many rows it should hold; only its digest does
+        self.damaged_run_report(finished, tmp_path, capsys, name, cut_at_row_end, vouched=False)
+
+
+class TestManifestTrust:
+    def test_inputs_sharing_a_file_name_keep_their_own_keys(self, world, capsys):
+        root = world.parent
+        for role, folder in (("elevation", "dem"), ("population", "pop")):
+            (root / folder).mkdir()
+            (root / f"{role}.asc").rename(root / folder / "data.asc")
+            edit_config(world, "paths", "rasters", {**json.loads(world.read_text())["paths"]["rasters"],
+                                                    role: f"{folder}/data.asc"})
+        assert run_cli(world, "--stage", "all") == 0
+        out = root / "out"
+        before = (out / "features.csv").read_bytes()
+        elevation = ingest.parse_ascii_grid(root / "dem" / "data.asc")
+        ingest.write_ascii_grid(dataclasses.replace(elevation, values=elevation.values + 100.0), root / "dem" / "data.asc")
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "all") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert "features" in [e["stage"] for e in events if e["event"] == "stage_start"]
+        assert (out / "features.csv").read_bytes() != before
+        inputs = json.loads((out / "manifest.json").read_text())["stages"]["features"]["inputs"]
+        assert {"dem/data.asc", "pop/data.asc"} <= set(inputs)
+
+    @pytest.mark.parametrize("outputs", [["panel.csv"], {}], ids=["list", "empty"])
+    def test_entry_without_output_digests_vouches_for_nothing(self, world, capsys, outputs):
+        assert run_cli(world, "--stage", "all") == 0
+        out = world.parent / "out"
+        clean = artifacts(out)
+        doc = json.loads(clean["manifest.json"])
+        doc["stages"]["ingest"]["outputs"] = outputs
+        (out / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "all") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [e["stage"] for e in events if e["event"] == "stage_start"] == ["ingest"]
+        assert artifacts(out) == clean
+        (out / "manifest.json").write_text(json.dumps(doc))
+        assert run_cli(world, "--stage", "esda") == 1
+        err = error_report(capsys)
+        assert err["type"] == "DependencyError" and str(out / "panel.csv") in err["message"]
+
+    def test_missing_input_of_an_upstream_stage_is_a_dependency_error(self, world, capsys):
+        assert run_cli(world, "--stage", "all") == 0
+        panel = world.parent / "out" / "panel.csv"
+        panel.unlink()
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "train") == 1
+        err = error_report(capsys)
+        assert err["type"] == "DependencyError" and str(panel) in err["message"]
+
+    def test_no_path_is_hashed_twice_in_one_run(self, world, capsys, monkeypatch):
+        calls = []
+        sha256 = cli._sha256
+
+        def counting(path):
+            calls.append(Path(path))
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "_sha256", counting)
+        for args in (("--force",), ()):  # a forced run on a fresh world, then a no-op run
+            calls.clear()
+            assert run_cli(world, "--stage", "all", *args) == 0
+            hashed = collections.Counter(calls)
+            assert hashed[world.parent / "districts.geojson"] == 1
+            assert max(hashed.values()) == 1, hashed.most_common(3)
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [e["stage"] for e in events if e["event"] == "stage_skip"] == list(cli.STAGES)
 
 
 class TestZoneIndexPerGrid:
