@@ -116,9 +116,10 @@ _LANDCOVER = Spec(
     lambda v: isinstance(v, dict) and all(_is_int(c) for c in v.values()),
     lambda v, base: {**DEFAULT_LANDCOVER_CODES, **v},
 )
-_BUFFERS = Spec(
-    "a non-empty list of numbers >= 0",
-    lambda v: isinstance(v, list) and v != [] and all(_is_number(b) and b >= 0 for b in v),
+_BUFFERS = Spec(  # f"{km:g}" names each buffer's masked raster, so no two may share it
+    "a non-empty list of numbers >= 0, no two alike to 6 significant digits",
+    lambda v: isinstance(v, list) and v != [] and all(_is_number(b) and b >= 0 for b in v)
+    and len({f"{b:g}" for b in v}) == len(v),
     lambda v, base: [float(b) for b in v],
 )
 
@@ -517,12 +518,12 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
             indexes[grid.layout] = raster.ZoneIndex.build(grid, districts)
         return indexes[grid.layout]
 
-    def zonal_means(grid) -> list[float]:
-        return [np.nan if z.mean is None else z.mean for z in raster.zonal_mean(grid, zones(grid))]
+    def mean(grid) -> np.ndarray:  # the caller's grid lives only for this call
+        return raster.zonal_mean(grid, zones(grid))
 
-    elev = np.array(zonal_means(elevation_grid))
+    elev = mean(elevation_grid)
     pop_zones = zones(population_grid)
-    pop_sum = np.array([v for _, v in raster.zonal_sum(population_grid, pop_zones)])
+    pop_sum = raster.zonal_sum(population_grid, pop_zones)
 
     water = ingest.parse_water_geojson(cfg.water_geojson)
     feature_buffer = cfg.buffers_km[0]  # the others only name masked rasters
@@ -532,27 +533,22 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
             mask = raster.water_buffer_mask(population_grid, water, buffer_km)
             masked = raster.masked_population(population_grid, mask)
             if buffer_km == feature_buffer:
-                near = raster.near_water_totals(masked, water, pop_zones)
+                near_water = raster.near_water_totals(masked, water, pop_zones)
             masked_path = out / f"population_within_{buffer_km:g}km.asc"
             ingest.write_ascii_grid(masked, masked_path)
             outputs.append(masked_path)
     else:
-        near = raster.population_near_water(population_grid, water, feature_buffer, pop_zones)
-    near_water = np.array([v for _, v in near])
+        near_water = raster.population_near_water(population_grid, water, feature_buffer, pop_zones)
 
     codes = cfg.landcover_codes
-    tabulation = raster.tabulate_area(landcover_grid, zones(landcover_grid), list(codes.values()))
+    counts, fractions = raster.tabulate_area(landcover_grid, zones(landcover_grid), list(codes.values()))
     class_pop = raster.class_population(
         landcover_grid, population_grid, pop_zones, list(codes.values())
     )
     composites: dict[str, np.ndarray] = {}
     composite_params: dict[str, dict] = {}
     for cls_name, code in codes.items():
-        composites[cls_name], params = features.landcover_composite(
-            [t.counts[code] for t in tabulation],
-            [t.fractions[code] for t in tabulation],
-            [v for _, v in class_pop[code]],
-        )
+        composites[cls_name], params = features.landcover_composite(counts[code], fractions[code], class_pop[code])
         composite_params[cls_name] = {part: asdict(p) for part, p in params.items()}
 
     wealth = features.points_to_district_values(
@@ -560,8 +556,8 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     )
 
     def weekly_dataset(role: str, agg: str) -> features.DistrictDataset:
-        cols = [zonal_means(ingest.parse_ascii_grid(f)) for f in _weekly_raster_files(cfg.rasters[role])]
-        values = np.asarray(cols, dtype=float).T  # (districts, samples); one sample is static
+        cols = [mean(ingest.parse_ascii_grid(f)) for f in _weekly_raster_files(cfg.rasters[role])]
+        values = np.array(cols).T  # (districts, samples); one sample is static
         return features.DistrictDataset(values[:, 0] if values.shape[1] == 1 else values, agg=agg)
 
     precip = weekly_dataset("precipitation", cfg.precipitation_agg)
@@ -755,14 +751,16 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
                     _emit({"event": "stage_skip", "stage": st.name, "reason": "signature match"})
                     continue
                 _emit({"event": "stage_start", "stage": st.name})
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    outputs = st.run(cfg, out)
+                try:  # a failed stage still reports the warnings that may explain it
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        outputs = st.run(cfg, out)
+                finally:
+                    for warning in caught:
+                        _emit_warning(st.name, str(warning.message), warning.category)
             except Exception as exc:
                 exc.stage = st.name  # surfaced in the structured error report
                 raise
-            for warning in caught:
-                _emit_warning(st.name, str(warning.message), warning.category)
             manifest.record(st.name, signature, inputs, params, outputs)
             _emit({"event": "stage_end", "stage": st.name, "outputs": [p.name for p in outputs]})
     return 0

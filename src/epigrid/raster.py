@@ -2,18 +2,24 @@
 
 A cell belongs to a region iff its center lies inside the region's polygon;
 when several regions contain a center (shared borders), the first region in
-list order wins and a tie warning is emitted. All operations follow that one
-assignment, so they agree exactly with a per-cell brute-force sweep.
+list order wins. All operations follow that one assignment, so they agree
+exactly with a per-cell brute-force sweep.
 
 The assignment is computed once per grid geometry and region list, as a
 ZoneIndex: a stable argsort of the flat owner map plus the offset where each
-region's cells start. Every reduction gathers a raster through that order, so
-each region's values are one contiguous slice in raster (row-major) order.
-Sums are a per-region np.sum over that slice and equal the pairwise sum of
-the same values in the per-cell sweep bit for bit; np.add.reduceat or a
-weighted bincount would add in another order and drift in the last bits.
-class_population alone keeps its weighted bincount (its artifact contract),
-which adds each region's cells one by one in raster order, gathered or not.
+region's cells start. Building it is where the assignment's warnings happen,
+once per grid geometry: a boundary tie, and a region that covers no cell
+center. Every reduction gathers a raster through that order, so each
+region's values are one contiguous slice in raster (row-major) order, and
+returns arrays aligned with ZoneIndex.regions.
+
+Per-region sums and counts go through one kernel, ZoneIndex.totals: the
+np.sum of each region's kept values, taken over a contiguous slice, plus
+how many there are. That sum equals the pairwise sum of the same values in
+the per-cell sweep bit for bit; np.add.reduceat or a weighted bincount would
+add in another order and drift in the last bits. class_population alone
+keeps its weighted bincount (its artifact contract), which adds each
+region's cells one by one in raster order, gathered or not.
 """
 
 from __future__ import annotations
@@ -30,22 +36,6 @@ from .ingest import AdminRegion, RasterGrid
 KM_PER_DEG_LAT = 110.574
 KM_PER_DEG_LON_EQ = 111.320
 _MIN_COS_LAT = 0.01
-
-
-@dataclass(frozen=True)
-class ZonalValue:
-    adm_id: int
-    mean: float | None
-    cell_count: int  # cells with data (nodata excluded)
-    nodata_count: int
-
-
-@dataclass(frozen=True)
-class AreaTabulation:
-    adm_id: int
-    counts: dict[int, int]
-    fractions: dict[int, float]
-    covered: int  # non-nodata cells in the region footprint
 
 
 def _window(xs: np.ndarray, ys: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
@@ -102,10 +92,13 @@ class ZoneIndex:
 
     @classmethod
     def build(cls, grid: RasterGrid, regions: list[AdminRegion]) -> "ZoneIndex":
-        """Assign the grid's cells once; a boundary tie warns here, not per raster."""
+        """Assign the grid's cells once; ties and empty footprints warn here, not per raster."""
         owner = assign_cells(grid, regions).ravel()
         order = np.argsort(owner, kind="stable")
         starts = np.searchsorted(owner[order], np.arange(len(regions) + 1))
+        for i in np.flatnonzero(np.diff(starts) == 0):
+            warnings.warn(f"region adm_id={regions[i].adm_id} covers no cell centers",
+                          EngineWarning, stacklevel=2)
         return cls(tuple(regions), grid.layout, order[starts[0]:], starts - starts[0])
 
     def gather(self, grid: RasterGrid) -> np.ndarray:
@@ -117,49 +110,42 @@ class ZoneIndex:
             )
         return grid.values.ravel()[self.order]
 
-    def groups(self, grid: RasterGrid):
-        """(region, values) per region; values is a contiguous slice in raster order."""
-        return zip(self.regions, np.split(self.gather(grid), self.starts[1:-1]))
+    def totals(self, values: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sums, counts) per region of gathered `values` where `keep` holds: the
+        np.sum of the region's kept values in raster order, and how many."""
+        s = self.starts.tolist()
+        parts = [values[a:b][keep[a:b]] for a, b in zip(s, s[1:])]
+        # np.add.reduce is np.sum without its Python wrapper: one pairwise sum per part
+        sums = np.fromiter(map(np.add.reduce, parts), float, len(parts))
+        return sums, np.fromiter(map(len, parts), int, len(parts))
 
 
-def zonal_mean(grid: RasterGrid, index: ZoneIndex) -> list[ZonalValue]:
-    """Mean raster value per region, nodata excluded; empty footprint -> None."""
-    out = []
-    for region, vals in index.groups(grid):
-        good = vals[vals != grid.nodata]
-        nodata_count = len(vals) - len(good)
-        if len(good) == 0:
-            if len(vals) == 0:
-                warnings.warn(
-                    f"region adm_id={region.adm_id} covers no cell centers",
-                    EngineWarning,
-                    stacklevel=2,
-                )
-            out.append(ZonalValue(region.adm_id, None, 0, nodata_count))
-        else:
-            mean = float(np.sum(good)) / len(good)
-            out.append(ZonalValue(region.adm_id, mean, len(good), nodata_count))
-    return out
+def zonal_mean(grid: RasterGrid, index: ZoneIndex) -> np.ndarray:
+    """Mean raster value per region, nodata excluded; nan where no cell has data."""
+    vals = index.gather(grid)
+    sums, counts = index.totals(vals, vals != grid.nodata)
+    return np.divide(sums, counts, out=np.full(len(sums), np.nan), where=counts > 0)
 
 
-def zonal_sum(grid: RasterGrid, index: ZoneIndex) -> list[tuple[int, float]]:
+def zonal_sum(grid: RasterGrid, index: ZoneIndex) -> np.ndarray:
     """Sum of raster values per region, nodata excluded (0 when empty)."""
-    return [
-        (region.adm_id, float(np.sum(vals[vals != grid.nodata])))
-        for region, vals in index.groups(grid)
-    ]
+    vals = index.gather(grid)
+    return index.totals(vals, vals != grid.nodata)[0]
 
 
-def tabulate_area(grid: RasterGrid, index: ZoneIndex, classes: list[int]) -> list[AreaTabulation]:
-    """Per-region cell counts and fractions for each requested class code."""
-    out = []
-    for region, vals in index.groups(grid):
-        covered = vals[vals != grid.nodata]
-        counts = {c: int(np.count_nonzero(covered == c)) for c in classes}
-        denom = len(covered)
-        fractions = {c: (counts[c] / denom if denom else 0.0) for c in classes}
-        out.append(AreaTabulation(region.adm_id, counts, fractions, denom))
-    return out
+def tabulate_area(
+    grid: RasterGrid, index: ZoneIndex, classes: list[int]
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Per class code, each region's cell count and its fraction of the
+    region's non-nodata cells (0 where there are none)."""
+    vals = index.gather(grid)
+    good = vals != grid.nodata
+    covered = index.totals(vals, good)[1]
+    counts = {c: index.totals(vals, good & (vals == c))[1] for c in classes}
+    fractions = {
+        c: np.divide(n, covered, out=np.zeros(len(n)), where=covered > 0) for c, n in counts.items()
+    }
+    return counts, fractions
 
 
 def class_population(
@@ -167,7 +153,7 @@ def class_population(
     pop_grid: RasterGrid,
     index: ZoneIndex,
     classes: list[int],
-) -> dict[int, list[tuple[int, float]]]:
+) -> dict[int, np.ndarray]:
     """Population sum per region restricted to each land-cover class.
 
     Both rasters must share one grid; resampling is out of scope here.
@@ -179,11 +165,10 @@ def class_population(
     cls = index.gather(class_grid)
     pop = index.gather(pop_grid)
     usable = (cls != class_grid.nodata) & (pop != pop_grid.nodata)
-    out: dict[int, list[tuple[int, float]]] = {}
+    out: dict[int, np.ndarray] = {}
     for c in classes:
         sel = usable & (cls == c)
-        sums = np.bincount(zone[sel], weights=pop[sel], minlength=n)
-        out[c] = [(r.adm_id, float(sums[i])) for i, r in enumerate(index.regions)]
+        out[c] = np.bincount(zone[sel], weights=pop[sel], minlength=n)
     return out
 
 
@@ -255,14 +240,15 @@ def population_near_water(
     water: list,
     buffer_km: float,
     index: ZoneIndex,
-) -> list[tuple[int, float]]:
+) -> np.ndarray:
     """Per-region population within buffer_km of any inland water feature."""
     return near_water_totals(masked_population(pop, water_buffer_mask(pop, water, buffer_km)), water, index)
 
 
-def near_water_totals(masked: RasterGrid, water: list, index: ZoneIndex) -> list[tuple[int, float]]:
+def near_water_totals(masked: RasterGrid, water: list, index: ZoneIndex) -> np.ndarray:
     """Per-region total of `masked`, a masked_population raster built from `water`."""
     if not water:
         warnings.warn("empty water set: population near water is 0 everywhere",
                       EngineWarning, stacklevel=2)
-    return [(region.adm_id, float(np.sum(vals))) for region, vals in index.groups(masked)]
+    vals = index.gather(masked)
+    return index.totals(vals, np.ones(len(vals), dtype=bool))[0]

@@ -196,22 +196,30 @@ def test_criterion_06_raster_oracles():
             warnings.simplefilter("ignore")
             index = raster.ZoneIndex.build(grid, regions)
             got_mean = raster.zonal_mean(grid, index)
-            got_tab = raster.tabulate_area(grid, index, [1, 2, 3, 4])
+            got_counts, got_fractions = raster.tabulate_area(grid, index, [1, 2, 3, 4])
             near = {
                 km: raster.population_near_water(grid, water, km, index)
                 for km in buffers
             }
+        # results are arrays in region order; cell counts are the kernel's counts
+        adm_ids = [r.adm_id for r in index.regions]
+        vals = index.gather(grid)
+        cells = index.totals(vals, vals != grid.nodata)[1]
+        nodata_cells = index.totals(vals, vals == grid.nodata)[1]
         want_mean = oracles.zonal_mean_percell(grid, regions)
-        for g, (adm, mean, count, nodata) in zip(got_mean, want_mean):
-            assert (g.adm_id, g.mean, g.cell_count, g.nodata_count) == (adm, mean, count, nodata)
+        assert len(got_mean) == len(want_mean)
+        for i, (adm, mean, count, nodata) in enumerate(want_mean):
+            got = None if np.isnan(got_mean[i]) else got_mean[i]
+            assert (adm_ids[i], got, cells[i], nodata_cells[i]) == (adm, mean, count, nodata)
         want_tab = oracles.tabulate_percell(grid, regions, [1, 2, 3, 4])
-        for g, (adm, counts, fractions, covered) in zip(got_tab, want_tab):
-            assert (g.adm_id, g.counts, g.fractions, g.covered) == (adm, counts, fractions, covered)
+        for i, (adm, counts, fractions, covered) in enumerate(want_tab):
+            got_tab = ({c: got_counts[c][i] for c in counts}, {c: got_fractions[c][i] for c in fractions})
+            assert (adm_ids[i], *got_tab, cells[i]) == (adm, counts, fractions, covered)
         # water oracle is slow: check one buffer per fixture exactly
         km = buffers[trial % len(buffers)]
-        assert near[km] == oracles.population_near_water_percell(grid, water, km, regions)
+        assert list(zip(adm_ids, near[km])) == oracles.population_near_water_percell(grid, water, km, regions)
         for region_idx in range(len(regions)):
-            series = [near[km][region_idx][1] for km in buffers]
+            series = [near[km][region_idx] for km in buffers]
             assert all(b >= a for a, b in zip(series, series[1:]))
     report(6, "zonal mean, tabulate area, and water-buffer sums match per-cell "
               "oracles exactly on 100 fixtures; monotone in buffer distance")

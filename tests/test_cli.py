@@ -195,6 +195,7 @@ class TestFailures:
             ("esda", "n_perm", 0, ()),
             ("learn", "test_fraction", 1.5, ()),
             ("weights", "kind", "bishop", ()),
+            (None, "buffers_km", [3, 3.0000001], ()),  # both name population_within_3km.asc
             (None, None, None, ("--seed", "-1")),
         ],
     )
@@ -594,6 +595,26 @@ class TestEvents:
         assert all(e["category"] == "EngineWarning" for e in warned)
         for path in out.iterdir():  # events go to stdout only
             assert b'"event"' not in path.read_bytes(), path.name
+
+    def test_a_failed_stage_reports_the_warnings_it_raised(self, world, capsys):
+        # move D01 (adm_id 101) 10 degrees east, off every raster: its zonal means
+        # are nan, so the stage fails, and the warning that says why still shows
+        districts = world.parent / "districts.geojson"
+        doc = json.loads(districts.read_text())
+        for point in doc["features"][0]["geometry"]["coordinates"][0]:
+            point[0] += 10.0
+        districts.write_text(json.dumps(doc))
+        assert run_cli(world, "--stage", "ingest") == 0
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "features") == 1
+        captured = capsys.readouterr()
+        events = [json.loads(line) for line in captured.out.splitlines()]
+        assert "no value for adm_id 101" in json.loads(captured.err)["error"]["message"]
+        # one warning for the one grid geometry, not one per raster reduced on it
+        warned = [(e["stage"], e["message"]) for e in events if e["event"] == "warning"]
+        assert [w for w in warned if "cell centers" in w[1]] == [
+            ("features", "region adm_id=101 covers no cell centers")
+        ]
 
 
 class TestWaterBuffers:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,24 @@ import oracles
 from conftest import grid_regions, make_grid, square_region
 
 zones = raster.ZoneIndex.build
+
+
+def cell_counts(grid, index):
+    """(data cells, nodata cells) per region, read from the kernel's counts."""
+    vals = index.gather(grid)
+    return (
+        [int(n) for n in index.totals(vals, vals != grid.nodata)[1]],
+        [int(n) for n in index.totals(vals, vals == grid.nodata)[1]],
+    )
+
+
+def mean_records(grid, index):
+    """zonal_mean as the oracle's (adm_id, mean or None, cells, nodata cells) rows."""
+    counts, nodata = cell_counts(grid, index)
+    return [
+        (region.adm_id, None if np.isnan(m) else float(m), n, k)
+        for region, m, n, k in zip(index.regions, raster.zonal_mean(grid, index), counts, nodata)
+    ]
 
 
 def region_over(x0, y0, x1, y1, adm_id=1):
@@ -22,57 +42,58 @@ class TestZonalMean:
     def test_constant_raster(self):
         grid = make_grid(np.full((4, 4), 3.25))
         out = raster.zonal_mean(grid, zones(grid, [region_over(0, 0, 2, 4), region_over(2, 0, 4, 4, 2)]))
-        assert [z.mean for z in out] == [3.25, 3.25]
+        assert list(out) == [3.25, 3.25]
 
     def test_left_half_of_sequential_values(self):
         grid = make_grid(np.arange(1, 17, dtype=float).reshape(4, 4))
-        out = raster.zonal_mean(grid, zones(grid, [region_over(0, 0, 2, 4)]))
+        index = zones(grid, [region_over(0, 0, 2, 4)])
+        out = raster.zonal_mean(grid, index)
         # {1,2,5,6,9,10,13,14} -> 7.5
-        assert out[0].mean == 7.5
-        assert out[0].cell_count == 8
+        assert out[0] == 7.5
+        assert cell_counts(grid, index)[0][0] == 8
 
     def test_all_nodata_region(self):
         values = np.full((3, 3), -9999.0)
         values[:, 2] = 5.0
         grid = make_grid(values)
-        out = raster.zonal_mean(grid, zones(grid, [region_over(0, 0, 2, 3)]))
-        assert out[0].mean is None
-        assert out[0].cell_count == 0
-        assert out[0].nodata_count == 6
+        index = zones(grid, [region_over(0, 0, 2, 3)])
+        out = raster.zonal_mean(grid, index)
+        assert np.isnan(out[0])
+        assert cell_counts(grid, index) == ([0], [6])
 
     def test_region_outside_extent_warns(self):
         grid = make_grid(np.ones((2, 2)))
         with pytest.warns(EngineWarning, match="no cell centers"):
             out = raster.zonal_mean(grid, zones(grid, [region_over(10, 10, 12, 12)]))
-        assert out[0].mean is None
+        assert np.isnan(out[0])
 
     def test_overlapping_regions_first_wins_with_tie_warning(self):
         grid = make_grid(np.arange(16, dtype=float).reshape(4, 4))
         a = region_over(0, 0, 3, 4, adm_id=1)
         b = region_over(1, 0, 4, 4, adm_id=2)
         with pytest.warns(EngineWarning, match="more than one region"):
-            out = raster.zonal_mean(grid, zones(grid, [a, b]))
-        assert out[0].cell_count == 12  # all of columns 0..2
-        assert out[1].cell_count == 4  # only column 3 remains
+            index = zones(grid, [a, b])
+        assert cell_counts(grid, index)[0] == [12, 4]  # all of columns 0..2; only column 3 remains
 
 
 class TestTabulateArea:
     def test_pure_region(self):
         grid = make_grid(np.full((4, 4), 2.0))
-        out = raster.tabulate_area(grid, zones(grid, [region_over(0, 0, 4, 4)]), [1, 2, 3])
-        assert out[0].fractions == {1: 0.0, 2: 1.0, 3: 0.0}
-        assert out[0].counts[2] == 16
+        counts, fractions = raster.tabulate_area(grid, zones(grid, [region_over(0, 0, 4, 4)]), [1, 2, 3])
+        assert {c: f[0] for c, f in fractions.items()} == {1: 0.0, 2: 1.0, 3: 0.0}
+        assert counts[2][0] == 16
 
     def test_fractions_partition_covered_cells(self):
         rng = np.random.default_rng(4)
         values = rng.integers(1, 4, size=(8, 8)).astype(float)
         values[0, 0] = -9999.0
         grid = make_grid(values)
-        out = raster.tabulate_area(grid, zones(grid, [region_over(0, 2, 5, 8)]), [1, 2, 3])
-        tab = out[0]
-        assert sum(tab.counts.values()) == tab.covered
-        if tab.covered:
-            assert sum(tab.fractions.values()) == pytest.approx(1.0, abs=1e-9)
+        index = zones(grid, [region_over(0, 2, 5, 8)])
+        counts, fractions = raster.tabulate_area(grid, index, [1, 2, 3])
+        [covered], _ = cell_counts(grid, index)
+        assert sum(n[0] for n in counts.values()) == covered
+        if covered:
+            assert sum(f[0] for f in fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_table3_row_2160_fixture(self):
         """A district with 11,215 tree cells out of 14,196 covered (79%)."""
@@ -88,11 +109,11 @@ class TestTabulateArea:
                     values[r, c] = 1.0
                     count += 1
         grid = make_grid(values)
-        out = raster.tabulate_area(grid, zones(grid, [region]), [1, 9])
-        tab = out[0]
-        assert tab.covered == 156 * 91 == 14196
-        assert tab.counts[1] == 11215
-        assert round(tab.fractions[1], 2) == 0.79
+        index = zones(grid, [region])
+        counts, fractions = raster.tabulate_area(grid, index, [1, 9])
+        assert cell_counts(grid, index)[0] == [156 * 91] == [14196]
+        assert counts[1][0] == 11215
+        assert round(fractions[1][0], 2) == 0.79
 
 
 class TestPopulationNearWater:
@@ -100,7 +121,7 @@ class TestPopulationNearWater:
         grid = make_grid(np.ones((4, 4)))
         water = [geometry.PointSet(np.array([[0.7, 0.7]]))]
         out = raster.population_near_water(grid, water, 0.0, zones(grid, [region_over(0, 0, 4, 4)]))
-        assert out[0][1] == 0.0  # no cell center coincides with the point
+        assert out[0] == 0.0  # no cell center coincides with the point
 
     def test_disc_mass_matches_center_count(self):
         # ~1 km cells at the equator; population 1 per cell
@@ -113,7 +134,7 @@ class TestPopulationNearWater:
         center = (n / 2 * cell_deg, 0.0)
         water = [geometry.PointSet(np.array([center]))]
         region = region_over(-1, -1, 2, 1)
-        got = raster.population_near_water(grid, water, 3.0, zones(grid, [region]))[0][1]
+        got = raster.population_near_water(grid, water, 3.0, zones(grid, [region]))[0]
         want = oracles.population_near_water_percell(grid, water, 3.0, [region])[0][1]
         assert got == want
         # discretized disc area ~ pi * 3^2 km^2 with ~1 km^2 cells
@@ -123,13 +144,13 @@ class TestPopulationNearWater:
         grid = make_grid(np.full((6, 6), 10.0))
         water = [geometry.PointSet(np.array([[100.0, 0.5]]))]
         out = raster.population_near_water(grid, water, 3.0, zones(grid, [region_over(0, 0, 6, 6, 2157)]))
-        assert out == [(2157, 0.0)]
+        assert list(out) == [0.0]
 
     def test_empty_water_warns_and_zeroes(self):
         grid = make_grid(np.ones((3, 3)))
         with pytest.warns(EngineWarning, match="empty water"):
             out = raster.population_near_water(grid, [], 3.0, zones(grid, [region_over(0, 0, 3, 3)]))
-        assert out[0][1] == 0.0
+        assert out[0] == 0.0
 
     def test_polar_latitude_fatal(self):
         grid = make_grid(np.ones((2, 2)))
@@ -147,7 +168,7 @@ class TestPopulationNearWater:
         regions = [region_over(0, 0, 0.06, 0.12), region_over(0.06, 0, 0.12, 0.12, 2)]
         prev = None
         for km in (0.0, 1.0, 3.0, 6.0):
-            vals = [v for _, v in raster.population_near_water(grid, water, km, zones(grid, regions))]
+            vals = raster.population_near_water(grid, water, km, zones(grid, regions))
             if prev is not None:
                 assert all(v >= p for v, p in zip(vals, prev))
             prev = vals
@@ -158,9 +179,9 @@ class TestPopulationNearWater:
         water = [geometry.PointSet(np.array([[0.05, 0.05]]))]
         regions = [region_over(0, 0, 0.1, 0.2), region_over(0.1, 0, 0.2, 0.2, 2)]
         masked = raster.population_near_water(grid, water, 2.0, zones(grid, regions))
-        totals = dict(raster.zonal_sum(grid, zones(grid, regions)))
-        for adm_id, value in masked:
-            assert value <= totals[adm_id] + 1e-9
+        totals = raster.zonal_sum(grid, zones(grid, regions))
+        for value, total in zip(masked, totals, strict=True):
+            assert value <= total + 1e-9
 
     def test_masked_raster_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -208,8 +229,6 @@ class TestOracleEquivalence:
         )
 
     def test_zonal_and_tabulate_match_percell_oracle(self):
-        import warnings
-
         for trial in range(12):
             rng = np.random.default_rng(7000 + trial)
             size = int(rng.integers(6, 20))
@@ -219,16 +238,17 @@ class TestOracleEquivalence:
             regions = [self.random_regions(rng, size, i + 1) for i in range(3)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got_mean = raster.zonal_mean(grid, zones(grid, regions))
-                got_tab = raster.tabulate_area(grid, zones(grid, regions), [1, 2, 3, 4])
+                index = zones(grid, regions)
+            got_mean = mean_records(grid, index)
+            got_counts, got_fractions = raster.tabulate_area(grid, index, [1, 2, 3, 4])
+            covered = cell_counts(grid, index)[0]
             want_mean = oracles.zonal_mean_percell(grid, regions)
             want_tab = oracles.tabulate_percell(grid, regions, [1, 2, 3, 4])
-            for g, (adm, mean, count, nodata) in zip(got_mean, want_mean):
-                assert (g.adm_id, g.mean, g.cell_count, g.nodata_count) == (adm, mean, count, nodata)
-            for g, (adm, counts, fractions, covered) in zip(got_tab, want_tab):
-                assert g.counts == counts
-                assert g.fractions == fractions
-                assert g.covered == covered
+            assert got_mean == want_mean
+            for i, (adm, counts, fractions, want_covered) in enumerate(want_tab):
+                assert {c: got_counts[c][i] for c in counts} == counts
+                assert {c: got_fractions[c][i] for c in fractions} == fractions
+                assert covered[i] == want_covered
 
     def test_class_population_consistent(self):
         rng = np.random.default_rng(42)
@@ -239,10 +259,10 @@ class TestOracleEquivalence:
         regions = [region_over(0, 0, 5, 10), region_over(5, 0, 10, 10, 2)]
         out = raster.class_population(cls_grid, pop_grid, zones(pop_grid, regions), [1, 2, 3])
         # per-region class populations sum to the zonal population sum
-        totals = dict(raster.zonal_sum(pop_grid, zones(pop_grid, regions)))
-        for i, region in enumerate(regions):
-            class_sum = sum(out[c][i][1] for c in (1, 2, 3))
-            assert class_sum == pytest.approx(totals[region.adm_id], abs=1e-9)
+        totals = raster.zonal_sum(pop_grid, zones(pop_grid, regions))
+        for i in range(len(regions)):
+            class_sum = sum(out[c][i] for c in (1, 2, 3))
+            assert class_sum == pytest.approx(totals[i], abs=1e-9)
 
     def test_class_population_grid_mismatch_fatal(self):
         a = make_grid(np.ones((4, 4)))
@@ -253,8 +273,6 @@ class TestOracleEquivalence:
 
 class TestZoneIndex:
     def test_grouping_matches_percell_oracle_on_criterion_06_fixtures(self):
-        import warnings
-
         from test_acceptance import _random_fixture
 
         for trial in range(100):
@@ -272,8 +290,10 @@ class TestZoneIndex:
         rng = np.random.default_rng(21)
         regions = [region_over(0, 0, 5, 7), region_over(4, 2, 9, 9, 2), region_over(20, 20, 21, 21, 3)]
         water = [geometry.PointSet(np.array([[3.0, 3.0]]))]
-        with pytest.warns(EngineWarning, match="more than one region"):
+        with pytest.warns(EngineWarning) as record:
             shared = zones(make_grid(np.zeros((9, 9))), regions)
+        assert [str(w.message) for w in record][1:] == ["region adm_id=3 covers no cell centers"]
+        assert "more than one region" in str(record[0].message)
         for _ in range(4):
             values = rng.integers(1, 4, size=(9, 9)).astype(float)
             values[rng.random((9, 9)) < 0.1] = -9999.0
@@ -290,7 +310,7 @@ class TestZoneIndex:
                     )
                     for index in (shared, zones(grid, regions))
                 ]
-            assert runs[0] == runs[1]
+            np.testing.assert_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize(
         "reduce",
@@ -316,3 +336,58 @@ class TestZoneIndex:
         index = zones(make_grid(np.ones((4, 4))), [region_over(0, 0, 4, 4)])
         with pytest.raises(EngineError, match="differs from the zone index grid"):
             reduce(other, index)
+
+    def test_an_empty_footprint_warns_once_at_build(self):
+        grid = make_grid(np.ones((2, 2)))
+        regions = [region_over(0, 0, 2, 2), region_over(10, 10, 12, 12, adm_id=3)]
+        with pytest.warns(EngineWarning, match="adm_id=3 covers no cell centers") as record:
+            index = zones(grid, regions)
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                raster.zonal_mean(grid, index)
+
+
+def owner_index(owner, n):
+    """A ZoneIndex over a flat owner map (-1 = unassigned), built as ZoneIndex.build does."""
+    order = np.argsort(owner, kind="stable")
+    starts = np.searchsorted(owner[order], np.arange(n + 1))
+    return raster.ZoneIndex((), (), order[starts[0]:], starts - starts[0])
+
+
+def check_totals(owner, n, values, keep):
+    """The kernel's sums equal a per-region np.sum in raster order bit for bit."""
+    index = owner_index(owner, n)
+    sums, counts = index.totals(values[index.order], keep[index.order])
+    assert len(sums) == len(counts) == n
+    for i in range(n):
+        mine = owner == i
+        want = np.sum(values[mine][keep[mine]])
+        assert sums[i].tobytes() == want.tobytes()
+        assert counts[i] == np.count_nonzero(keep[mine])
+
+
+def random_owner_case(rng, sizes, keep_share):
+    """Regions of the given sizes (0 = empty) plus unassigned cells, shuffled
+    over the raster, with values from 1e-3 to 1e15 in magnitude."""
+    owner = rng.permutation(np.repeat(np.arange(-1, len(sizes)), [rng.integers(0, 20), *sizes]))
+    scale = rng.choice([1e-3, 1.0, 1e6, 1e15], len(owner))
+    return owner, scale * rng.standard_normal(len(owner)), rng.random(len(owner)) < keep_share
+
+
+def test_totals_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        st.lists(st.integers(0, 300), min_size=1, max_size=8),
+        st.floats(0, 1),
+        st.integers(0, 2**32 - 1),
+    )
+    @hypothesis.example([0, 7, 0, 300, 0], 0.8, 5)  # empty regions first, in the middle and last
+    def check(sizes, keep_share, seed):
+        owner, values, keep = random_owner_case(np.random.default_rng(seed), sizes, keep_share)
+        check_totals(owner, len(sizes), values, keep)
+
+    check()
