@@ -332,27 +332,38 @@ def _dead_owner(lock: Path) -> int | None:
 
 
 class _Lock:
-    """One process per output directory; a lock left by a dead process is taken over."""
+    """One process per output directory; a lock left by a dead process is taken over.
+    The lock file is a hard link to a file that already holds its owner's PID, so
+    it never exists without one."""
 
     def __init__(self, outdir: Path):
         self.path = outdir / ".lock"
-        self.fd = None
+        self.owned = False
 
     def __enter__(self):
         pid = _dead_owner(self.path) if self.path.exists() else None
         if pid is not None:
             _emit_warning(None, f"{self.path} names process {pid}, which is gone; taking the lock over")
             self.path.unlink(missing_ok=True)
+        staged = self.path.with_name(f"{self.path.name}.{os.getpid()}")
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(staged, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+            try:
+                os.write(fd, str(os.getpid()).encode())
+            finally:
+                os.close(fd)
+            os.link(staged, self.path)
         except FileExistsError:
             raise LockError(f"{self.path} exists: another run owns this output directory") from None
-        os.write(self.fd, str(os.getpid()).encode())
+        except OSError as exc:
+            raise LockError(f"{self.path}: cannot take the lock: {exc}") from None
+        finally:
+            staged.unlink(missing_ok=True)
+        self.owned = True
         return self
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
+        if self.owned:
             self.path.unlink(missing_ok=True)
         return False
 
@@ -406,23 +417,21 @@ def export_lisa_geojson(regions, result: esda.LisaResult, path) -> None:
 
 def export_lisa_csv(regions, result: esda.LisaResult, path) -> None:
     _check_lisa_rows(regions, result)
-
-    def text(x) -> str:
-        x = _float_or_none(x)
-        return "" if x is None else repr(x)
-
-    ingest.write_csv(
-        Path(path),
-        ["adm_id", "local_i", "p_value", "quadrant"],
-        (
-            [region.adm_id, text(result.local_i[i]), text(result.p_value[i]), result.quadrant[i]]
-            for i, region in enumerate(regions)
-        ),
-    )
+    ingest.write_table(Path(path), {  # an island's local_i and p_value (None) are empty
+        "adm_id": [region.adm_id for region in regions],
+        "local_i": [_float_or_none(x) for x in result.local_i],
+        "p_value": [_float_or_none(x) for x in result.p_value],
+        "quadrant": result.quadrant,
+    })
 
 
 # ---------------------------------------------------------------------------
 # stage implementations
+
+
+def _panel_keys(adm_ids, n_weeks: int) -> dict:
+    """The adm_id and week columns of panel.csv: weeks 1..n_weeks of every district, in region order."""
+    return {"adm_id": np.repeat(adm_ids, n_weeks), "week": np.tile(np.arange(1, n_weeks + 1), len(adm_ids))}
 
 
 def _load_panel(cfg: PipelineConfig, out: Path):
@@ -430,11 +439,10 @@ def _load_panel(cfg: PipelineConfig, out: Path):
     districts = ingest.parse_district_geojson(cfg.districts_geojson)
     adm_ids = tuple(r.adm_id for r in districts)
     path = out / "panel.csv"
-    rows = list(ingest.read_csv(path, ("adm_id", "week", "cases"), (ingest.int64,) * 3))
-    # the ingest stage writes weeks 1..n_weeks of every district, in region order
-    if [row[:2] for row in rows] != [(adm, w) for adm in adm_ids for w in range(1, cfg.n_weeks + 1)]:
+    rows = ingest.read_table(path, [("adm_id", np.int64), ("week", np.int64), ("cases", np.int64)])
+    if not all(np.array_equal(rows[name], keys) for name, keys in _panel_keys(adm_ids, cfg.n_weeks).items()):
         raise ParseError(f"{path}: expected weeks 1..{cfg.n_weeks} of every district in {cfg.districts_geojson}")
-    counts = np.array([cases for _, _, cases in rows], dtype=np.int64).reshape(len(adm_ids), cfg.n_weeks)
+    counts = rows["cases"].reshape(len(adm_ids), cfg.n_weeks)
     panel = ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, adm_ids, counts)
     return districts, panel
 
@@ -472,11 +480,7 @@ def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
             }
         )
     target = out / "panel.csv"
-    ingest.write_csv(
-        target,
-        ["adm_id", "week", "cases"],
-        ([adm, w + 1, int(panel.counts[i, w])] for i, adm in enumerate(panel.districts) for w in range(panel.n_weeks)),
-    )
+    ingest.write_table(target, {**_panel_keys(panel.districts, panel.n_weeks), "cases": panel.counts.reshape(-1)})
     return [target]
 
 
@@ -634,14 +638,8 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
     _write_json(metrics_path, {"disease": cfg.disease, **report.to_dict()}, indent=2)
     metrics_csv = out / "metrics.csv"
     names = ["accuracy", "balanced_accuracy", "mcc", "roc_auc", "f1", "precision", "recall"]
-    ingest.write_csv(
-        metrics_csv,
-        ["metric", "value"],
-        [
-            *([name, repr(getattr(report, name))] for name in names),
-            *zip(("tp", "fp", "fn", "tn"), report.confusion),
-        ],
-    )
+    ingest.write_table(metrics_csv, {"metric": [*names, "tp", "fp", "fn", "tn"],
+                                     "value": [*(getattr(report, name) for name in names), *report.confusion]})
     return [model_path, metrics_path, metrics_csv]
 
 
@@ -652,6 +650,8 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
         model = learn.forest_from_dict(model_doc)
         scaler = features.TableScaler.from_dict(model_doc["scaler"])
         split = learn.SplitSpec(**model_doc["split"])
+        if len(scaler.params) != len(model.feature_names):
+            raise ValueError(f"{len(scaler.params)} scaler columns for {len(model.feature_names)} features")
     except (AttributeError, KeyError, TypeError, ValueError, EngineError) as exc:
         raise ParseError(f"{model_path}: not a model document: {type(exc).__name__}: {exc}") from None
     table = features.read_feature_csv(out / "features.csv")
@@ -661,11 +661,8 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
         model, test, n_repeats=cfg.importance_repeats, seed=cfg.learn_seed
     )
     csv_path = out / "importance.csv"
-    ingest.write_csv(
-        csv_path,
-        ["feature", "importance", "std"],
-        ([e.feature, repr(e.importance), repr(e.std)] for e in entries),
-    )
+    columns = ("feature", "importance", "std")
+    ingest.write_table(csv_path, {name: [getattr(e, name) for e in entries] for name in columns})
     json_path = out / "importance.json"
     _write_json(
         json_path,

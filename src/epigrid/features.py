@@ -10,7 +10,7 @@ scaling of whole tables is fitted on training rows only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,9 @@ FEATURE_NAMES = (
 
 LANDCOVER_CLASSES = ("trees", "crops", "built_up", "bare_ground", "rangeland")
 
-CSV_COLUMNS = ("id", "adm_id") + FEATURE_NAMES + ("cases", "label")
+# features.csv: a 1-based row id, the district, the predictors, cases and label
+CSV_DTYPE = np.dtype([("id", np.int64), ("adm_id", np.int64), *((name, float) for name in FEATURE_NAMES),
+                      ("cases", np.int64), ("label", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,8 @@ class TableScaler:
         if self.params is None:
             raise EngineError("scaler must be fitted before transform")
         out = np.empty_like(np.asarray(X, dtype=float))
+        if out.ndim != 2 or out.shape[1] != len(self.params):
+            raise SchemaMismatchError(f"scaler was fitted on {len(self.params)} columns, got shape {out.shape}")
         for j, p in enumerate(self.params):
             out[:, j] = (X[:, j] - p.median) / p.iqr
         return out
@@ -124,6 +128,8 @@ class TableScaler:
             raise EngineError(f"unknown scaler kind {doc['kind']!r}")
         scaler = cls()
         scaler.params = [RobustParams(c["median"], c["q1"], c["q3"]) for c in doc["columns"]]
+        if not all(type(v) is float and np.isfinite(v) for p in scaler.params for v in astuple(p)):
+            raise EngineError("scaler parameters must be finite floats")
         return scaler
 
 
@@ -256,17 +262,12 @@ def assemble_feature_table(panel: SurveillancePanel, datasets: dict[str, Distric
 
 
 def write_feature_csv(table: FeatureTable, path) -> None:
-    columns = zip(table.adm_ids, table.X, table.cases, table.labels)
-    rows = ([i, int(adm), *map(repr, map(float, x)), int(cases), int(label)]
-            for i, (adm, x, cases, label) in enumerate(columns, 1))
-    ingest.write_csv(path, CSV_COLUMNS, rows)
+    ingest.write_table(path, {"id": np.arange(1, len(table) + 1), "adm_id": table.adm_ids,
+                              **dict(zip(FEATURE_NAMES, table.X.T)), "cases": table.cases, "label": table.labels})
 
 
 def read_feature_csv(path) -> FeatureTable:
-    types = (ingest.int64,) * 2 + (float,) * len(FEATURE_NAMES) + (ingest.int64,) * 2
-    # one fixed-width record per row: no per-row Python object outlives its row
-    dtype = np.dtype([(name, np.int64 if t is ingest.int64 else float) for name, t in zip(CSV_COLUMNS, types)])
-    rows = np.fromiter(ingest.read_csv(path, CSV_COLUMNS, types), dtype)
+    rows = ingest.read_table(path, CSV_DTYPE)
     X = np.column_stack([rows[name] for name in FEATURE_NAMES])
     return FeatureTable(
         adm_ids=rows["adm_id"].copy(),  # contiguous copies, not strided views of rows

@@ -132,20 +132,10 @@ def edge_lag(w: SpatialWeights, edge_values: np.ndarray) -> np.ndarray:
     return np.bincount(w.rows, weights=w.weights * edge_values, minlength=w.n)
 
 
-def spatial_lag(w: SpatialWeights, x) -> np.ndarray:
-    """lag_i = sum_j w_ij x_j; islands get 0 (they are listed in w.islands)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (w.n,):
-        raise EngineError(f"vector has length {x.shape}, weights expect {w.n}")
-    return edge_lag(w, x[w.cols])
-
-
 def write_weights_csv(w: SpatialWeights, edges_path, islands_path) -> None:
     """Audit export: an (i, j, weight) edge list plus an island index list."""
-    # tolist: the csv module writes a Python float as its repr, a numpy scalar would not
-    edges = zip(w.rows.tolist(), w.cols.tolist(), w.weights.tolist())
-    ingest.write_csv(edges_path, ("i", "j", "weight"), edges)
-    ingest.write_csv(islands_path, ("island",), ([i] for i in w.islands))
+    ingest.write_table(edges_path, {"i": w.rows, "j": w.cols, "weight": w.weights})
+    ingest.write_table(islands_path, {"island": w.islands})
 
 
 def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
@@ -153,9 +143,7 @@ def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
     joins two distinct regions in 0..n-1 once, has a mirror edge and weighs
     1/k of its row's k edges, and the islands are the regions without an edge;
     files that break this were cut short or edited and raise a ParseError."""
-    dtype = [("i", np.int64), ("j", np.int64), ("weight", float)]
-    types = (ingest.int64, ingest.int64, float)
-    table = np.fromiter(ingest.read_csv(edges_path, ("i", "j", "weight"), types), dtype)
+    table = ingest.read_table(edges_path, [("i", np.int64), ("j", np.int64), ("weight", float)])
     # stable: each row keeps its edges in file order, so every sum adds in that order
     table = table[np.argsort(table["i"], kind="stable")]
     w = SpatialWeights(n, table["i"].copy(), table["j"].copy(), table["weight"].copy())
@@ -172,7 +160,7 @@ def read_weights_csv(edges_path, islands_path, n: int) -> SpatialWeights:
     ordered = np.sort(key)
     check(np.isin(key, ordered[1:][ordered[1:] == ordered[:-1]]), "appears twice")
     check(~np.isin(cols * n + rows, key), "has no mirror edge")
-    islands = {i for (i,) in ingest.read_csv(islands_path, ("island",), (ingest.int64,))}
+    islands = set(ingest.read_table(islands_path, [("island", np.int64)])["island"].tolist())
     if islands != set(w.islands):
         raise ParseError(f"{islands_path}: the islands are not the regions without an edge in {edges_path}")
     check(w.weights != 1.0 / w.degrees[rows], "does not weigh 1/k of its row's k edges")

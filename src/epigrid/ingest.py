@@ -2,13 +2,15 @@
 materialization of the dense district-week panel.
 
 Parsers read surveillance CSVs, district and water GeoJSON, ASCII grids and
-point CSVs; read_csv/write_csv are the CSV format of every CSV artifact,
-read_json decodes every JSON file (config, manifest, model), and every writer
-replaces its file atomically. Parsers are pure: they read one file and return
-immutable structures that are safe to share across threads. Malformed input,
-undecodable bytes included, raises a ParseError naming the file (a wrong
-artifact header a SchemaMismatchError); only a bad surveillance row is skipped
-and reported instead.
+point CSVs. write_table and read_table are the one format of every CSV
+artifact: a header of column names, then one row per entry, written from
+columns and read back as a structured array whose dtype names and types the
+columns (int64 or float). read_json decodes every JSON file (config, manifest,
+model), and every writer replaces its file atomically. Parsers are pure: they
+read one file and return immutable structures that are safe to share across
+threads. Malformed input, undecodable bytes included, raises a ParseError
+naming the file (a wrong artifact header a SchemaMismatchError); only a bad
+surveillance row is skipped and reported instead.
 """
 
 from __future__ import annotations
@@ -166,37 +168,53 @@ def int64(text: str) -> int:
     raise ValueError(f"{text} is outside the int64 range")
 
 
-def read_csv(path, header, types):
-    """Each non-blank row after the header, as a tuple with column k converted
-    by types[k]. Another header is a SchemaMismatchError. A row of another
-    width or a value its type rejects (ValueError) is a ParseError naming the
-    file and line, and so is a last row without a line end: write_csv ends
-    every row with one, so such a file was cut short."""
+def read_table(path, dtype) -> np.ndarray:
+    """The non-blank rows after the header as a structured array of dtype, an
+    integer field read through int64 and any other through float(). A header other than dtype's
+    field names is a SchemaMismatchError. A row of another width or a value its
+    type rejects (ValueError) is a ParseError naming the file and line, and so is
+    a last row without a line end: write_table ends every row with one, so such a
+    file was cut short."""
+    dtype = np.dtype(dtype)
+    header = list(dtype.names)
+    types = [int64 if dtype[name].kind == "i" else float for name in header]
     rows = csv_rows(path)
     found = next(rows, (1, None))[1]
-    if found != list(header):
-        raise SchemaMismatchError(f"{path}: expected the columns {list(header)}, found {found}")
+    if found != header:
+        raise SchemaMismatchError(f"{path}: expected the columns {header}, found {found}")
     with open(path, "rb") as fh:
         fh.seek(-1, 2)  # the header row is there, so the file is not empty
         if fh.read(1) != b"\n":
             raise ParseError(f"{path}: the last row has no line end; the file was cut short")
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
-        try:
-            yield tuple(map(_call, types, row))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {line}: {exc}") from None
+
+    def records():
+        for line, row in rows:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+            try:
+                yield tuple(map(_call, types, row))
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {line}: {exc}") from None
+
+    return np.fromiter(records(), dtype)  # no per-row Python object outlives its row
 
 
-def write_csv(path, header, rows) -> None:
-    """Write the header and every row; path is replaced only once all are written."""
+_WRITE_BLOCK = 1024  # rows that write_table holds as Python objects at once
+
+
+def write_table(path, columns: dict) -> None:
+    """A header of the column names, then row k of the k-th entry of every column;
+    path is replaced only once all are written, and columns of unequal length are
+    a ValueError. A numpy column goes through tolist one block of rows at a time,
+    so the csv module writes Python ints and floats, a float as its repr."""
     with atomic.replacing(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        for start in range(0, max(map(len, columns.values()), default=0), _WRITE_BLOCK):
+            block = (c[start : start + _WRITE_BLOCK] for c in columns.values())
+            writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block), strict=True))
 
 
 def read_json(path):

@@ -27,6 +27,14 @@ class SplitSpec:
     seed: int = 0
     stratify: bool = False
 
+    def __post_init__(self):
+        if not (isinstance(self.test_fraction, float) and 0.0 < self.test_fraction < 1.0):
+            raise EngineError(f"test_fraction must be a number in (0, 1); got {self.test_fraction!r}")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise EngineError(f"seed must be an integer >= 0; got {self.seed!r}")
+        if not isinstance(self.stratify, bool):
+            raise EngineError(f"stratify must be true or false; got {self.stratify!r}")
+
 
 def random_split(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, FeatureTable]:
     """Seed-deterministic uniform partition; |test| = round(fraction * n)."""
@@ -35,8 +43,6 @@ def random_split(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, Fe
         raise EngineError("cannot split an empty table")
     if n < 2:
         raise EngineError("need at least 2 rows to split")
-    if not (0.0 < spec.test_fraction < 1.0):
-        raise EngineError("test_fraction must be in (0, 1)")
     if len(np.unique(table.labels)) < 2:
         warnings.warn("input holds a single class", EngineWarning, stacklevel=2)
     rng = np.random.default_rng(spec.seed)

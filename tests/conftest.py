@@ -106,7 +106,7 @@ def make_grid(values, xll=0.0, yll=0.0, cellsize=1.0, nodata=-9999.0):
 
 @pytest.fixture(scope="session")
 def mini_world(tmp_path_factory):
-    from epigrid.synthetic import make_mini_world
+    from synthetic import make_mini_world
 
     outdir = tmp_path_factory.mktemp("mini_world")
     config_path = make_mini_world(outdir, seed=7)

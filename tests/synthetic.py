@@ -1,8 +1,6 @@
 """Synthetic fixtures: a separable imbalanced classification table and a
 small self-contained input bundle (districts, surveillance, rasters, water,
-wealth points, config) for demo runs and end-to-end tests.
-
-Run `python -m epigrid.synthetic OUTDIR` to write the bundle.
+wealth points, config) for end-to-end tests.
 """
 
 from __future__ import annotations
@@ -13,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ingest
-from .features import FeatureTable
-from .ingest import RasterGrid
+from epigrid import ingest
+from epigrid.features import FeatureTable
+from epigrid.ingest import RasterGrid
 
 
 def box_table(
@@ -240,18 +238,3 @@ def make_mini_world(outdir, seed: int = 7, n_weeks: int = 8) -> Path:
         json.dump(config, fh, indent=2)
     return config_path
 
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description="write the bundled synthetic mini-region")
-    parser.add_argument("outdir")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    path = make_mini_world(args.outdir, seed=args.seed)
-    print(path)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epigrid import cli, esda, features, geo, ingest, learn, raster, synthetic
+from epigrid import cli, esda, features, geo, ingest, learn, raster
 
 import oracles
+import synthetic
 from conftest import grid_regions, jittered_grid_regions, make_grid, square_region
 
 

@@ -14,7 +14,7 @@ class Unprintable:
 def table_failing_at_row_3():
     n = 4
     return features.FeatureTable(
-        adm_ids=np.array([1, 2, "bad", 4], dtype=object),
+        adm_ids=np.array([1, 2, Unprintable(), 4], dtype=object),
         weeks=np.arange(1, n + 1),
         X=np.zeros((n, len(features.FEATURE_NAMES))),
         feature_names=features.FEATURE_NAMES,

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -148,6 +149,19 @@ class TestFailures:
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert any(e["event"] == "warning" and str(proc.pid) in e["message"] for e in events)
         assert not (out / ".lock").exists()
+
+    def test_failed_pid_write_leaves_no_lock(self, world, capsys, monkeypatch):
+        def disk_full(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", disk_full)
+            assert run_cli(world, "--stage", "ingest") == 1
+        err = error_report(capsys)
+        out = world.parent / "out"
+        assert [p.name for p in out.iterdir()] == []  # neither a lock file nor its staged copy
+        assert run_cli(world, "--stage", "ingest") == 0
+        assert err["type"] == "LockError" and "No space left" in err["message"]
 
     def test_unexpected_stage_exception_is_structured_report(self, world, capsys, monkeypatch):
         def boom(cfg, out):
@@ -324,6 +338,14 @@ MODEL_DECODE_DAMAGE = {
     "threshold_nan": first_tree(lambda root: root.update(threshold=float("nan"))),
     "child_a_list": first_tree(lambda root: root.update(left=[])),
     "leaf_p1_above_one": first_leaf(lambda leaf: leaf.update(p1=2.0)),
+    "scaler_column_dropped": model_doc(lambda doc: doc["scaler"]["columns"].pop()),
+    "scaler_column_extra": model_doc(lambda doc: doc["scaler"]["columns"].append(doc["scaler"]["columns"][0])),
+    "scaler_median_text": model_doc(lambda doc: doc["scaler"]["columns"][0].update(median="0.5")),
+    "scaler_q3_nan": model_doc(lambda doc: doc["scaler"]["columns"][0].update(q3=float("nan"))),
+    "split_seed_negative": model_doc(lambda doc: doc["split"].update(seed=-1)),
+    "split_test_fraction_text": model_doc(lambda doc: doc["split"].update(test_fraction="0.2")),
+    "split_test_fraction_one": model_doc(lambda doc: doc["split"].update(test_fraction=1.0)),
+    "split_stratify_text": model_doc(lambda doc: doc["split"].update(stratify="yes")),
 }
 READERS = {
     "panel.csv": "esda",

@@ -84,6 +84,13 @@ def test_table_scaler_is_robust_only():
         features.TableScaler.from_dict({**doc, "kind": "minmax"})
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_table_scaler_rejects_another_width(width):
+    scaler = features.TableScaler().fit(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(SchemaMismatchError, match="fitted on 2 columns"):
+        scaler.transform(np.zeros((4, width)))
+
+
 def test_points_to_district_values_with_fallback():
     regions = grid_regions(2, 1)  # squares [0,1]x[0,1] and [1,2]x[0,1]
     points = ingest.PointValueSet(
@@ -191,7 +198,7 @@ def test_feature_csv_roundtrip(tmp_path):
     path = tmp_path / "features.csv"
     features.write_feature_csv(table, path)
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(features.CSV_COLUMNS)
+    assert header == ",".join(features.CSV_DTYPE.names)
     back = features.read_feature_csv(path)
     assert np.array_equal(back.X, table.X)
     assert np.array_equal(back.labels, table.labels)

@@ -79,30 +79,24 @@ def test_island_recorded_alongside_connected_component():
     assert len(w.neighbors[4]) == 0
 
 
-def test_spatial_lag_constant_field():
+def test_edge_lag_constant_field():
     w = geo.build_contiguity_weights(grid_regions(3, 3))
-    lag = geo.spatial_lag(w, np.full(9, 4.25))
-    assert lag == pytest.approx(np.full(9, 4.25))
+    x = np.full(9, 4.25)
+    assert geo.edge_lag(w, x[w.cols]) == pytest.approx(np.full(9, 4.25))
 
 
-def test_spatial_lag_2x2_queen_example():
+def test_edge_lag_2x2_queen_example():
     w = geo.build_contiguity_weights(grid_regions(2, 2), kind="queen")
-    lag = geo.spatial_lag(w, [1.0, 0.0, 0.0, 1.0])
-    assert lag == pytest.approx([1 / 3, 2 / 3, 2 / 3, 1 / 3], abs=1e-15)
+    x = np.array([1.0, 0.0, 0.0, 1.0])
+    assert geo.edge_lag(w, x[w.cols]) == pytest.approx([1 / 3, 2 / 3, 2 / 3, 1 / 3], abs=1e-15)
 
 
-def test_spatial_lag_island_gets_zero():
+def test_edge_lag_island_gets_zero():
     regions = grid_regions(2, 2) + [square_region(900, 50.0, 50.0)]
     w = geo.build_contiguity_weights(regions)
-    lag = geo.spatial_lag(w, [1.0, 2.0, 3.0, 4.0, 99.0])
-    assert lag[4] == 0.0
+    x = np.array([1.0, 2.0, 3.0, 4.0, 99.0])
+    assert geo.edge_lag(w, x[w.cols])[4] == 0.0
     assert 4 in w.islands
-
-
-def test_spatial_lag_length_mismatch_fatal():
-    w = geo.build_contiguity_weights(grid_regions(2, 2))
-    with pytest.raises(EngineError, match="length"):
-        geo.spatial_lag(w, [1.0, 2.0])
 
 
 def test_weights_csv_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
+import ast
 import json
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,11 +218,42 @@ def water(gtype, coordinates):
     ],
     ids=["header", "width", "value", "cut_short"],
 )
-def test_read_csv_rejects(tmp_path, text, error, match):
+def test_read_table_rejects(tmp_path, text, error, match):
     path = write(tmp_path, "w.csv", text)
     with pytest.raises(error, match=match) as info:
-        list(ingest.read_csv(path, ("i", "j", "weight"), (int, int, float)))
+        ingest.read_table(path, [("i", np.int64), ("j", np.int64), ("weight", float)])
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("n", [0, 1, ingest._WRITE_BLOCK, 2 * ingest._WRITE_BLOCK + 3])
+def test_table_round_trip_across_blocks(tmp_path, n):
+    columns = {"i": np.arange(n) - 2**62, "x": np.linspace(-1.0, 1.0, n) / 3.0}
+    ingest.write_table(tmp_path / "t.csv", columns)
+    back = ingest.read_table(tmp_path / "t.csv", [("i", np.int64), ("x", float)])
+    assert back["i"].tobytes() == columns["i"].tobytes() and back["x"].tobytes() == columns["x"].tobytes()
+
+
+@pytest.mark.parametrize("short, long", [(ingest._WRITE_BLOCK, ingest._WRITE_BLOCK + 1), (0, 1), (5, 2**13)])
+def test_ragged_table_is_not_written(tmp_path, short, long):
+    path = write(tmp_path, "t.csv", "previous\n")
+    with pytest.raises(ValueError):
+        ingest.write_table(path, {"a": np.zeros(long), "b": list(range(short))})
+    assert path.read_text() == "previous\n"
+
+
+def test_csv_is_read_and_written_only_by_ingest():
+    """Every CSV artifact goes through write_table and read_table: no other
+    module imports csv or names ingest's integer column type."""
+    offenders = []
+    for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imported = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            if "csv" in imported or (isinstance(node, ast.Attribute) and node.attr == "int64"
+                                     and isinstance(node.value, ast.Name) and node.value.id == "ingest"):
+                offenders.append(path.name)
+    assert set(offenders) == {"ingest.py"}
 
 
 class TestMalformedInputs:

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from epigrid import learn, synthetic
+from epigrid import learn
 from epigrid.errors import EngineError, EngineWarning, SchemaMismatchError
 from epigrid.features import FeatureTable
 
 import oracles
+import synthetic
 
 
 def table_from(X, y, names=None):
