@@ -7,7 +7,8 @@ importance); PIPELINE holds one Stage record per stage with its function,
 the files it reads and the upstream stages that write them. CONFIG_FIELDS is
 the one list of config keys: each field's JSON key, strict type, default,
 range or enum check and the stage params it feeds. load_config, its
-validation and every manifest params dict come from that table.
+validation and every manifest params dict come from that table; a key that
+no field names is a ConfigError.
 
 Each stage writes its artifacts plus a manifest entry: the digests of the
 files it read and wrote, its params and a signature over both. The manifest
@@ -105,15 +106,16 @@ _DATE = Spec("an ISO date string", lambda v: isinstance(v, str), lambda v, base:
 _INPUT = Spec("a path string", _TEXT.ok, _input_path)
 _OUTPUT = Spec("a path string", _TEXT.ok, lambda v, base: base / v)
 _RASTERS = Spec(
-    "an object naming a path for each of " + ", ".join(_RASTER_ROLES),
-    lambda v: isinstance(v, dict)
-    and set(_RASTER_ROLES) <= set(v)
-    and all(_TEXT.ok(p) for p in v.values()),
+    "an object naming a path for each of " + ", ".join(_RASTER_ROLES) + " and for nothing else",
+    lambda v: isinstance(v, dict) and set(v) == set(_RASTER_ROLES) and all(_TEXT.ok(p) for p in v.values()),
     lambda v, base: {role: _input_path(p, base, role in _WEEKLY_ROLES) for role, p in v.items()},
 )
-_LANDCOVER = Spec(
-    "an object of integer class codes",
-    lambda v: isinstance(v, dict) and all(_is_int(c) for c in v.values()),
+_LANDCOVER = Spec(  # a class it leaves out keeps its default code
+    "an object of integer codes for some of " + ", ".join(features.LANDCOVER_CLASSES)
+    + ", distinct once the defaults fill in the rest",
+    lambda v: isinstance(v, dict) and set(v) <= set(features.LANDCOVER_CLASSES)
+    and all(_is_int(c) for c in v.values())
+    and len(set({**DEFAULT_LANDCOVER_CODES, **v}.values())) == len(DEFAULT_LANDCOVER_CODES),
     lambda v, base: {**DEFAULT_LANDCOVER_CODES, **v},
 )
 _BUFFERS = Spec(  # f"{km:g}" names each buffer's masked raster, so no two may share it
@@ -178,6 +180,18 @@ CONFIG_FIELDS = (
 )
 
 PipelineConfig = make_dataclass("PipelineConfig", ["config_dir", *(f.attr for f in CONFIG_FIELDS)])
+_KEY_PATHS = tuple(tuple(f.key.split(".")) for f in CONFIG_FIELDS)
+
+
+def _unknown_keys(node: dict, prefix: tuple[str, ...] = ()):
+    """The dotted keys in node that no config field reads; a field's value is a leaf."""
+    for name, value in node.items():
+        key = (*prefix, name)
+        section = any(len(p) > len(key) and p[: len(key)] == key for p in _KEY_PATHS)
+        if section and isinstance(value, dict):
+            yield from _unknown_keys(value, key)
+        elif not section and key not in _KEY_PATHS:
+            yield ".".join(key)
 
 
 def _lookup(doc: dict, key: str, path: Path):
@@ -202,6 +216,9 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
         raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
+    unknown = list(_unknown_keys(doc))
+    if unknown:
+        raise ConfigError(f"{path}: no config field reads {', '.join(map(repr, unknown))}")
     overrides = {"--seed": seed_override, "--threads": threads_override}
     values = {}
     for f in CONFIG_FIELDS:
@@ -611,11 +628,8 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
     train, test = learn.random_split(table, spec)
     scaler = features.TableScaler().fit(train.X)
     train, test = train.with_X(scaler.transform(train.X)), test.with_X(scaler.transform(test.X))
-    resampled = learn.resample(
-        train, method=cfg.resample_method, seed=cfg.learn_seed, k=cfg.smote_k
-    )
     model = learn.train_forest(
-        resampled.table,
+        learn.resample(train, method=cfg.resample_method, seed=cfg.learn_seed, k=cfg.smote_k),
         criterion=cfg.criterion,
         n_trees=cfg.n_trees,
         max_depth=cfg.max_depth,

@@ -2,9 +2,10 @@
 
 Queen contiguity joins regions whose boundaries share at least one point
 (within a snapping tolerance); rook requires a shared boundary stretch of
-positive length. Adjacency is found through a regular-grid index over
-bounding boxes and must agree exactly with an all-pairs sweep (the test
-oracle), so both use the same geometric predicates.
+positive length. A sweep over the bounding boxes in min-x order proposes
+the pairs whose boxes lie within the tolerance of each other, and adjacency
+must agree exactly with an all-pairs test (the test oracle), so both use the
+same geometric predicates.
 
 Weights are always row-standardized: each of region i's k neighbors weighs
 1/k, so every non-island row sums to 1 and an island's row is empty. They
@@ -15,7 +16,6 @@ of any vector; `edge_lag` is that kernel, for this module and for esda.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -63,33 +63,18 @@ def from_adjacency(n: int, pairs) -> SpatialWeights:
     return SpatialWeights(n, rows, cols, 1.0 / np.bincount(rows, minlength=n)[rows])
 
 
-def _grid_candidate_pairs(bboxes: np.ndarray, tolerance: float) -> set[tuple[int, int]]:
-    """Pairs whose tolerance-expanded bounding boxes share a grid bin."""
-    n = len(bboxes)
-    spans = np.maximum(bboxes[:, 2] - bboxes[:, 0], bboxes[:, 3] - bboxes[:, 1])
-    cell = max(float(np.median(spans)), tolerance, 1e-12)
-    bins: dict[tuple[int, int], list[int]] = {}
-    for i, (minx, miny, maxx, maxy) in enumerate(bboxes):
-        x0 = int(np.floor((minx - tolerance) / cell))
-        x1 = int(np.floor((maxx + tolerance) / cell))
-        y0 = int(np.floor((miny - tolerance) / cell))
-        y1 = int(np.floor((maxy + tolerance) / cell))
-        for bx in range(x0, x1 + 1):
-            for by in range(y0, y1 + 1):
-                bins.setdefault((bx, by), []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for members in bins.values():
-        pairs.update(itertools.combinations(members, 2))
-    return pairs
-
-
-def _bbox_gap_exceeds(a, b, tolerance: float) -> bool:
-    return (
-        a[0] > b[2] + tolerance
-        or b[0] > a[2] + tolerance
-        or a[1] > b[3] + tolerance
-        or b[1] > a[3] + tolerance
-    )
+def _candidate_pairs(bboxes: np.ndarray, tolerance: float):
+    """Each pair (i, j), i < j, of boxes within tolerance of each other in x and y.
+    In min-x order a box meets the later boxes that start by its max x + tolerance."""
+    order = np.argsort(bboxes[:, 0], kind="stable")
+    box = bboxes[order]
+    stops = np.searchsorted(box[:, 0], box[:, 2] + tolerance, side="right")
+    for a, stop in enumerate(stops.tolist()):
+        later = box[a + 1 : stop]
+        near = ~((box[a, 1] > later[:, 3] + tolerance) | (later[:, 1] > box[a, 3] + tolerance))
+        i = int(order[a])
+        for j in order[a + 1 : stop][near].tolist():
+            yield (i, j) if i < j else (j, i)
 
 
 def build_contiguity_weights(
@@ -99,7 +84,8 @@ def build_contiguity_weights(
 ) -> SpatialWeights:
     """Row-standardized queen or rook contiguity weights.
 
-    A regular-grid index over bounding boxes prunes the candidate pairs.
+    Only the pairs whose bounding boxes lie within tolerance of each other are
+    tested.
     """
     if not regions:
         raise EngineError("no regions")
@@ -109,9 +95,7 @@ def build_contiguity_weights(
     segs = [geometry.boundary_segments(r.geometry) for r in regions]
     bboxes = np.array([geometry.bounds(r.geometry) for r in regions])
     pairs = []
-    for i, j in _grid_candidate_pairs(bboxes, tolerance):
-        if _bbox_gap_exceeds(bboxes[i], bboxes[j], tolerance):
-            continue
+    for i, j in _candidate_pairs(bboxes, tolerance):
         if kind == "queen":
             hit = geometry.segments_touch(segs[i], segs[j], tolerance)
         else:

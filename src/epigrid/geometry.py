@@ -4,6 +4,8 @@ Coordinates are plain (x, y) pairs. Everything here treats the plane as
 Euclidean; callers apply any metric scaling (degrees -> km) before asking
 distance questions. Containment uses the even-odd rule over all rings, so
 holes and multi-part polygons need no special casing.
+Every kernel that pairs points or edges with edges (or points with points)
+broadcasts over the row blocks of `_blocks`, at most _BLOCK pairs at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +16,14 @@ import numpy as np
 
 from .errors import GeometryError
 
-# cap on points x edges handled in one broadcast block
-_BLOCK = 1 << 22
+_BLOCK = 1 << 22  # cap on the pairs (rows x columns) of one broadcast block
+
+
+def _blocks(n: int, m: int) -> list[slice]:
+    """In order, slices of n rows that each pair at most _BLOCK times with m
+    columns, or single rows when m alone exceeds _BLOCK."""
+    step = max(1, _BLOCK // max(1, m))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def as_ring(coords) -> np.ndarray:
@@ -150,16 +158,15 @@ def contains_points(geom: MultiPolygon, pts) -> np.ndarray:
     out = np.zeros(len(pts), dtype=bool)
     if not len(segs):
         return out
-    step = max(1, _BLOCK // max(1, len(segs)))
     x1, y1, x2, y2 = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
-    for lo in range(0, len(pts), step):
-        px = pts[lo : lo + step, 0][:, None]
-        py = pts[lo : lo + step, 1][:, None]
+    for rows in _blocks(len(pts), len(segs)):
+        px = pts[rows, 0][:, None]
+        py = pts[rows, 1][:, None]
         straddles = (y1 > py) != (y2 > py)
         with np.errstate(divide="ignore", invalid="ignore"):
             x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
         crossings = (straddles & (px < x_at)).sum(axis=1)
-        out[lo : lo + step] = crossings % 2 == 1
+        out[rows] = crossings % 2 == 1
     return out
 
 
@@ -176,28 +183,28 @@ def point_segment_distance(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
 
 
 def _any_proper_crossing(segs_a: np.ndarray, segs_b: np.ndarray) -> bool:
-    ax1, ay1 = segs_a[:, 0][:, None], segs_a[:, 1][:, None]
-    ax2, ay2 = segs_a[:, 2][:, None], segs_a[:, 3][:, None]
-    bx1, by1 = segs_b[:, 0][None, :], segs_b[:, 1][None, :]
-    bx2, by2 = segs_b[:, 2][None, :], segs_b[:, 3][None, :]
-    # orientation of each endpoint of one segment relative to the other
-    d1 = (bx2 - bx1) * (ay1 - by1) - (by2 - by1) * (ax1 - bx1)
-    d2 = (bx2 - bx1) * (ay2 - by1) - (by2 - by1) * (ax2 - bx1)
-    d3 = (ax2 - ax1) * (by1 - ay1) - (ay2 - ay1) * (bx1 - ax1)
-    d4 = (ax2 - ax1) * (by2 - ay1) - (ay2 - ay1) * (bx2 - ax1)
-    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
+    bx1, by1, bx2, by2 = segs_b.T[:, None, :]  # each (1, m)
+    for rows in _blocks(len(segs_a), len(segs_b)):
+        ax1, ay1, ax2, ay2 = segs_a[rows].T[:, :, None]  # each (rows, 1)
+        # orientation of each endpoint of one segment relative to the other
+        d1 = (bx2 - bx1) * (ay1 - by1) - (by2 - by1) * (ax1 - bx1)
+        d2 = (bx2 - bx1) * (ay2 - by1) - (by2 - by1) * (ax2 - bx1)
+        d3 = (ax2 - ax1) * (by1 - ay1) - (ay2 - ay1) * (bx1 - ax1)
+        d4 = (ax2 - ax1) * (by2 - ay1) - (ay2 - ay1) * (bx2 - ax1)
+        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+            return True
+    return False
 
 
 def segments_touch(segs_a: np.ndarray, segs_b: np.ndarray, tol: float) -> bool:
     """True when the two edge sets come within tol of each other."""
     if not len(segs_a) or not len(segs_b):
         return False
-    ends_a = np.vstack([segs_a[:, 0:2], segs_a[:, 2:4]])
-    if point_segment_distance(ends_a, segs_b).min() <= tol:
-        return True
-    ends_b = np.vstack([segs_b[:, 0:2], segs_b[:, 2:4]])
-    if point_segment_distance(ends_b, segs_a).min() <= tol:
-        return True
+    for segs, others in ((segs_a, segs_b), (segs_b, segs_a)):
+        ends = np.vstack([segs[:, 0:2], segs[:, 2:4]])
+        for rows in _blocks(len(ends), len(others)):
+            if point_segment_distance(ends[rows], others).min() <= tol:
+                return True
     return _any_proper_crossing(segs_a, segs_b)
 
 
@@ -210,27 +217,23 @@ def max_collinear_overlap(segs_a: np.ndarray, segs_b: np.ndarray, tol: float) ->
     best = 0.0
     if not len(segs_a) or not len(segs_b):
         return best
-    b1x, b1y = segs_b[:, 0], segs_b[:, 1]
-    b2x, b2y = segs_b[:, 2], segs_b[:, 3]
-    for ax, ay, ax2, ay2 in segs_a:
-        dx, dy = ax2 - ax, ay2 - ay
-        length = np.sqrt(dx * dx + dy * dy)
-        if length == 0.0:
-            continue
-        ux, uy = dx / length, dy / length
+    dx, dy = segs_a[:, 2] - segs_a[:, 0], segs_a[:, 3] - segs_a[:, 1]
+    length = np.sqrt(dx * dx + dy * dy)
+    keep = length != 0.0  # a zero-length edge of A has no supporting line
+    segs_a, dx, dy, length = segs_a[keep], dx[keep], dy[keep], length[keep]
+    b1x, b1y, b2x, b2y = segs_b.T
+    for rows in _blocks(len(segs_a), len(segs_b)):
+        ax, ay = segs_a[rows, :2].T[:, :, None]
+        span = length[rows][:, None]
+        ux, uy = dx[rows][:, None] / span, dy[rows][:, None] / span
         perp1 = (b1x - ax) * (-uy) + (b1y - ay) * ux
         perp2 = (b2x - ax) * (-uy) + (b2y - ay) * ux
         on_line = (np.abs(perp1) <= tol) & (np.abs(perp2) <= tol)
-        if not np.any(on_line):
-            continue
         t1 = (b1x - ax) * ux + (b1y - ay) * uy
         t2 = (b2x - ax) * ux + (b2y - ay) * uy
         lo = np.maximum(np.minimum(t1, t2), 0.0)
-        hi = np.minimum(np.maximum(t1, t2), length)
-        overlap = np.where(on_line, hi - lo, 0.0)
-        found = float(overlap.max())
-        if found > best:
-            best = found
+        hi = np.minimum(np.maximum(t1, t2), span)
+        best = max(best, float(np.where(on_line, hi - lo, 0.0).max()))
     return best
 
 
@@ -240,12 +243,18 @@ def distance_to(geom, pts: np.ndarray) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[None, :]
     if isinstance(geom, PointSet):
-        diff = pts[:, None, :] - geom.coords[None, :, :]
-        return np.sqrt((diff * diff).sum(-1)).min(axis=1)
-    segs = boundary_segments(geom)
-    if not len(segs):
-        return np.full(len(pts), np.inf)
-    d = point_segment_distance(pts, segs).min(axis=1)
+        others = geom.coords
+    else:
+        others = boundary_segments(geom)
+        if not len(others):
+            return np.full(len(pts), np.inf)
+    d = np.empty(len(pts))
+    for rows in _blocks(len(pts), len(others)):
+        if isinstance(geom, PointSet):
+            diff = pts[rows, None, :] - others[None, :, :]
+            d[rows] = np.sqrt((diff * diff).sum(-1)).min(axis=1)
+        else:
+            d[rows] = point_segment_distance(pts[rows], others).min(axis=1)
     if isinstance(geom, MultiPolygon):
         d[contains_points(geom, pts)] = 0.0
     return d

@@ -8,9 +8,10 @@ columns and read back as a structured array whose dtype names and types the
 columns (int64 or float). read_json decodes every JSON file (config, manifest,
 model), and every writer replaces its file atomically. Parsers are pure: they
 read one file and return immutable structures that are safe to share across
-threads. Malformed input, undecodable bytes included, raises a ParseError
-naming the file (a wrong artifact header a SchemaMismatchError); only a bad
-surveillance row is skipped and reported instead.
+threads. Text is UTF-8, after an optional byte-order mark. Malformed input,
+undecodable bytes included, raises a ParseError naming the file (a wrong
+artifact header a SchemaMismatchError); only a bad surveillance row is
+skipped and reported instead.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def csv_rows(path):
     """(first line number, row) per row of a UTF-8 CSV file, where a quoted field
     may span lines; undecodable bytes or a broken field end as a ParseError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             line = 1
             for row in reader:
@@ -221,7 +222,7 @@ def read_json(path):
     """The document a UTF-8 JSON file holds; undecodable bytes, invalid JSON or
     nesting past the recursion limit end as a ParseError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
@@ -465,7 +466,7 @@ def parse_ascii_grid(path) -> RasterGrid:
     are the lines walked token by token to name its line and field.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             # the lines text-mode iteration yields; str.splitlines would also
             # break on \x0c, \x85 and \u2028 and shift the line numbers
             lines = fh.read().split("\n")

@@ -65,29 +65,22 @@ def random_split(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, Fe
     return train, test
 
 
-@dataclass(frozen=True)
-class ResampleResult:
-    table: FeatureTable
-    # (base_row, neighbor_row, u) per synthetic row, indices into the input table
-    synthetic_parents: tuple[tuple[int, int, float], ...]
-
-
-def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 5) -> ResampleResult:
+def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 5) -> FeatureTable:
     """Balance the classes: drop majority rows or synthesize minority rows.
 
     SMOTE interpolates between a minority row and one of its k nearest
     minority neighbors (Euclidean distance in the given feature space), with
-    k capped at minority-1.
+    k capped at minority-1; the synthetic rows follow the input's, adm_id -1.
     """
     if method == "none":
-        return ResampleResult(table, ())
+        return table
     labels = table.labels
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise EngineError("resampling needs both classes present")
     if n_pos == n_neg:
-        return ResampleResult(table, ())
+        return table
     minority = 1 if n_pos < n_neg else 0
     min_idx = np.flatnonzero(labels == minority)
     maj_idx = np.flatnonzero(labels != minority)
@@ -95,7 +88,7 @@ def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 
     if method == "undersample":
         keep_maj = rng.choice(maj_idx, size=len(min_idx), replace=False)
         keep = np.sort(np.concatenate([min_idx, keep_maj]))
-        return ResampleResult(table.take(keep), ())
+        return table.take(keep)
     if method != "smote":
         raise EngineError(f"unknown resampling method {method!r}")
     if len(min_idx) < 2:
@@ -115,9 +108,6 @@ def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 
     us = rng.random(need)
     nbrs = nearest[bases, picks]
     synth_X = Xm[bases] + us[:, None] * (Xm[nbrs] - Xm[bases])
-    parents = tuple(
-        (int(min_idx[b]), int(min_idx[j]), float(u)) for b, j, u in zip(bases, nbrs, us)
-    )
     label_val = np.full(need, minority, dtype=table.labels.dtype)
     merged = FeatureTable(
         adm_ids=np.concatenate([table.adm_ids, np.full(need, -1, dtype=table.adm_ids.dtype)]),
@@ -127,7 +117,7 @@ def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 
         cases=np.concatenate([table.cases, label_val.astype(table.cases.dtype)]),
         labels=np.concatenate([table.labels, label_val]),
     )
-    return ResampleResult(merged, parents)
+    return merged
 
 
 def gini_from_counts(pos, total) -> np.ndarray:

@@ -95,6 +95,17 @@ def collinear_overlap(segs_a, segs_b, tol) -> float:
     return best
 
 
+def bbox_gap_exceeds(a, b, tolerance: float) -> bool:
+    """Whether boxes a and b, each (min x, min y, max x, max y), lie more than
+    tolerance apart in x or in y."""
+    return (
+        a[0] > b[2] + tolerance
+        or b[0] > a[2] + tolerance
+        or a[1] > b[3] + tolerance
+        or b[1] > a[3] + tolerance
+    )
+
+
 def contiguity_pairs(regions, kind: str, tol: float) -> set[tuple[int, int]]:
     """All-pairs adjacency by direct boundary intersection."""
     segs = [geometry.boundary_segments(r.geometry) for r in regions]

@@ -211,6 +211,14 @@ class TestFailures:
             ("weights", "kind", "bishop", ()),
             (None, "buffers_km", [3, 3.0000001], ()),  # both name population_within_3km.asc
             (None, None, None, ("--seed", "-1")),
+            # keys the pipeline would not read: a misspelt key, a class no feature
+            # column uses, a code that merges two classes, a raster no stage reads
+            ("esda", "nperm", 9, ()),
+            (None, "landcover_classes", {"water": 6}, ()),
+            (None, "landcover_classes", {"crops": 1}, ()),
+            ("paths", "rasters", {"elevation": "elevation.asc", "population": "population.asc",
+                                  "landcover": "landcover.asc", "precipitation": "precipitation",
+                                  "temperature": "temperature", "ndvi": "elevation.asc"}, ()),
         ],
     )
     def test_bad_config_value_is_config_error(self, world, capsys, section, key, value, args):

@@ -42,8 +42,8 @@ def test_jittered_grid_matches_truth_and_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", ["queen", "rook"])
-def test_grid_index_equals_bruteforce_method(kind):
-    # the all-pairs sweep is the oracle's; from_adjacency builds the weights from its pairs
+def test_sweep_equals_bruteforce_method(kind):
+    # the oracle tests every pair; from_adjacency builds the weights from its pairs
     for trial in range(3):
         regions = jittered_grid_regions(5, 4, np.random.default_rng(100 + trial), jitter=0.3)
         fast = geo.build_contiguity_weights(regions, kind=kind)

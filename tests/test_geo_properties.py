@@ -1,14 +1,17 @@
-"""Property tests of the spatial-weights edge arrays.
+"""Property tests of the spatial-weights edge arrays and their candidate pairs.
 
 from_adjacency on any pair list, self-pairs and repeats included, agrees with
 a dict-of-sets reference, and a weights.csv round trip returns the same arrays
-bit for bit.
+bit for bit. The bounding-box sweep proposes exactly the pairs that the scalar
+gap predicate of oracles.py keeps.
 """
 
 import numpy as np
 import pytest
 
 from epigrid import geo
+
+import oracles
 
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
@@ -55,3 +58,32 @@ def test_weights_csv_roundtrip_returns_equal_arrays(tmp_path_factory, case):
     for name in ("rows", "cols", "weights"):
         x, y = getattr(back, name), getattr(w, name)
         assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+
+
+@st.composite
+def boxes_and_tolerance(draw):
+    """Boxes with coordinates half from a coarse lattice, where min x values
+    repeat and edges lie exactly tolerance apart, and half from floats."""
+    tolerance = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    coord = st.one_of(
+        st.tuples(st.integers(-3, 3), st.booleans()).map(lambda c: c[0] / 2 + tolerance if c[1] else c[0] / 2),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    boxes = []
+    for _ in range(draw(st.integers(1, 24))):
+        (x0, x1), (y0, y1) = sorted(draw(st.tuples(coord, coord))), sorted(draw(st.tuples(coord, coord)))
+        boxes.append((x0, y0, x1, y1))
+    return np.array(boxes), tolerance
+
+
+@given(boxes_and_tolerance())
+def test_sweep_yields_the_pairs_the_gap_predicate_keeps(case):
+    boxes, tolerance = case
+    got = list(geo._candidate_pairs(boxes, tolerance))
+    want = [
+        (i, j)
+        for i in range(len(boxes))
+        for j in range(i + 1, len(boxes))
+        if not oracles.bbox_gap_exceeds(boxes[i].tolist(), boxes[j].tolist(), tolerance)
+    ]
+    assert sorted(got) == want  # each pair once, as (i, j) with i < j

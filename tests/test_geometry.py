@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,42 @@ def test_distance_to_kinds():
     d = geometry.distance_to(square, np.array([(0.5, 0.5), (2.0, 0.5)]))
     assert d[0] == 0.0
     assert d[1] == pytest.approx(1.0)
+
+
+def circle(n, cx=0.0, radius=1.0):
+    """A closed ring of n vertices around (cx, 0)."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    ring = np.column_stack([cx + radius * np.cos(t), radius * np.sin(t)])
+    return np.vstack([ring, ring[:1]])
+
+
+RING = circle(300)
+EDGES = geometry.boundary_segments(geometry.polygon(RING))
+CELLS = np.random.default_rng(4).uniform(-2.0, 2.0, (2_000, 2))
+# each kernel on inputs whose pairs exceed a 4,096-pair cap many times over
+BLOCKED_KERNELS = {
+    "contains_points": lambda: geometry.contains_points(geometry.polygon(RING), CELLS),
+    "segments_touch, apart": lambda: geometry.segments_touch(
+        EDGES, geometry.boundary_segments(geometry.polygon(circle(300, cx=3.0))), 1e-9),
+    "segments_touch, crossing": lambda: geometry.segments_touch(
+        EDGES, geometry.boundary_segments(geometry.polygon(circle(301, cx=1.0))), 1e-9),
+    "max_collinear_overlap": lambda: geometry.max_collinear_overlap(EDGES, EDGES[::-1], 1e-9),
+    "distance_to points": lambda: geometry.distance_to(geometry.PointSet(RING[:-1]), CELLS),
+    "distance_to line": lambda: geometry.distance_to(geometry.LineSet((RING[:200],)), CELLS),
+    "distance_to polygon": lambda: geometry.distance_to(geometry.polygon(RING), CELLS),
+}
+
+
+@pytest.mark.parametrize("kernel", list(BLOCKED_KERNELS))
+def test_kernels_hold_at_most_block_pairs_at_once(monkeypatch, kernel):
+    run = BLOCKED_KERNELS[kernel]
+    want = run()
+    monkeypatch.setattr(geometry, "_BLOCK", 4_096)
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(got) is type(want) and np.array_equal(got, want)
+    assert peak < 2 * 2**20, f"{kernel} peaked at {peak / 2**20:.1f} MB"

@@ -1,4 +1,6 @@
 import ast
+import codecs
+import dataclasses
 import json
 from datetime import date
 from pathlib import Path
@@ -549,3 +551,26 @@ class TestBuildPanel:
     def test_empty_district_list_fatal(self):
         with pytest.raises(ParseError, match="empty"):
             ingest.build_panel([], [], self.START, 1, "m")
+
+
+def same(a, b) -> bool:
+    """Deep equality through dataclasses, lists and tuples; arrays by dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "name, parse",
+    [("surveillance.csv", ingest.parse_surveillance_csv), ("wealth.csv", ingest.parse_points_csv),
+     ("districts.geojson", ingest.parse_district_geojson), ("elevation.asc", ingest.parse_ascii_grid)],
+)
+def test_byte_order_mark_is_skipped(mini_world, tmp_path, name, parse):
+    plain = Path(mini_world).parent / name
+    marked = tmp_path / name
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert same(parse(marked), parse(plain))

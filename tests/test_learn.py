@@ -62,32 +62,49 @@ class TestResample:
         y = np.r_[np.zeros(n_neg, dtype=int), np.ones(n_pos, dtype=int)]
         return table_from(X, y)
 
+    def smote_parents(self, t, seed, k=5):
+        """(base_row, neighbor_row, u) per synthetic row of a SMOTE resample of t
+        with minority class 1: resample's three draws from its seeded stream,
+        over a neighbor table of plain loops (nearest first, ties by row)."""
+        rows = np.flatnonzero(t.labels == 1)
+        need = len(t) - 2 * len(rows)
+        k_eff = min(k, len(rows) - 1)
+        X = t.X[rows]
+        nearest = [
+            sorted((j for j in range(len(rows)) if j != i), key=lambda j: (((X[i] - X[j]) * (X[i] - X[j])).sum(), j))
+            for i in range(len(rows))
+        ]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE5A)))
+        bases = rng.integers(0, len(rows), size=need)
+        picks = rng.integers(0, k_eff, size=need)
+        us = rng.random(need)
+        return [(rows[b], rows[nearest[b][p]], u) for b, p, u in zip(bases, picks, us)]
+
     def test_none_is_identity(self):
         t = self.imbalanced()
-        out = learn.resample(t, "none", seed=1)
-        assert out.table is t
-        assert out.synthetic_parents == ()
+        assert learn.resample(t, "none", seed=1) is t
 
     def test_undersample_equalizes(self):
         out = learn.resample(self.imbalanced(), "undersample", seed=1)
-        y = out.table.labels
+        y = out.labels
         assert np.sum(y == 0) == np.sum(y == 1) == 10
 
     def test_smote_equalizes_and_interpolates(self):
         t = self.imbalanced()
         out = learn.resample(t, "smote", seed=5)
-        y = out.table.labels
+        y = out.labels
         assert np.sum(y == 0) == np.sum(y == 1) == 90
-        assert len(out.synthetic_parents) == 80
-        synth = out.table.X[len(t):]
-        for row, (base, nbr, u) in zip(synth, out.synthetic_parents):
+        parents = self.smote_parents(t, seed=5)
+        assert len(parents) == 80
+        synth = out.X[len(t):]
+        for row, (base, nbr, u) in zip(synth, parents, strict=True):
             a, b = t.X[base], t.X[nbr]
             assert 0.0 <= u <= 1.0
             assert np.array_equal(row, a + u * (b - a))
             assert np.all(row >= np.minimum(a, b) - 1e-12)
             assert np.all(row <= np.maximum(a, b) + 1e-12)
-        assert np.all(out.table.labels[len(t):] == 1)
-        assert np.all(out.table.adm_ids[len(t):] == -1)
+        assert np.all(out.labels[len(t):] == 1)
+        assert np.all(out.adm_ids[len(t):] == -1)
 
     def test_smote_needs_two_minority_rows(self):
         t = self.imbalanced(n_neg=10, n_pos=1)
@@ -97,7 +114,7 @@ class TestResample:
     def test_deterministic(self):
         a = learn.resample(self.imbalanced(), "smote", seed=2)
         b = learn.resample(self.imbalanced(), "smote", seed=2)
-        assert np.array_equal(a.table.X, b.table.X)
+        assert np.array_equal(a.X, b.X)
 
 
 def test_impurity_closed_forms():
@@ -374,7 +391,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     def test_smote_resampled_table(self, criterion):
         train, test = self.tables("all_distinct", seed=5)
-        smoted = learn.resample(train, "smote", seed=5).table
+        smoted = learn.resample(train, "smote", seed=5)
         self.check(smoted, test, criterion=criterion, seed=5)
 
     def test_unused_feature_scores_exactly_zero(self):
