@@ -3,12 +3,13 @@
     epigrid run --config config.json --stage all [--force] [--seed N] [--threads N]
 
 Stages execute in dependency order (ingest, weights, esda, features, train,
-importance); PIPELINE holds one Stage record per stage with its function,
-the files it reads and the upstream stages that write them. CONFIG_FIELDS is
-the one list of config keys: each field's JSON key, strict type, default,
-range or enum check and the stage params it feeds. load_config, its
-validation and every manifest params dict come from that table; a key that
-no field names is a ConfigError.
+importance); PIPELINE holds one Stage record per stage with its function and
+the artifacts it reads from the upstream stages that write them. CONFIG_FIELDS
+is the one list of config keys: each field's JSON key, strict type, default,
+range or enum check and the stages whose signature it enters, an input path
+as its file digests and any other field as a param. load_config, its
+validation and every manifest inputs and params dict come from that table; a
+key that no field names is a ConfigError.
 
 Each stage writes its artifacts plus a manifest entry: the digests of the
 files it read and wrote, its params and a signature over both. The manifest
@@ -20,11 +21,17 @@ anything else is a DependencyError naming the file. Relative config paths
 resolve against the config file's directory. Log lines on stdout are JSON
 events; artifacts carry no timestamps, so a run is reproducible bit-for-bit
 from config + inputs + seeds.
+
+One run at a time owns an output directory: it holds an exclusive flock on
+out/.lock, and a second run fails with a LockError. The kernel releases the
+lock when its holder exits, however it exits, so a killed run never wedges
+the next one. flock makes the CLI POSIX-only.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import math
@@ -135,18 +142,18 @@ class Field:
     key: str  # dotted JSON key
     spec: Spec
     default: Any = _MISSING
-    param: str | None = None  # params key in the manifest entry of each stage it feeds
-    stages: tuple[str, ...] = ()
+    param: str | None = None  # params key in the manifest entry of each stage it feeds; None: an input path
+    stages: tuple[str, ...] = ()  # the stages whose signature it enters
     override: str | None = None  # the CLI flag that replaces the value
 
 
 CONFIG_FIELDS = (
     Field("disease", "disease", _TEXT, param="disease", stages=_PANEL_STAGES + ("train",)),
-    Field("surveillance_csv", "paths.surveillance_csv", _INPUT),
-    Field("districts_geojson", "paths.districts_geojson", _INPUT),
-    Field("rasters", "paths.rasters", _RASTERS),
-    Field("water_geojson", "paths.water_geojson", _INPUT),
-    Field("wealth_points_csv", "paths.wealth_points_csv", _INPUT),
+    Field("surveillance_csv", "paths.surveillance_csv", _INPUT, stages=("ingest",)),
+    Field("districts_geojson", "paths.districts_geojson", _INPUT, stages=_PANEL_STAGES + ("weights",)),
+    Field("rasters", "paths.rasters", _RASTERS, stages=("features",)),
+    Field("water_geojson", "paths.water_geojson", _INPUT, stages=("features",)),
+    Field("wealth_points_csv", "paths.wealth_points_csv", _INPUT, stages=("features",)),
     Field("panel_start", "panel.start", _DATE, param="start", stages=_PANEL_STAGES),
     Field("n_weeks", "panel.n_weeks", _integer(1), param="n_weeks", stages=_PANEL_STAGES),
     Field("landcover_codes", "landcover_classes", _LANDCOVER, {}, "landcover_codes", ("features",)),
@@ -210,8 +217,8 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
     path = Path(path)
     try:
         doc = ingest.read_json(path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except ParseError as exc:
         raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
@@ -237,16 +244,6 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
         except ValueError:
             raise ConfigError(f"{path}: {name} must be {f.spec.what}; got {value!r}") from None
     return PipelineConfig(config_dir=path.parent, **values)
-
-
-def _params(cfg: PipelineConfig, stage: str) -> dict:
-    """The manifest params of one stage: every config field that feeds it."""
-    params = {}
-    for f in CONFIG_FIELDS:
-        if stage in f.stages:
-            value = getattr(cfg, f.attr)
-            params[f.param] = value.isoformat() if isinstance(value, date) else value
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -335,53 +332,36 @@ class Manifest:
         _write_json(self.path, self.doc, indent=2, sort_keys=True)
 
 
-def _dead_owner(lock: Path) -> int | None:
-    """The PID a lock file names, if that process no longer exists."""
-    try:
-        pid = int(lock.read_text())
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, ValueError):  # unreadable, not a PID, or alive but not ours to signal
-        pass
-    return None
-
-
 class _Lock:
-    """One process per output directory; a lock left by a dead process is taken over.
-    The lock file is a hard link to a file that already holds its owner's PID, so
-    it never exists without one."""
+    """An exclusive flock on outdir/.lock, held from __enter__ to __exit__."""
 
     def __init__(self, outdir: Path):
         self.path = outdir / ".lock"
-        self.owned = False
 
     def __enter__(self):
-        pid = _dead_owner(self.path) if self.path.exists() else None
-        if pid is not None:
-            _emit_warning(None, f"{self.path} names process {pid}, which is gone; taking the lock over")
-            self.path.unlink(missing_ok=True)
-        staged = self.path.with_name(f"{self.path.name}.{os.getpid()}")
         try:
-            fd = os.open(staged, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
-            try:
-                os.write(fd, str(os.getpid()).encode())
-            finally:
-                os.close(fd)
-            os.link(staged, self.path)
-        except FileExistsError:
-            raise LockError(f"{self.path} exists: another run owns this output directory") from None
+            # read-write: NFS emulates flock with fcntl locks, whose exclusive form needs it
+            self.fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
         except OSError as exc:
             raise LockError(f"{self.path}: cannot take the lock: {exc}") from None
-        finally:
-            staged.unlink(missing_ok=True)
-        self.owned = True
+        try:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            locked, named = os.fstat(self.fd), os.stat(self.path)
+            if (locked.st_dev, locked.st_ino) != (named.st_dev, named.st_ino):
+                raise BlockingIOError  # its owner unlinked the file after it was opened here
+        except BlockingIOError:
+            os.close(self.fd)
+            raise LockError(f"{self.path}: another run owns this output directory") from None
+        except OSError as exc:
+            os.close(self.fd)
+            raise LockError(f"{self.path}: cannot take the lock: {exc}") from None
         return self
 
     def __exit__(self, *exc):
-        if self.owned:
+        try:  # unlinked while still locked, so a run that opened it meanwhile sees it replaced
             self.path.unlink(missing_ok=True)
+        finally:
+            os.close(self.fd)
         return False
 
 
@@ -465,8 +445,8 @@ def _load_panel(cfg: PipelineConfig, out: Path):
 
 
 def _weekly_raster_files(path: Path) -> list[Path]:
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".asc")
+    if path.is_dir():  # the files the directory's digest covers
+        files = sorted(p for p in path.iterdir() if p.suffix == ".asc" and p.is_file())
         if not files:
             raise ConfigError(f"{path} holds no .asc rasters")
         return files
@@ -700,26 +680,15 @@ class Stage:
     name: str
     run: Callable[[PipelineConfig, Path], list[Path]]
     upstream: dict[str, tuple[str, ...]]  # upstream stage -> the artifacts of it this stage reads
-    config_inputs: tuple[str, ...]  # PipelineConfig attributes naming input files
 
 
 PIPELINE = (
-    Stage("ingest", _stage_ingest, {}, ("surveillance_csv", "districts_geojson")),
-    Stage("weights", _stage_weights, {}, ("districts_geojson",)),
-    Stage(
-        "esda",
-        _stage_esda,
-        {"ingest": ("panel.csv",), "weights": ("weights.csv", "islands.csv")},
-        ("districts_geojson",),
-    ),
-    Stage(
-        "features",
-        _stage_features,
-        {"ingest": ("panel.csv",)},
-        ("districts_geojson", "water_geojson", "wealth_points_csv", "rasters"),
-    ),
-    Stage("train", _stage_train, {"features": ("features.csv",)}, ()),
-    Stage("importance", _stage_importance, {"features": ("features.csv",), "train": ("model.json",)}, ()),
+    Stage("ingest", _stage_ingest, {}),
+    Stage("weights", _stage_weights, {}),
+    Stage("esda", _stage_esda, {"ingest": ("panel.csv",), "weights": ("weights.csv", "islands.csv")}),
+    Stage("features", _stage_features, {"ingest": ("panel.csv",)}),
+    Stage("train", _stage_train, {"features": ("features.csv",)}),
+    Stage("importance", _stage_importance, {"features": ("features.csv",), "train": ("model.json",)}),
 )
 STAGES = tuple(s.name for s in PIPELINE)
 
@@ -728,11 +697,16 @@ def _current(stage: Stage, cfg: PipelineConfig, out: Path, manifest: Manifest) -
     """Input digests, params and signature of a stage as it would run now. An upstream
     artifact is keyed by its name, a config input by its path from the config's directory."""
     inputs = {name: manifest.digest(out / name) for names in stage.upstream.values() for name in names}
-    for attr in stage.config_inputs:
-        value = getattr(cfg, attr)
-        for path in value.values() if isinstance(value, dict) else [value]:
-            inputs[os.path.relpath(path, cfg.config_dir)] = manifest.digest(path)
-    params = _params(cfg, stage.name)
+    params = {}
+    for f in CONFIG_FIELDS:
+        if stage.name not in f.stages:
+            continue
+        value = getattr(cfg, f.attr)
+        if f.param is None:
+            for path in value.values() if isinstance(value, dict) else [value]:
+                inputs[os.path.relpath(path, cfg.config_dir)] = manifest.digest(path)
+        else:
+            params[f.param] = value.isoformat() if isinstance(value, date) else value
     doc = json.dumps({"inputs": inputs, "params": params}, sort_keys=True)
     return inputs, params, hashlib.sha256(doc.encode()).hexdigest()
 
@@ -742,7 +716,10 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
     if stage != "all" and stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {out} cannot be made a directory: {exc.strerror}") from None
     with _Lock(out):
         manifest = Manifest(out)
         for st in PIPELINE:

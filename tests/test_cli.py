@@ -1,10 +1,12 @@
 import collections
 import dataclasses
 import errno
+import fcntl
 import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -131,37 +133,80 @@ class TestFailures:
     def test_lockfile_blocks_concurrent_runs(self, world, capsys):
         out = world.parent / "out"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))  # a live process
-        assert run_cli(world, "--stage", "ingest") == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["type"] == "LockError"
-        (out / ".lock").unlink()
+        with cli._Lock(out):
+            assert run_cli(world, "--stage", "ingest") == 1
+        err = error_report(capsys)
+        assert err["type"] == "LockError" and str(out / ".lock") in err["message"]
+        assert not (out / ".lock").exists()  # released by its holder
         assert run_cli(world, "--stage", "ingest") == 0
         assert not (out / ".lock").exists()  # released after the run
 
-    def test_lock_of_dead_process_is_taken_over(self, world, capsys):
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
+    def test_sigkilled_holder_releases_the_lock(self, world, capsys):
         out = world.parent / "out"
         out.mkdir()
-        (out / ".lock").write_text(str(proc.pid))
+        hold = "import sys; from pathlib import Path; from epigrid import cli; " \
+               "cli._Lock(Path(sys.argv[1])).__enter__(); print(flush=True); sys.stdin.read()"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-c", hold, str(out)], env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+            try:
+                assert proc.stdout.readline() == b"\n"  # the child holds the lock
+                assert run_cli(world, "--stage", "ingest") == 1
+            finally:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+        assert error_report(capsys)["type"] == "LockError"
+        assert (out / ".lock").exists()  # a killed holder leaves its file, but not its lock
         assert run_cli(world, "--stage", "ingest") == 0
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert any(e["event"] == "warning" and str(proc.pid) in e["message"] for e in events)
+        assert [e["event"] for e in events] == ["stage_start", "stage_end"]
         assert not (out / ".lock").exists()
 
-    def test_failed_pid_write_leaves_no_lock(self, world, capsys, monkeypatch):
-        def disk_full(fd, data):
+    def test_lock_file_naming_a_live_process_does_not_block(self, world, capsys):
+        out = world.parent / "out"
+        out.mkdir()
+        (out / ".lock").write_text("1")  # a live process that holds no lock
+        assert run_cli(world, "--stage", "ingest") == 0
+        assert not (out / ".lock").exists()
+
+    def test_opener_of_a_released_lock_does_not_own_it(self, world, monkeypatch):
+        out = world.parent / "out"
+        out.mkdir()
+        owner, third = cli._Lock(out).__enter__(), cli._Lock(out)
+        flock, interleaved = fcntl.flock, []
+
+        def owner_finishes_then_third_locks(fd, operation):  # between the opener's open and its flock
+            if not interleaved:
+                interleaved.append(fd)
+                owner.__exit__(None, None, None)
+                third.__enter__()
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", owner_finishes_then_third_locks)
+        with pytest.raises(LockError, match="another run owns"):
+            cli._Lock(out).__enter__()
+        with pytest.raises(OSError):
+            os.fstat(interleaved[0])  # the opener closed its descriptor
+        with pytest.raises(LockError, match="another run owns"):
+            cli._Lock(out).__enter__()  # the third run still owns the directory
+        third.__exit__(None, None, None)
+        assert list(out.iterdir()) == []
+        with cli._Lock(out):
+            pass
+
+    def test_failed_open_of_lock_leaves_out_empty(self, world, capsys, monkeypatch):
+        def disk_full(path, flags, *mode):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         with monkeypatch.context() as patch:
-            patch.setattr(os, "write", disk_full)
+            patch.setattr(os, "open", disk_full)
             assert run_cli(world, "--stage", "ingest") == 1
         err = error_report(capsys)
         out = world.parent / "out"
-        assert [p.name for p in out.iterdir()] == []  # neither a lock file nor its staged copy
-        assert run_cli(world, "--stage", "ingest") == 0
+        assert [p.name for p in out.iterdir()] == []
         assert err["type"] == "LockError" and "No space left" in err["message"]
+        assert run_cli(world, "--stage", "ingest") == 0
 
     def test_unexpected_stage_exception_is_structured_report(self, world, capsys, monkeypatch):
         def boom(cfg, out):
@@ -254,6 +299,28 @@ class TestFailures:
         err = error_report(capsys)
         assert err["type"] == "ConfigError" and "is not a file" in err["message"]
         assert not (world.parent / "out" / "panel.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, output_dir",
+        [(".", None), ("config.json/config.json", None), (None, "config.json"), (None, "config.json/out")],
+        ids=["config_is_a_directory", "config_under_a_file", "output_dir_is_a_file", "output_dir_under_a_file"],
+    )
+    def test_unusable_start_up_path_is_config_error(self, world, capsys, config, output_dir):
+        if output_dir is not None:
+            edit_config(world, None, "output_dir", output_dir)
+        path = world if config is None else world.parent / config
+        assert run_cli(path, "--stage", "all") == 1
+        err = error_report(capsys)
+        assert err["type"] == "ConfigError" and "traceback" not in err
+        assert str(path) in err["message"] if output_dir is None else "output_dir" in err["message"]
+
+    def test_weekly_raster_directory_ignores_subdirectories(self, world, capsys):
+        out = world.parent / "out"
+        assert run_cli(world, "--stage", "all") == 0
+        clean = artifacts(out)
+        (world.parent / "precipitation" / "zz.asc").mkdir()
+        assert run_cli(world, "--stage", "all", "--force") == 0
+        assert artifacts(out) == clean
 
     def test_weekly_rasters_take_a_file_or_a_directory(self, world):
         doc = json.loads(world.read_text())
