@@ -8,8 +8,11 @@ the artifacts it reads from the upstream stages that write them. CONFIG_FIELDS
 is the one list of config keys: each field's JSON key, strict type, default,
 range or enum check and the stages whose signature it enters, an input path
 as its file digests and any other field as a param. load_config, its
-validation and every manifest inputs and params dict come from that table; a
-key that no field names is a ConfigError.
+validation and every manifest inputs and params dict come from that table.
+A config is checked completely when it is loaded, before any stage runs: a key
+that no field reads, a section that is not an object, a missing input or a bad
+value is a ConfigError. A raster directory stands for its regular .asc files
+in name order, and must hold at least one.
 
 Each stage writes its artifacts plus a manifest entry: the digests of the
 files it read and wrote, its params and a signature over both. The manifest
@@ -49,13 +52,7 @@ import numpy as np
 from . import __version__, atomic, esda, features, geo, ingest, learn, raster
 from .errors import ConfigError, DependencyError, EngineError, EngineWarning, LockError, ParseError
 
-DEFAULT_LANDCOVER_CODES = {
-    "trees": 1,
-    "crops": 2,
-    "built_up": 3,
-    "bare_ground": 4,
-    "rangeland": 5,
-}
+DEFAULT_LANDCOVER_CODES = {name: code for code, name in enumerate(features.LANDCOVER_CLASSES, start=1)}
 
 _RASTER_ROLES = ("elevation", "population", "landcover", "precipitation", "temperature")
 _WEEKLY_ROLES = ("precipitation", "temperature")  # a file, or a directory of weekly .asc files
@@ -98,11 +95,21 @@ def _choice(*options: str) -> Spec:
     return Spec("one of " + ", ".join(map(repr, options)), lambda v: isinstance(v, str) and v in options)
 
 
+def _raster_files(path: Path) -> list[Path]:
+    """The file, or a directory's regular .asc files by name: what features reads and a digest covers."""
+    if not path.is_dir():
+        return [path]
+    files = sorted(p for p in path.iterdir() if p.suffix == ".asc" and p.is_file())
+    if not files:
+        raise ConfigError(f"{path} holds no .asc rasters")
+    return files
+
+
 def _input_path(v, base: Path, directory_ok: bool = False) -> Path:
     path = base / v
     if not path.exists():
         raise ConfigError(f"input path does not exist: {path}")
-    if not (path.is_file() or (directory_ok and path.is_dir())):
+    if not (path.is_file() or (directory_ok and path.is_dir() and _raster_files(path))):
         raise ConfigError(f"input path is not a file: {path}")
     return path
 
@@ -187,30 +194,27 @@ CONFIG_FIELDS = (
 )
 
 PipelineConfig = make_dataclass("PipelineConfig", ["config_dir", *(f.attr for f in CONFIG_FIELDS)])
-_KEY_PATHS = tuple(tuple(f.key.split(".")) for f in CONFIG_FIELDS)
+# a config key is a top-level name or section.name; a section is an object of keys
+_SECTIONS = {f.key.rpartition(".")[0] for f in CONFIG_FIELDS} - {""}
 
 
-def _unknown_keys(node: dict, prefix: tuple[str, ...] = ()):
-    """The dotted keys in node that no config field reads; a field's value is a leaf."""
-    for name, value in node.items():
-        key = (*prefix, name)
-        section = any(len(p) > len(key) and p[: len(key)] == key for p in _KEY_PATHS)
-        if section and isinstance(value, dict):
-            yield from _unknown_keys(value, key)
-        elif not section and key not in _KEY_PATHS:
-            yield ".".join(key)
-
-
-def _lookup(doc: dict, key: str, path: Path):
-    node = doc
-    parts = key.split(".")
-    for depth, part in enumerate(parts):
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: {'.'.join(parts[:depth])} must be a JSON object")
-        if part not in node:
-            return _MISSING
-        node = node[part]
-    return node
+def _config_values(doc: dict, path: Path) -> dict:
+    """The value of each config key the document sets, by dotted key, from one pass that
+    opens each section. A section that is not an object, or a key that no field reads,
+    is a ConfigError."""
+    found = {}  # (section, name) -> value; the top level is section "", as in rpartition(".")
+    for name, value in doc.items():
+        if name not in _SECTIONS:
+            found["", name] = value
+        elif isinstance(value, dict):
+            found.update(((name, key), v) for key, v in value.items())
+        else:
+            raise ConfigError(f"{path}: {name} must be a JSON object")
+    keys = {f.key.rpartition(".")[::2]: f.key for f in CONFIG_FIELDS}
+    unknown = [".".join(filter(None, k)) for k in found if k not in keys]
+    if unknown:
+        raise ConfigError(f"{path}: no config field reads {', '.join(map(repr, unknown))}")
+    return {keys[k]: value for k, value in found.items()}
 
 
 def load_config(path, seed_override=None, threads_override=None) -> PipelineConfig:
@@ -223,18 +227,13 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
         raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
-    unknown = list(_unknown_keys(doc))
-    if unknown:
-        raise ConfigError(f"{path}: no config field reads {', '.join(map(repr, unknown))}")
+    found = _config_values(doc, path)
     overrides = {"--seed": seed_override, "--threads": threads_override}
     values = {}
     for f in CONFIG_FIELDS:
-        name, value = f.key, f.default
-        found = _lookup(doc, f.key, path)
+        name, value = f.key, found.get(f.key, f.default)
         if overrides.get(f.override) is not None:
             name, value = f.override, overrides[f.override]
-        elif found is not _MISSING:
-            value = found
         elif value is _MISSING:
             raise ConfigError(f"{path}: missing config key {f.key!r}")
         try:
@@ -266,13 +265,12 @@ def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = Fa
 
 
 def _sha256(path: Path) -> str:
-    """sha256 of a file's bytes, or of a directory's file names and file digests."""
+    """sha256 of a file's bytes, or of the names and digests of a directory's _raster_files."""
     h = hashlib.sha256()
     if path.is_dir():
-        for child in sorted(path.iterdir()):
-            if child.is_file():
-                h.update(child.name.encode())
-                h.update(_sha256(child).encode())
+        for child in _raster_files(path):
+            h.update(child.name.encode())
+            h.update(_sha256(child).encode())
     else:
         with open(path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 16), b""):
@@ -293,6 +291,8 @@ class Manifest:
                 doc = ingest.read_json(self.path)
             except ParseError:
                 doc = None
+            except OSError as exc:
+                raise ConfigError(f"{self.path} cannot be read: {exc.strerror}") from None
             if isinstance(doc, dict) and isinstance(doc.get("stages"), dict):
                 self.doc = doc
             else:
@@ -302,7 +302,10 @@ class Manifest:
         if path not in self.digests:
             if not path.exists():
                 raise DependencyError(f"{path} is missing")
-            self.digests[path] = _sha256(path)
+            try:
+                self.digests[path] = _sha256(path)
+            except OSError as exc:
+                raise ConfigError(f"{path} cannot be read: {exc.strerror}") from None
         return self.digests[path]
 
     def vouches(self, stage: str, signature: str, names=None) -> bool:
@@ -333,7 +336,9 @@ class Manifest:
 
 
 class _Lock:
-    """An exclusive flock on outdir/.lock, held from __enter__ to __exit__."""
+    """An exclusive flock on outdir/.lock, held from __enter__ to __exit__. __exit__ unlinks
+    .lock only while it names the locked file, which narrows, but does not close, the race
+    with a run that locks a new file after the old one was deleted by hand."""
 
     def __init__(self, outdir: Path):
         self.path = outdir / ".lock"
@@ -346,8 +351,7 @@ class _Lock:
             raise LockError(f"{self.path}: cannot take the lock: {exc}") from None
         try:
             fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            locked, named = os.fstat(self.fd), os.stat(self.path)
-            if (locked.st_dev, locked.st_ino) != (named.st_dev, named.st_ino):
+            if not os.path.samestat(os.fstat(self.fd), os.stat(self.path)):
                 raise BlockingIOError  # its owner unlinked the file after it was opened here
         except BlockingIOError:
             os.close(self.fd)
@@ -359,7 +363,10 @@ class _Lock:
 
     def __exit__(self, *exc):
         try:  # unlinked while still locked, so a run that opened it meanwhile sees it replaced
-            self.path.unlink(missing_ok=True)
+            if os.path.samestat(os.fstat(self.fd), os.stat(self.path)):
+                self.path.unlink()
+        except FileNotFoundError:  # deleted by hand
+            pass
         finally:
             os.close(self.fd)
         return False
@@ -442,15 +449,6 @@ def _load_panel(cfg: PipelineConfig, out: Path):
     counts = rows["cases"].reshape(len(adm_ids), cfg.n_weeks)
     panel = ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, adm_ids, counts)
     return districts, panel
-
-
-def _weekly_raster_files(path: Path) -> list[Path]:
-    if path.is_dir():  # the files the directory's digest covers
-        files = sorted(p for p in path.iterdir() if p.suffix == ".asc" and p.is_file())
-        if not files:
-            raise ConfigError(f"{path} holds no .asc rasters")
-        return files
-    return [path]
 
 
 def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
@@ -546,10 +544,11 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     class_pop = raster.class_population(
         landcover_grid, population_grid, pop_zones, list(codes.values())
     )
-    composites: dict[str, np.ndarray] = {}
+    composites: dict[str, features.DistrictDataset] = {}
     composite_params: dict[str, dict] = {}
     for cls_name, code in codes.items():
-        composites[cls_name], params = features.landcover_composite(counts[code], fractions[code], class_pop[code])
+        composite, params = features.landcover_composite(counts[code], fractions[code], class_pop[code])
+        composites[cls_name] = features.DistrictDataset(composite)
         composite_params[cls_name] = {part: asdict(p) for part, p in params.items()}
 
     wealth = features.points_to_district_values(
@@ -557,7 +556,7 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     )
 
     def weekly_dataset(role: str, agg: str) -> features.DistrictDataset:
-        cols = [mean(ingest.parse_ascii_grid(f)) for f in _weekly_raster_files(cfg.rasters[role])]
+        cols = [mean(ingest.parse_ascii_grid(f)) for f in _raster_files(cfg.rasters[role])]
         values = np.array(cols).T  # (districts, samples); one sample is static
         return features.DistrictDataset(values[:, 0] if values.shape[1] == 1 else values, agg=agg)
 
@@ -571,9 +570,8 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
         "population_near_water": features.DistrictDataset(near_water),
         "relative_wealth": features.DistrictDataset(wealth),
         "elevation": features.DistrictDataset(elev),
+        **composites,
     }
-    for cls_name in features.LANDCOVER_CLASSES:
-        datasets[cls_name] = features.DistrictDataset(composites[cls_name])
     table = features.assemble_feature_table(panel, datasets)
     table_path = out / "features.csv"
     features.write_feature_csv(table, table_path)

@@ -18,22 +18,18 @@ from . import geometry, ingest
 from .errors import EngineError, EngineWarning, SchemaMismatchError
 from .ingest import AdminRegion, PointValueSet, SurveillancePanel
 
+LANDCOVER_CLASSES = ("trees", "crops", "built_up", "bare_ground", "rangeland")
+
 FEATURE_NAMES = (
     "week",
     "precipitation",
     "temperature",
-    "trees",
-    "crops",
-    "built_up",
-    "bare_ground",
-    "rangeland",
+    *LANDCOVER_CLASSES,
     "population_density",
     "population_near_water",
     "relative_wealth",
     "elevation",
 )
-
-LANDCOVER_CLASSES = ("trees", "crops", "built_up", "bare_ground", "rangeland")
 
 # features.csv: a 1-based row id, the district, the predictors, cases and label
 CSV_DTYPE = np.dtype([("id", np.int64), ("adm_id", np.int64), *((name, float) for name in FEATURE_NAMES),

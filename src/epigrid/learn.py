@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import EngineError, EngineWarning, SchemaMismatchError
 from .features import FeatureTable
 
@@ -95,21 +96,14 @@ def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 
         raise EngineError("smote needs at least 2 minority rows")
     k_eff = min(k, len(min_idx) - 1)
     Xm = table.X[min_idx]
-    m = len(Xm)
-    d2 = np.empty((m, m))
-    for lo in range(0, m, 256):  # chunk the (m, m, p) broadcast
-        diff = Xm[lo : lo + 256, None, :] - Xm[None, :, :]
-        d2[lo : lo + 256] = (diff * diff).sum(-1)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
     need = len(maj_idx) - len(min_idx)
     bases = rng.integers(0, len(min_idx), size=need)
     picks = rng.integers(0, k_eff, size=need)
     us = rng.random(need)
-    nbrs = nearest[bases, picks]
+    nbrs = _nearest(Xm, k_eff)[bases, picks]
     synth_X = Xm[bases] + us[:, None] * (Xm[nbrs] - Xm[bases])
     label_val = np.full(need, minority, dtype=table.labels.dtype)
-    merged = FeatureTable(
+    return FeatureTable(
         adm_ids=np.concatenate([table.adm_ids, np.full(need, -1, dtype=table.adm_ids.dtype)]),
         weeks=np.concatenate([table.weeks, table.weeks[min_idx[bases]]]),
         X=np.vstack([table.X, synth_X]),
@@ -117,7 +111,18 @@ def resample(table: FeatureTable, method: str = "none", seed: int = 0, k: int = 
         cases=np.concatenate([table.cases, label_val.astype(table.cases.dtype)]),
         labels=np.concatenate([table.labels, label_val]),
     )
-    return merged
+
+
+def _nearest(X: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other rows by squared distance, ties to the lower index."""
+    nearest = np.empty((len(X), k), dtype=np.intp)
+    for rows in geometry._blocks(len(X), X.size):  # a row's differences: len(X) rows of p values
+        diff = X[rows, None, :] - X[None, :, :]
+        d2 = np.square(diff, out=diff).sum(-1)  # squared in place
+        del diff  # so the next block's differences do not meet this block's
+        np.fill_diagonal(d2[:, rows], np.inf)  # the block's own rows
+        nearest[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest
 
 
 def gini_from_counts(pos, total) -> np.ndarray:

@@ -15,8 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from epigrid import geometry
-from epigrid.errors import EngineError, EngineWarning, SchemaMismatchError
+from epigrid import cli, geometry
+from epigrid.errors import ConfigError, EngineError, EngineWarning, SchemaMismatchError
 from epigrid.features import FeatureTable
 from epigrid.geo import SpatialWeights
 from epigrid.learn import _CRITERIA, ForestModel, ImportanceEntry, Tree, _preorder, f1_score
@@ -364,6 +364,18 @@ def pairwise_auc(y_true, scores) -> float:
 # are kept as they were; the fast paths must match them bit for bit.
 
 
+def smote_neighbours(Xm: np.ndarray, k: int) -> np.ndarray:
+    """The SMOTE neighbour table as resample built it before it went block by
+    block: the full (m, m) distance matrix, argsorted whole."""
+    m = len(Xm)
+    d2 = np.empty((m, m))
+    for lo in range(0, m, 256):  # chunk the (m, m, p) broadcast
+        diff = Xm[lo : lo + 256, None, :] - Xm[None, :, :]
+        d2[lo : lo + 256] = (diff * diff).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 def _grow_tree(X, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
     impurity = _CRITERIA[criterion]
     n, p = X.shape
@@ -544,3 +556,42 @@ def permutation_importance(
         )
     entries.sort(key=lambda e: -e.importance)
     return entries
+
+
+# --- config -------------------------------------------------------------------
+#
+# How load_config read a config document before its one walk: a recursive
+# search for keys that no field reads, then one lookup per field key.
+
+_KEY_PATHS = tuple(tuple(f.key.split(".")) for f in cli.CONFIG_FIELDS)
+
+
+def _unknown_keys(node: dict, prefix: tuple[str, ...] = ()):
+    """The dotted keys in node that no config field reads; a field's value is a leaf."""
+    for name, value in node.items():
+        key = (*prefix, name)
+        section = any(len(p) > len(key) and p[: len(key)] == key for p in _KEY_PATHS)
+        if section and isinstance(value, dict):
+            yield from _unknown_keys(value, key)
+        elif not section and key not in _KEY_PATHS:
+            yield ".".join(key)
+
+
+def _lookup(doc: dict, key: str, path):
+    node = doc
+    parts = key.split(".")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path}: {'.'.join(parts[:depth])} must be a JSON object")
+        if part not in node:
+            return cli._MISSING
+        node = node[part]
+    return node
+
+
+def config_values(doc: dict, path) -> dict:
+    """Each field's value by dotted key, cli._MISSING where the document sets none."""
+    unknown = list(_unknown_keys(doc))
+    if unknown:
+        raise ConfigError(f"{path}: no config field reads {', '.join(map(repr, unknown))}")
+    return {f.key: _lookup(doc, f.key, path) for f in cli.CONFIG_FIELDS}

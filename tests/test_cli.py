@@ -1,3 +1,4 @@
+import builtins
 import collections
 import dataclasses
 import errno
@@ -195,6 +196,19 @@ class TestFailures:
         with cli._Lock(out):
             pass
 
+    def test_exit_of_a_lock_deleted_by_hand_spares_the_new_lock_file(self, world):
+        out = world.parent / "out"
+        out.mkdir()
+        first = cli._Lock(out).__enter__()
+        (out / ".lock").unlink()
+        second = cli._Lock(out).__enter__()  # locks a new file
+        first.__exit__(None, None, None)
+        assert (out / ".lock").exists()
+        with pytest.raises(LockError, match="another run owns"):
+            cli._Lock(out).__enter__()
+        second.__exit__(None, None, None)
+        assert list(out.iterdir()) == []
+
     def test_failed_open_of_lock_leaves_out_empty(self, world, capsys, monkeypatch):
         def disk_full(path, flags, *mode):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -234,6 +248,26 @@ class TestFailures:
         assert events[0]["event"] == "warning" and "manifest.json" in events[0]["message"]
         assert [e["stage"] for e in events if e["event"] == "stage_end"] == list(cli.STAGES)
         assert artifacts(out) == clean
+
+    @pytest.mark.parametrize("unreadable", ["manifest", "input"],
+                             ids=["manifest_is_a_directory", "input_permission_denied"])
+    def test_unreadable_file_is_config_error(self, world, capsys, monkeypatch, unreadable):
+        if unreadable == "manifest":
+            path, reason = world.parent / "out" / "manifest.json", "Is a directory"
+            path.mkdir(parents=True)
+        else:  # root reads any file whatever its mode, so the error is injected
+            path, reason, real_open = world.parent / "surveillance.csv", "Permission denied", builtins.open
+
+            def denied(file, *args, **kwargs):
+                if str(file) == str(path):
+                    raise PermissionError(errno.EACCES, reason, str(file))
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr(builtins, "open", denied)
+        assert run_cli(world, "--stage", "ingest") == 1
+        err = error_report(capsys)
+        assert err["type"] == "ConfigError" and "traceback" not in err
+        assert str(path) in err["message"] and reason in err["message"]
 
     def test_stale_upstream_is_dependency_error(self, world, capsys):
         assert run_cli(world, "--stage", "all") == 0
@@ -321,6 +355,26 @@ class TestFailures:
         (world.parent / "precipitation" / "zz.asc").mkdir()
         assert run_cli(world, "--stage", "all", "--force") == 0
         assert artifacts(out) == clean
+
+    def test_sidecar_in_a_weekly_raster_directory_changes_no_signature(self, world, capsys):
+        assert run_cli(world, "--stage", "all") == 0
+        (world.parent / "precipitation" / "week_001.asc.aux.xml").write_text("<PAMDataset/>\n")
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "all") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(e["event"], e["stage"]) for e in events] == [("stage_skip", s) for s in cli.STAGES]
+
+    def test_weekly_raster_directory_without_rasters_fails_before_any_stage(self, world, capsys):
+        weekly = world.parent / "precipitation"
+        for path in weekly.glob("*.asc"):
+            path.unlink()
+        (weekly / "week_001.asc.aux.xml").write_text("<PAMDataset/>\n")
+        assert run_cli(world, "--stage", "all") == 1
+        captured = capsys.readouterr()
+        assert "stage_start" not in captured.out
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError" and f"{weekly} holds no .asc rasters" in err["message"]
+        assert list((world.parent / "out").glob("*")) == []
 
     def test_weekly_rasters_take_a_file_or_a_directory(self, world):
         doc = json.loads(world.read_text())

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from epigrid import learn
+from epigrid import geometry, learn
 from epigrid.errors import EngineError, EngineWarning, SchemaMismatchError
 from epigrid.features import FeatureTable
 
@@ -115,6 +116,20 @@ class TestResample:
         a = learn.resample(self.imbalanced(), "smote", seed=2)
         b = learn.resample(self.imbalanced(), "smote", seed=2)
         assert np.array_equal(a.X, b.X)
+
+    def test_smote_neighbours_hold_one_block_of_distances_at_a_time(self, monkeypatch):
+        t = synthetic.box_table(4000, positive_rate=0.25, seed=3)
+        Xm = t.X[t.labels == 1]  # ~1,000 rows: the whole distance matrix would take 8 MB
+        want = oracles.smote_neighbours(Xm, 5)
+        monkeypatch.setattr(geometry, "_BLOCK", 4_096)
+        tracemalloc.start()
+        try:
+            got = learn._nearest(Xm, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MB"
 
 
 def test_impurity_closed_forms():
