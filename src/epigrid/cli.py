@@ -14,16 +14,16 @@ that no field reads, a section that is not an object, a missing input or a bad
 value is a ConfigError. A raster directory stands for its regular .asc files
 in name order, and must hold at least one.
 
-Each stage writes its artifacts plus a manifest entry: the digests of the
-files it read and wrote, its params and a signature over both. The manifest
-vouches for a stage's files when it recorded them under the stage's current
-signature and each file on disk has its recorded digest. A stage is skipped
-(unless --force is given) when the manifest vouches for all of its outputs,
-and it reads an upstream artifact only if the manifest vouches for that file;
-anything else is a DependencyError naming the file. Relative config paths
-resolve against the config file's directory. Log lines on stdout are JSON
-events; artifacts carry no timestamps, so a run is reproducible bit-for-bit
-from config + inputs + seeds.
+Each stage writes its artifacts plus a manifest entry: the digests of the files
+it read and wrote, its params and a signature over both. The manifest vouches
+for a stage's files when it recorded them under the stage's current signature
+and each file on disk has its recorded digest. A stage is skipped (unless
+--force is given) when the manifest vouches for all of its outputs, and it
+reads an upstream artifact only if the manifest vouches for that file; anything
+else is a DependencyError naming the file. Relative config paths resolve
+against the config file's directory. Log lines on stdout are JSON events; every
+failure, usage errors too, is one JSON report on stderr. Artifacts carry no
+timestamps, so a run is reproducible bit-for-bit from config + inputs + seeds.
 
 One run at a time owns an output directory: it holds an exclusive flock on
 out/.lock, and a second run fails with a LockError. The kernel releases the
@@ -49,7 +49,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import __version__, atomic, esda, features, geo, ingest, learn, raster
+from . import __version__, esda, features, geo, ingest, learn, raster
 from .errors import ConfigError, DependencyError, EngineError, EngineWarning, LockError, ParseError
 
 DEFAULT_LANDCOVER_CODES = {name: code for code, name in enumerate(features.LANDCOVER_CLASSES, start=1)}
@@ -246,7 +246,7 @@ def load_config(path, seed_override=None, threads_override=None) -> PipelineConf
 
 
 # ---------------------------------------------------------------------------
-# events, writers, hashing, manifest, lock
+# events, hashing, manifest, lock
 
 
 def _emit(event: dict) -> None:
@@ -256,12 +256,6 @@ def _emit(event: dict) -> None:
 
 def _emit_warning(stage: str | None, message: str, category: type[Warning] = EngineWarning) -> None:
     _emit({"event": "warning", "stage": stage, "category": category.__name__, "message": message})
-
-
-def _write_json(path: Path, doc, indent: int | None = None, sort_keys: bool = False) -> None:
-    # json.dumps, unlike json.dump, uses the C encoder when there is no indent
-    with atomic.replacing(path) as fh:
-        fh.write(json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -332,7 +326,7 @@ class Manifest:
             "params": params,
             "outputs": {p.name: self.digests[p] for p in outputs},
         }
-        _write_json(self.path, self.doc, indent=2, sort_keys=True)
+        ingest.write_json(self.path, self.doc, indent=2, sort_keys=True)
 
 
 class _Lock:
@@ -376,19 +370,6 @@ class _Lock:
 # exports
 
 
-def _geometry_to_geojson(geom) -> dict:
-    def ring_coords(ring):
-        return [[float(x), float(y)] for x, y in ring]
-
-    polys = [
-        [ring_coords(part.shell)] + [ring_coords(h) for h in part.holes]
-        for part in geom.parts
-    ]
-    if len(polys) == 1:
-        return {"type": "Polygon", "coordinates": polys[0]}
-    return {"type": "MultiPolygon", "coordinates": polys}
-
-
 def _float_or_none(x) -> float | None:
     return None if x is None or (isinstance(x, float) and np.isnan(x)) else float(x)
 
@@ -412,11 +393,11 @@ def export_lisa_geojson(regions, result: esda.LisaResult, path) -> None:
                 "local_I": _float_or_none(result.local_i[i]),
                 "p_value": _float_or_none(result.p_value[i]),
             },
-            "geometry": _geometry_to_geojson(region.geometry),
+            "geometry": ingest.geojson_polygon(region.geometry),
         }
         for i, region in enumerate(regions)
     ]
-    _write_json(Path(path), {"type": "FeatureCollection", "features": feats})
+    ingest.write_json(path, {"type": "FeatureCollection", "features": feats})
 
 
 def export_lisa_csv(regions, result: esda.LisaResult, path) -> None:
@@ -496,7 +477,7 @@ def _stage_esda(cfg: PipelineConfig, out: Path) -> list[Path]:
         totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed, alpha=cfg.esda_alpha
     )
     moran_path = out / "moran.json"
-    _write_json(moran_path, {"disease": cfg.disease, **asdict(moran), "seed": cfg.esda_seed}, indent=2)
+    ingest.write_json(moran_path, {"disease": cfg.disease, **asdict(moran), "seed": cfg.esda_seed}, indent=2)
     geojson_path = out / "lisa.geojson"
     export_lisa_geojson(districts, lisa_result, geojson_path)
     csv_path = out / "lisa.csv"
@@ -594,7 +575,7 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
         "composite_minmax_params": composite_params,
     }
     meta_path = out / "features_meta.json"
-    _write_json(meta_path, meta, indent=2, sort_keys=True)
+    ingest.write_json(meta_path, meta, indent=2, sort_keys=True)
     return [table_path, meta_path, *outputs]
 
 
@@ -604,7 +585,7 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
         test_fraction=cfg.test_fraction, seed=cfg.learn_seed, stratify=cfg.stratify
     )
     train, test = learn.random_split(table, spec)
-    scaler = features.TableScaler().fit(train.X)
+    scaler = features.TableScaler.fit(train.X)
     train, test = train.with_X(scaler.transform(train.X)), test.with_X(scaler.transform(test.X))
     model = learn.train_forest(
         learn.resample(train, method=cfg.resample_method, seed=cfg.learn_seed, k=cfg.smote_k),
@@ -624,10 +605,10 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
     model_doc["split"] = asdict(spec)
     model_doc["disease"] = cfg.disease
     model_path = out / "model.json"
-    _write_json(model_path, model_doc)
+    ingest.write_json(model_path, model_doc)
 
     metrics_path = out / "metrics.json"
-    _write_json(metrics_path, {"disease": cfg.disease, **report.to_dict()}, indent=2)
+    ingest.write_json(metrics_path, {"disease": cfg.disease, **report.to_dict()}, indent=2)
     metrics_csv = out / "metrics.csv"
     names = ["accuracy", "balanced_accuracy", "mcc", "roc_auc", "f1", "precision", "recall"]
     ingest.write_table(metrics_csv, {"metric": [*names, "tp", "fp", "fn", "tn"],
@@ -656,7 +637,7 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
     columns = ("feature", "importance", "std")
     ingest.write_table(csv_path, {name: [getattr(e, name) for e in entries] for name in columns})
     json_path = out / "importance.json"
-    _write_json(
+    ingest.write_json(
         json_path,
         {
             "disease": cfg.disease,
@@ -752,8 +733,13 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, like any other, ends as the structured report
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="epigrid", description=__doc__)
+    parser = _Parser(prog="epigrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run pipeline stages from a JSON config")
     run_p.add_argument("--config", required=True)
@@ -761,8 +747,9 @@ def main(argv=None) -> int:
     run_p.add_argument("--force", action="store_true", help="re-run even when the manifest matches")
     run_p.add_argument("--seed", type=int, default=None, help="override esda and learn seeds")
     run_p.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args(argv)
+    args = argparse.Namespace(stage=None)  # what the report names until the arguments parse
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config, seed_override=args.seed, threads_override=args.threads)
         return run(cfg, stage=args.stage, force=args.force)
     except Exception as exc:  # every failure ends as one structured report

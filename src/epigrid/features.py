@@ -10,7 +10,7 @@ scaling of whole tables is fitted on training rows only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -90,40 +90,30 @@ def landcover_composite(area, fraction, population) -> tuple[np.ndarray, dict[st
     return values, {name: params for name, (_, params) in scaled.items()}
 
 
+@dataclass(frozen=True)
 class TableScaler:
-    """Column-wise robust scaler fitted once (on training rows) and never refitted."""
+    """Column-wise robust scaler, fitted once on training rows."""
 
-    def __init__(self):
-        self.params: list[RobustParams] | None = None
+    params: tuple[RobustParams, ...]
 
-    def fit(self, X: np.ndarray) -> "TableScaler":
-        if self.params is not None:
-            raise EngineError("scaler is already fitted; transform never refits")
-        self.params = [robust_scale(X[:, j])[1] for j in range(X.shape[1])]
-        return self
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "TableScaler":
+        return cls(tuple(robust_scale(X[:, j])[1] for j in range(X.shape[1])))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.params is None:
-            raise EngineError("scaler must be fitted before transform")
-        out = np.empty_like(np.asarray(X, dtype=float))
-        if out.ndim != 2 or out.shape[1] != len(self.params):
-            raise SchemaMismatchError(f"scaler was fitted on {len(self.params)} columns, got shape {out.shape}")
-        for j, p in enumerate(self.params):
-            out[:, j] = (X[:, j] - p.median) / p.iqr
-        return out
+        if X.ndim != 2 or X.shape[1] != len(self.params):
+            raise SchemaMismatchError(f"scaler was fitted on {len(self.params)} columns, got shape {X.shape}")
+        out = X - [p.median for p in self.params]  # the one new array, divided in place
+        return np.divide(out, [p.iqr for p in self.params], out=out)
 
     def to_dict(self) -> dict:
-        if self.params is None:
-            raise EngineError("scaler not fitted")
-        cols = [{"median": p.median, "q1": p.q1, "q3": p.q3} for p in self.params]
-        return {"kind": "robust", "columns": cols}
+        return {"kind": "robust", "columns": [asdict(p) for p in self.params]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TableScaler":
         if doc["kind"] != "robust":
             raise EngineError(f"unknown scaler kind {doc['kind']!r}")
-        scaler = cls()
-        scaler.params = [RobustParams(c["median"], c["q1"], c["q3"]) for c in doc["columns"]]
+        scaler = cls(tuple(RobustParams(c["median"], c["q1"], c["q3"]) for c in doc["columns"]))
         if not all(type(v) is float and np.isfinite(v) for p in scaler.params for v in astuple(p)):
             raise EngineError("scaler parameters must be finite floats")
         return scaler

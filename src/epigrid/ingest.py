@@ -5,13 +5,14 @@ Parsers read surveillance CSVs, district and water GeoJSON, ASCII grids and
 point CSVs. write_table and read_table are the one format of every CSV
 artifact: a header of column names, then one row per entry, written from
 columns and read back as a structured array whose dtype names and types the
-columns (int64 or float). read_json decodes every JSON file (config, manifest,
-model), and every writer replaces its file atomically. Parsers are pure: they
-read one file and return immutable structures that are safe to share across
-threads. Text is UTF-8, after an optional byte-order mark. Malformed input,
-undecodable bytes included, raises a ParseError naming the file (a wrong
-artifact header a SchemaMismatchError); only a bad surveillance row is
-skipped and reported instead.
+columns (int64 or float). read_json decodes every JSON file (config, GeoJSON,
+manifest, model), an object naming a key twice being a ParseError, write_json
+writes every JSON artifact, and geojson_polygon encodes what _multipolygon
+decodes. Every writer replaces its file atomically. Parsers are pure: they read
+one file and return immutable structures that are safe to share across threads.
+Text is UTF-8, after an optional byte-order mark. Malformed input, undecodable
+bytes included, raises a ParseError naming the file (a wrong artifact header a
+SchemaMismatchError); only a bad surveillance row is skipped and reported instead.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import csv
 import json
 import operator
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
-from . import atomic, geometry
+from . import geometry
 from .errors import EngineWarning, GeometryError, ParseError, SchemaMismatchError
 
 SURVEILLANCE_COLUMNS = (
@@ -202,6 +205,18 @@ def read_table(path, dtype) -> np.ndarray:
     return np.fromiter(records(), dtype)  # no per-row Python object outlives its row
 
 
+@contextmanager
+def _replacing(path, newline: str | None = None):
+    """Write a sibling temp file that replaces `path` only if the block succeeds."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 _WRITE_BLOCK = 1024  # rows that write_table holds as Python objects at once
 
 
@@ -210,7 +225,7 @@ def write_table(path, columns: dict) -> None:
     path is replaced only once all are written, and columns of unequal length are
     a ValueError. A numpy column goes through tolist one block of rows at a time,
     so the csv module writes Python ints and floats, a float as its repr."""
-    with atomic.replacing(path, newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for start in range(0, max(map(len, columns.values()), default=0), _WRITE_BLOCK):
@@ -218,14 +233,42 @@ def write_table(path, columns: dict) -> None:
             writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block), strict=True))
 
 
+def _object(pairs: list) -> dict:
+    """A decoded JSON object; a name it holds twice is a ValueError naming it."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        names = sorted(name for name, _ in pairs)
+        raise ValueError(f"an object names {next(a for a, b in zip(names, names[1:]) if a == b)!r} twice")
+    return doc
+
+
 def read_json(path):
-    """The document a UTF-8 JSON file holds; undecodable bytes, invalid JSON or
-    nesting past the recursion limit end as a ParseError naming the file."""
+    """The document a UTF-8 JSON file holds; undecodable bytes, invalid JSON, an object naming
+    a key twice or nesting past the recursion limit end as a ParseError naming the file."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_json(path, doc, indent: int | None = None, sort_keys: bool = False) -> None:
+    """json.dumps(doc, indent=indent, sort_keys=sort_keys) plus a line end, replacing path. With neither, an
+    object with string keys goes out a member, and a list member an element, at a time, each via json.dumps."""
+    with _replacing(path) as fh:
+        if indent is not None or sort_keys or not (isinstance(doc, dict) and all(isinstance(k, str) for k in doc)):
+            fh.write(json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n")
+            return
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write(", " * (i > 0) + json.dumps(key) + ": ")
+            if isinstance(value, list):
+                fh.write("[")
+                fh.writelines(", " * (j > 0) + json.dumps(item) for j, item in enumerate(value))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
 
 
 def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], SurveillanceParseReport]:
@@ -334,15 +377,15 @@ def _multipolygon(parts) -> geometry.MultiPolygon:
     """GeoJSON polygon coordinates, one list of rings per part: shell, then holes."""
     if not (isinstance(parts, list) and parts and all(isinstance(r, list) and r for r in parts)):
         raise GeometryError("expected a non-empty list of polygons, each a non-empty list of rings")
-    return geometry.MultiPolygon(
-        tuple(
-            geometry.Polygon(
-                geometry.as_ring(rings[0]),
-                tuple(geometry.as_ring(r) for r in rings[1:]),
-            )
-            for rings in parts
-        )
-    )
+    return geometry.MultiPolygon(tuple(geometry.polygon(rings[0], rings[1:]).parts[0] for rings in parts))
+
+
+def geojson_polygon(geom: geometry.MultiPolygon) -> dict:
+    """The inverse of _multipolygon: a GeoJSON Polygon, or a MultiPolygon when geom has several parts."""
+    parts = [[ring.tolist() for ring in (part.shell, *part.holes)] for part in geom.parts]
+    if len(parts) == 1:
+        return {"type": "Polygon", "coordinates": parts[0]}
+    return {"type": "MultiPolygon", "coordinates": parts}
 
 
 def parse_district_geojson(path) -> list[AdminRegion]:
@@ -528,7 +571,7 @@ def _raise_bad_token(path, lines: list[str], data_start: int) -> None:
 
 def write_ascii_grid(grid: RasterGrid, path) -> None:
     """Serialize a grid; float values use repr so a round-trip is bit-identical."""
-    with atomic.replacing(path) as fh:
+    with _replacing(path) as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
         fh.write(f"xllcorner {grid.xll!r}\n")

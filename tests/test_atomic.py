@@ -52,3 +52,13 @@ def test_failed_write_keeps_previous_file(tmp_path, name):
     for path in paths:
         assert path.read_text() == f"previous {path.name}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.out", "second.out"]
+
+
+def test_failed_json_write_keeps_previous_file(tmp_path):
+    """write_json streams a document without indent, so it fails partway through its trees."""
+    path = tmp_path / "model.json"
+    path.write_text("previous model\n")
+    with pytest.raises(TypeError):
+        ingest.write_json(path, {"n_trees": 3, "trees": [{"leaf": True}, object(), {"leaf": True}]})
+    assert path.read_text() == "previous model\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -4,9 +4,11 @@ No epigrid module calls another's function through a name bound at import,
 which the traced run could not see, and the work counters read what they
 should from the objects the library returns."""
 
+import collections
 import importlib
 import importlib.util
 import pkgutil
+import shutil
 import sys
 from pathlib import Path
 
@@ -49,6 +51,29 @@ def test_no_call_is_bound_at_import(monkeypatch):
             importlib.import_module(f"epigrid.{info.name}")
     monkeypatch.setitem(sys.modules, "layers", LAYERS)  # the tracer imports it by that name
     assert _bench_module("tracer").uncovered() == []
+
+
+def test_forced_run_calls_every_traced_name(mini_world, tmp_path, monkeypatch):
+    """A traced name the pipeline no longer calls would read 0 s in every traced run."""
+    world = tmp_path / "world"
+    shutil.copytree(Path(mini_world).parent, world)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in LAYERS.TRACED:
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"epigrid.{module_name}")
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    cli = importlib.import_module("epigrid.cli")
+    assert cli.main(["run", "--config", str(world / "config.json"), "--stage", "all", "--force"]) == 0
+    assert len(LAYERS.TRACED) == 34
+    assert [name for name in sorted(LAYERS.TRACED) if calls[name] == 0] == []
 
 
 def test_edge_counter_counts_both_directions():

@@ -309,6 +309,16 @@ class TestFailures:
         assert (key or "--seed") in err["message"]
         assert not (world.parent / "out" / "panel.csv").exists()
 
+    def test_config_naming_a_key_twice_is_config_error(self, world, capsys):
+        edit_config(world, "learn", "n_trees", 50)
+        world.write_text(world.read_text().replace('"n_trees": 50', '"n_trees": 50, "n_trees": 3'))
+        assert run_cli(world, "--stage", "all") == 1
+        captured = capsys.readouterr()
+        assert "stage_start" not in captured.out
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError" and "an object names 'n_trees' twice" in err["message"]
+        assert not (world.parent / "out" / "panel.csv").exists()
+
     @pytest.mark.parametrize("text", [b'{"disease": "\xff"}', b"[" * 100_000], ids=["not_utf8", "nested"])
     def test_unreadable_config_is_config_error(self, world, capsys, text):
         world.write_bytes(text)
@@ -702,6 +712,29 @@ class TestLisaExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "adm_id,local_i,p_value,quadrant"
         assert len(lines) == 17
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "--config", "config.json", "--stage", "bogus"], 1),
+        (["run", "--config", "config.json", "--seed", "abc"], 1),
+        (["run"], 1),
+        ([], 1),
+        (["--help"], 0),
+    ],
+    ids=["unknown_stage", "seed_not_an_integer", "run_without_config", "no_command", "help"],
+)
+def test_usage_error_is_a_structured_report(tmp_path, argv, code):
+    proc = subprocess.run([sys.executable, "-m", "epigrid", *argv], capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout.startswith("usage: epigrid") and proc.stderr == ""
+    else:
+        assert proc.stdout == "" and "usage:" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert (error["stage"], error["type"]) == (None, "ConfigError") and "traceback" not in error
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -67,18 +68,18 @@ def test_table_scaler_no_leakage_and_no_refit():
     rng = np.random.default_rng(4)
     train = rng.normal(size=(50, 3)) * [1, 10, 100]
     test = rng.normal(size=(20, 3)) * [1, 10, 100]
-    scaler = features.TableScaler().fit(train)
+    scaler = features.TableScaler.fit(train)
     t1 = scaler.transform(test)
-    fresh = features.TableScaler().fit(train)
+    fresh = features.TableScaler.fit(train)
     assert np.array_equal(t1, fresh.transform(test))
-    with pytest.raises(EngineError, match="refit"):
-        scaler.fit(train)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scaler.params = features.TableScaler.fit(test).params
     roundtrip = features.TableScaler.from_dict(scaler.to_dict())
     assert np.array_equal(roundtrip.transform(test), t1)
 
 
 def test_table_scaler_is_robust_only():
-    doc = features.TableScaler().fit(np.arange(6.0).reshape(3, 2)).to_dict()
+    doc = features.TableScaler.fit(np.arange(6.0).reshape(3, 2)).to_dict()
     assert doc["kind"] == "robust"
     with pytest.raises(EngineError, match="minmax"):
         features.TableScaler.from_dict({**doc, "kind": "minmax"})
@@ -86,7 +87,7 @@ def test_table_scaler_is_robust_only():
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_table_scaler_rejects_another_width(width):
-    scaler = features.TableScaler().fit(np.arange(6.0).reshape(3, 2))
+    scaler = features.TableScaler.fit(np.arange(6.0).reshape(3, 2))
     with pytest.raises(SchemaMismatchError, match="fitted on 2 columns"):
         scaler.transform(np.zeros((4, width)))
 

@@ -243,17 +243,27 @@ def test_ragged_table_is_not_written(tmp_path, short, long):
     assert path.read_text() == "previous\n"
 
 
+def _opens_for_writing(node) -> bool:
+    """A call of the builtin open whose mode writes, appends or creates."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
 def test_csv_is_read_and_written_only_by_ingest():
-    """Every CSV artifact goes through write_table and read_table: no other
-    module imports csv or names ingest's integer column type."""
+    """Every file the pipeline writes goes through ingest: no other module
+    imports csv or atomic, names ingest's integer column type, opens a file
+    for writing or calls os.replace."""
     offenders = []
     for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             imported = [a.name for a in node.names] if isinstance(node, ast.Import) else []
             if isinstance(node, ast.ImportFrom):
-                imported = [node.module or ""]
-            if "csv" in imported or (isinstance(node, ast.Attribute) and node.attr == "int64"
-                                     and isinstance(node.value, ast.Name) and node.value.id == "ingest"):
+                imported = [node.module or "", *(a.name for a in node.names)]
+            if {"csv", "atomic"} & set(imported) or _opens_for_writing(node) or (
+                    isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in {("ingest", "int64"), ("os", "replace")}):
                 offenders.append(path.name)
     assert set(offenders) == {"ingest.py"}
 
@@ -282,6 +292,8 @@ class TestMalformedInputs:
             (ingest.parse_district_geojson, collection(district(1, {"type": "MultiPolygon", "coordinates": []})),
              "non-empty list of polygons"),
             (ingest.parse_district_geojson, "[" * 100_000, "invalid JSON"),
+            (ingest.parse_district_geojson, collection(district(1)).replace('"adm_id": 1', '"adm_id": 1, "adm_id": 2'),
+             "invalid JSON: an object names 'adm_id' twice"),
             (ingest.parse_water_geojson, collection(5), "feature 0 is not a JSON object"),
             (ingest.parse_water_geojson, collection(water("Point", [1, 2, 3])), r"\(x, y\) positions"),
             (ingest.parse_water_geojson, collection(water("Point", [float("nan"), 2])), "non-finite"),
