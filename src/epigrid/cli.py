@@ -725,10 +725,10 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
                 finally:
                     for warning in caught:
                         _emit_warning(st.name, str(warning.message), warning.category)
+                manifest.record(st.name, signature, inputs, params, outputs)
             except Exception as exc:
                 exc.stage = st.name  # surfaced in the structured error report
                 raise
-            manifest.record(st.name, signature, inputs, params, outputs)
             _emit({"event": "stage_end", "stage": st.name, "outputs": [p.name for p in outputs]})
     return 0
 
@@ -747,13 +747,12 @@ def main(argv=None) -> int:
     run_p.add_argument("--force", action="store_true", help="re-run even when the manifest matches")
     run_p.add_argument("--seed", type=int, default=None, help="override esda and learn seeds")
     run_p.add_argument("--threads", type=int, default=None)
-    args = argparse.Namespace(stage=None)  # what the report names until the arguments parse
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, seed_override=args.seed, threads_override=args.threads)
         return run(cfg, stage=args.stage, force=args.force)
     except Exception as exc:  # every failure ends as one structured report
-        error = {"stage": getattr(exc, "stage", args.stage), "type": type(exc).__name__, "message": str(exc)}
+        error = {"stage": getattr(exc, "stage", None), "type": type(exc).__name__, "message": str(exc)}
         if not isinstance(exc, EngineError):  # a defect, not bad input: keep where it came from
             error["traceback"] = traceback.format_exc()
         sys.stderr.write(json.dumps({"error": error}) + "\n")

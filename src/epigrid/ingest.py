@@ -8,20 +8,24 @@ columns and read back as a structured array whose dtype names and types the
 columns (int64 or float). read_json decodes every JSON file (config, GeoJSON,
 manifest, model), an object naming a key twice being a ParseError, write_json
 writes every JSON artifact, and geojson_polygon encodes what _multipolygon
-decodes. Every writer replaces its file atomically. Parsers are pure: they read
-one file and return immutable structures that are safe to share across threads.
-Text is UTF-8, after an optional byte-order mark. Malformed input, undecodable
-bytes included, raises a ParseError naming the file (a wrong artifact header a
-SchemaMismatchError); only a bad surveillance row is skipped and reported instead.
+decodes. Every writer replaces its file atomically, an OS error being a
+ConfigError naming the file. Parsers are pure: they read one file and return
+immutable structures that are safe to share across threads. Text is UTF-8, after
+an optional byte-order mark. Numbers in ASCII grids and CSV artifacts are read by
+numpy's C reader (_loadtxt); where it rejects the text, a Python path giving the
+same bits for all it accepts reads it and words every error. Malformed input,
+undecodable bytes included, raises a ParseError naming the file (a wrong artifact
+header a SchemaMismatchError); only a bad surveillance row is skipped and reported.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -29,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import EngineWarning, GeometryError, ParseError, SchemaMismatchError
+from .errors import ConfigError, EngineWarning, GeometryError, ParseError, SchemaMismatchError
 
 SURVEILLANCE_COLUMNS = (
     "year",
@@ -172,31 +176,53 @@ def int64(text: str) -> int:
     raise ValueError(f"{text} is outside the int64 range")
 
 
+def _loadtxt(lines, dtype, delimiter) -> np.ndarray:
+    """np.loadtxt (numpy's C reader) over lines of text, with no comment or quote character. It splits
+    as str.split() does when delimiter is None and accepts a subset of what float() and int64 accept
+    (not 1_0, non-ASCII digits or 1.0 as an int), with the same bits. The rest is a ValueError, and so
+    is a first line without data: loadtxt warns on an input without rows."""
+    lines = iter(lines)
+    first = next(lines, "")
+    if not first.strip():
+        raise ValueError("the first line holds no data")
+    return np.loadtxt(itertools.chain((first,), lines), dtype, delimiter=delimiter,
+                      comments=None, quotechar=None, ndmin=1)
+
+
 def read_table(path, dtype) -> np.ndarray:
-    """The non-blank rows after the header as a structured array of dtype, an
-    integer field read through int64 and any other through float(). A header other than dtype's
-    field names is a SchemaMismatchError. A row of another width or a value its
-    type rejects (ValueError) is a ParseError naming the file and line, and so is
-    a last row without a line end: write_table ends every row with one, so such a
-    file was cut short."""
+    """The non-blank rows after the header as a structured array of dtype, read by _loadtxt or, where it
+    raises, by _table_rows. A header other than dtype's field names is a SchemaMismatchError, and a last
+    row without a line end a ParseError: write_table ends every row with one, so the file was cut short."""
     dtype = np.dtype(dtype)
     header = list(dtype.names)
-    types = [int64 if dtype[name].kind == "i" else float for name in header]
-    rows = csv_rows(path)
-    found = next(rows, (1, None))[1]
-    if found != header:
-        raise SchemaMismatchError(f"{path}: expected the columns {header}, found {found}")
-    with open(path, "rb") as fh:
-        fh.seek(-1, 2)  # the header row is there, so the file is not empty
-        if fh.read(1) != b"\n":
-            raise ParseError(f"{path}: the last row has no line end; the file was cut short")
+    with closing(csv_rows(path)) as rows:
+        found = next(rows, (1, None))[1]
+        if found != header:
+            raise SchemaMismatchError(f"{path}: expected the columns {header}, found {found}")
+        with open(path, "rb") as fh:
+            fh.seek(-1, 2)  # the header row is there, so the file is not empty
+            if fh.read(1) != b"\n":
+                raise ParseError(f"{path}: the last row has no line end; the file was cut short")
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                fh.readline()  # the header row that csv_rows read
+                return _loadtxt(fh, dtype, ",")
+        except ValueError:  # undecodable bytes included
+            return _table_rows(path, rows, dtype)
+
+
+def _table_rows(path, rows, dtype) -> np.ndarray:
+    """read_table's Python path: rows, the (line, fields) after the header, as dtype, an integer field
+    read through int64 and any other through float(), skipping empty rows. A row of another width or a
+    value its type rejects (ValueError) is a ParseError naming the file and line."""
+    types = [int64 if dtype[name].kind == "i" else float for name in dtype.names]
 
     def records():
         for line, row in rows:
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+            if len(row) != len(types):
+                raise ParseError(f"{path}: line {line} has {len(row)} fields, expected {len(types)}")
             try:
                 yield tuple(map(_call, types, row))
             except ValueError as exc:
@@ -207,14 +233,17 @@ def read_table(path, dtype) -> np.ndarray:
 
 @contextmanager
 def _replacing(path, newline: str | None = None):
-    """Write a sibling temp file that replaces `path` only if the block succeeds."""
+    """Write a sibling temp file that replaces `path` only if the block succeeds; an OS error is a ConfigError."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+                yield fh
+            tmp.replace(path)
+        finally:  # on a read-only mount unlink fails with EROFS even where tmp does not exist
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path} cannot be written: {exc.strerror}") from None
 
 
 _WRITE_BLOCK = 1024  # rows that write_table holds as Python objects at once
@@ -505,8 +534,8 @@ _ASCII_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata
 def parse_ascii_grid(path) -> RasterGrid:
     """Read an ESRI ASCII grid; the first data row is the northernmost.
 
-    Every data token goes through float(), all at once; only when one fails
-    are the lines walked token by token to name its line and field.
+    The data lines are read by _loadtxt or, where it raises, by _float_tokens.
+    Rows may wrap across lines: only the cell count is checked.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -538,16 +567,12 @@ def parse_ascii_grid(path) -> RasterGrid:
     nrows = int(header["nrows"])
     if ncols <= 0 or nrows <= 0 or header["cellsize"] <= 0:
         raise ParseError(f"{path}: ncols, nrows, and cellsize must be positive")
-    tokens = " ".join(lines[data_start:]).split()
     try:
-        flat = np.fromiter(map(float, tokens), float, count=len(tokens))
+        values = _loadtxt(lines[data_start:], float, None)
     except ValueError:
-        _raise_bad_token(path, lines, data_start)
-        raise
-    if len(flat) != ncols * nrows:
-        raise ParseError(
-            f"{path}: expected {ncols * nrows} cells, found {len(flat)}"
-        )
+        values = _float_tokens(path, lines, data_start)
+    if values.size != ncols * nrows:
+        raise ParseError(f"{path}: expected {ncols * nrows} cells, found {values.size}")
     return RasterGrid(
         ncols=ncols,
         nrows=nrows,
@@ -555,18 +580,24 @@ def parse_ascii_grid(path) -> RasterGrid:
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
         nodata=header["nodata_value"],
-        values=flat.reshape(nrows, ncols),
+        values=values.reshape(nrows, ncols),
     )
 
 
-def _raise_bad_token(path, lines: list[str], data_start: int) -> None:
-    """ParseError naming the line and field of the first token float() rejects."""
-    for i, line in enumerate(lines[data_start:], start=data_start + 1):
-        for j, tok in enumerate(line.split(), start=1):
-            try:
-                float(tok)
-            except ValueError:
-                raise ParseError(f"{path}: unparsable token {tok!r} at line {i}, field {j}") from None
+def _float_tokens(path, lines: list[str], data_start: int) -> np.ndarray:
+    """parse_ascii_grid's Python path: every str.split() token from line data_start on through float();
+    only when one fails are the lines walked to raise the ParseError naming its line and field."""
+    tokens = " ".join(lines[data_start:]).split()
+    try:
+        return np.fromiter(map(float, tokens), float, count=len(tokens))
+    except ValueError:
+        for i, line in enumerate(lines[data_start:], start=data_start + 1):
+            for j, tok in enumerate(line.split(), start=1):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ParseError(f"{path}: unparsable token {tok!r} at line {i}, field {j}") from None
+        raise
 
 
 def write_ascii_grid(grid: RasterGrid, path) -> None:

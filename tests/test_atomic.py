@@ -1,9 +1,15 @@
 """A writer that fails partway leaves the previous file intact and no temp file."""
 
+import builtins
+import errno
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from epigrid import features, geo, ingest
+from epigrid.errors import ConfigError
 
 
 class Unprintable:
@@ -60,5 +66,29 @@ def test_failed_json_write_keeps_previous_file(tmp_path):
     path.write_text("previous model\n")
     with pytest.raises(TypeError):
         ingest.write_json(path, {"n_trees": 3, "trees": [{"leaf": True}, object(), {"leaf": True}]})
+    assert path.read_text() == "previous model\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_read_only_mount_is_a_config_error(tmp_path, monkeypatch):
+    """On a read-only mount the temp file's open fails, and so does the clean-up's unlink, with EROFS."""
+    path = tmp_path / "model.json"
+    path.write_text("previous model\n")
+    real_open = builtins.open
+
+    def read_only_open(file, *args, **kwargs):
+        if str(file) == f"{path}.tmp":
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(file))
+        return real_open(file, *args, **kwargs)
+
+    def read_only_unlink(self, missing_ok=False):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(self))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", read_only_open)
+        patch.setattr(Path, "unlink", read_only_unlink)
+        with pytest.raises(ConfigError) as info:
+            ingest.write_json(path, {"n_trees": 0})
+    assert str(info.value) == f"{path} cannot be written: Read-only file system"
     assert path.read_text() == "previous model\n"
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -269,6 +269,39 @@ class TestFailures:
         assert err["type"] == "ConfigError" and "traceback" not in err
         assert str(path) in err["message"] and reason in err["message"]
 
+    @pytest.mark.parametrize("name, stage", [("manifest.json", "ingest"), ("weights.csv", "weights"),
+                                             ("model.json", "train")])
+    def test_os_error_while_writing_is_config_error(self, world, capsys, monkeypatch, name, stage):
+        out = world.parent / "out"
+        assert run_cli(world, "--stage", "all") == 0
+        previous = (out / name).read_bytes()
+        real_open = builtins.open
+
+        def disk_full(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if str(file) == f"{out / name}.tmp":
+                def write(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                fh.write = write
+            return fh
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", disk_full)
+            assert run_cli(world, "--stage", "all", "--force") == 1
+        err = error_report(capsys)
+        assert (err["stage"], err["type"]) == (stage, "ConfigError") and "traceback" not in err
+        assert err["message"] == f"{out / name} cannot be written: No space left on device"
+        assert (out / name).read_bytes() == previous
+        assert not list(out.glob("*.tmp"))
+
+    def test_failure_before_any_stage_names_no_stage(self, tmp_path, capsys):
+        assert run_cli(tmp_path / "missing.json", "--stage", "esda") == 1
+        err = error_report(capsys)
+        assert (err["stage"], err["type"]) == (None, "ConfigError") and "traceback" not in err
+        assert "missing.json" in err["message"]
+
     def test_stale_upstream_is_dependency_error(self, world, capsys):
         assert run_cli(world, "--stage", "all") == 0
         edit_config(world, "panel", "n_weeks", 4)
@@ -779,6 +812,12 @@ class TestEvents:
         assert all(e["category"] == "EngineWarning" for e in warned)
         for path in out.iterdir():  # events go to stdout only
             assert b'"event"' not in path.read_bytes(), path.name
+
+    def test_empty_islands_table_adds_no_warning_event(self, world, capsys):
+        assert run_cli(world, "--stage", "all", "--force") == 0
+        assert (world.parent / "out" / "islands.csv").read_text() == "island\n"
+        warned = [(e["stage"], e["category"]) for e in self.events(capsys) if e["event"] == "warning"]
+        assert warned == [("features", "EngineWarning")]  # the district without a wealth point
 
     def test_a_failed_stage_reports_the_warnings_it_raised(self, world, capsys):
         # move D01 (adm_id 101) 10 degrees east, off every raster: its zonal means

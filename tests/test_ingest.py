@@ -2,6 +2,7 @@ import ast
 import codecs
 import dataclasses
 import json
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -227,6 +228,37 @@ def test_read_table_rejects(tmp_path, text, error, match):
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n"], ids=["header_only", "blank_line", "blank_lines"])
+def test_table_without_rows_is_empty_and_warns_nothing(tmp_path, body):
+    path = write(tmp_path, "islands.csv", "island\n" + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # as the stage runner records them
+        table = ingest.read_table(path, [("island", np.int64)])
+    assert table.dtype == np.dtype([("island", np.int64)]) and table.shape == (0,)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("space", ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+def test_fast_path_splits_grid_lines_on_str_split_whitespace(space):
+    assert ingest._loadtxt([f"1{space}2"], float, None).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("line", [" ", "\t", "\x0c"])
+def test_whitespace_only_table_line_is_a_width_error(tmp_path, line):
+    text = f"i,j,weight\n0,1,0.5\n{line}\n1,0,0.5\n"
+    dtype = np.dtype([("i", np.int64), ("j", np.int64), ("weight", float)])
+    with pytest.raises(ValueError):
+        ingest._loadtxt(text.split("\n")[1:], dtype, ",")
+    with pytest.raises(ParseError, match="line 3 has 1 fields, expected 3"):
+        ingest.read_table(write(tmp_path, "w.csv", text), dtype)
+
+
+@pytest.mark.parametrize("field, value", [("1_0", 10), ("١٢", 12), (" +7 ", 7)])
+def test_int_fields_loadtxt_rejects_are_read_as_int_reads_them(tmp_path, field, value):
+    path = write(tmp_path, "t.csv", f"i,x\n{field},0.5\n")
+    assert ingest.read_table(path, [("i", np.int64), ("x", float)]).tolist() == [(value, 0.5)]
+
+
 @pytest.mark.parametrize("n", [0, 1, ingest._WRITE_BLOCK, 2 * ingest._WRITE_BLOCK + 3])
 def test_table_round_trip_across_blocks(tmp_path, n):
     columns = {"i": np.arange(n) - 2**62, "x": np.linspace(-1.0, 1.0, n) / 3.0}
@@ -428,6 +460,26 @@ class TestAsciiGrid:
                 "1\x0c2\x853\u20284\r\n5 bad\n")
         with pytest.raises(ParseError, match="'bad' at line 8, field 2"):
             ingest.parse_ascii_grid(write(tmp_path, "g.asc", text))
+
+    HEADER_2X3 = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+    @pytest.mark.parametrize("body", ["1 2\n3 4\n5 6\n", "1 2 3 4 5 6\n", "\n1 2 3\n \n4 5 6\n", "1 2 3 4\n5 6\n"],
+                             ids=["evenly_wrapped", "one_line", "blank_lines", "ragged"])
+    def test_rows_may_wrap_across_lines(self, tmp_path, body):
+        grid = ingest.parse_ascii_grid(write(tmp_path, "g.asc", self.HEADER_2X3 + body))
+        assert grid.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("token", ["#", "#5", "5#"])
+    def test_hash_is_a_bad_token_not_a_comment(self, tmp_path, token):
+        body = f"1 2 3 {token}\n4 5 6 {token}\n"
+        with pytest.raises(ParseError, match=f"unparsable token '{token}' at line 7, field 4"):
+            ingest.parse_ascii_grid(write(tmp_path, "g.asc", self.HEADER_2X3 + body))
+
+    @pytest.mark.parametrize("body", ["-nan -0 -inf\nnan 1e400 -1e-400\n", "1_0 \u0661 \uff14\n-nan -0 -inf\n"],
+                             ids=["loadtxt_reads", "loadtxt_rejects"])
+    def test_values_are_float_of_each_token_bit_for_bit(self, tmp_path, body):
+        grid = ingest.parse_ascii_grid(write(tmp_path, "g.asc", self.HEADER_2X3 + body))
+        assert grid.values.tobytes() == np.array([float(t) for t in body.split()]).tobytes()
 
 
 class TestPointsCsv:
