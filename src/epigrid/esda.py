@@ -19,9 +19,13 @@ Pseudo p-values are (exceedances + 1) / (n_perm + 1), one-sided in the
 direction of departure, so 999 permutations floor p at exactly 0.001.
 
 Both tests work on the weights' edge arrays restricted to the non-island
-regions and renumbered 0..n_used-1; every lag, observed or permuted, is one
-geo.edge_lag call over those edges. A LISA draw permutes which value each
-edge reads: edge e, the t-th of its row, reads entry t of the draw.
+regions and renumbered 0..n_used-1. Every observed lag and every Moran draw's
+lag is one geo.edge_lag call over those edges. A LISA draw reads its lag from a
+slot table instead: the t-th edge of region i reads entry t of the draw, and
+W[t, i] holds that edge's weight (0 past region i's degree). Each lag adds the
+same products, in the same order and from the same +0.0, as geo.edge_lag
+would; a padded slot adds 0 * z = +-0.0 for a finite z, which leaves a sum
+that started at +0.0 as it was.
 """
 
 from __future__ import annotations
@@ -134,14 +138,23 @@ def lisa(
     local = z * lag_active / m2
 
     exceed = np.zeros(n, dtype=np.int64)
-    upper = local >= 0.0
+    # one-sided in the direction of departure; negating both sides is exact
+    sign = np.where(local >= 0.0, 1.0, -1.0)
+    bound = sign * local
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # rank within its row
+    table = np.zeros((slot.max() + 1, n))  # W[t, i]: weight of region i's t-th edge
+    table[slot, rows] = wa.weights
     for _ in range(n_perm):
-        pos = rng.permutation(n - 1)[slot]
-        drawn = pos + (pos >= rows)  # skip the held-out region itself
-        local_star = z * geo.edge_lag(wa, z[drawn]) / m2
-        exceed += np.where(upper, local_star >= local, local_star <= local)
+        head = rng.permutation(n - 1)[: len(table), None]
+        # slot t of regions 0..head[t] reads z[head[t] + 1], skipping the region
+        # itself, and of the other regions z[head[t]]: two runs per slot
+        cut = head + 1
+        values = np.repeat(z[np.hstack([cut, head])], np.hstack([cut, n - cut]).ravel())
+        # from +0.0, as geo.edge_lag starts each sum
+        lag = np.add.reduce(table * values.reshape(table.shape), axis=0, initial=0.0)
+        local_star = z * lag / m2
+        exceed += sign * local_star >= bound
     p_active = (exceed + 1) / (n_perm + 1)
 
     def full(values: np.ndarray, island_value: float) -> np.ndarray:

@@ -158,15 +158,25 @@ class FeatureTable:
 
 def points_to_district_values(points: PointValueSet, regions: list[AdminRegion]) -> np.ndarray:
     """Mean of points inside each district; empty districts fall back to the
-    point nearest the district centroid."""
+    point nearest the district centroid.
+
+    Each district tests only the points of its latitude band miny <= y < maxy,
+    in their original order. That is exact: the even-odd test counts an edge
+    only when (y1 > y) != (y2 > y), which no edge meets for a y below miny or
+    at or above maxy. No band is cut in longitude, since whether an edge's
+    crossing lies left of a point near the box edge depends on rounding."""
     if len(points) == 0:
         raise EngineError("point set is empty")
     coords = np.column_stack([points.lons, points.lats])
+    by_lat = np.argsort(points.lats, kind="stable")
+    lats = points.lats[by_lat]
     out = np.empty(len(regions))
     fallbacks = 0
     for i, region in enumerate(regions):
-        inside = geometry.contains_points(region.geometry, coords)
-        if np.any(inside):
+        _, miny, _, maxy = geometry.bounds(region.geometry)
+        band = np.sort(by_lat[slice(*np.searchsorted(lats, (miny, maxy)))])
+        inside = band[geometry.contains_points(region.geometry, coords[band])]
+        if len(inside):
             out[i] = float(points.values[inside].mean())
         else:
             cx, cy = geometry.centroid(region.geometry)

@@ -110,9 +110,9 @@ def build_contiguity_weights(
 
 
 def edge_lag(w: SpatialWeights, edge_values: np.ndarray) -> np.ndarray:
-    """Per region, the weighted sum of one value per edge (in edge order): the
-    spatial lag for x[w.cols], a permutation draw's lag for permuted values.
-    A region without an edge gets 0."""
+    """Per region, the weighted sum of one value per edge, added in edge order
+    from 0.0: the spatial lag for x[w.cols], and a Moran draw's lag for a
+    permuted x. A region without an edge gets 0."""
     return np.bincount(w.rows, weights=w.weights * edge_values, minlength=w.n)
 
 

@@ -163,7 +163,8 @@ def contains_points(geom: MultiPolygon, pts) -> np.ndarray:
         px = pts[rows, 0][:, None]
         py = pts[rows, 1][:, None]
         straddles = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # x_at is read only where the edge straddles py; elsewhere it may overflow or divide by 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
         crossings = (straddles & (px < x_at)).sum(axis=1)
         out[rows] = crossings % 2 == 1

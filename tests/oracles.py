@@ -338,6 +338,35 @@ def population_near_water_percell(grid, water, buffer_km, regions):
     return out
 
 
+# --- features ---------------------------------------------------------------
+
+
+def points_to_district_values_allpoints(points, regions) -> np.ndarray:
+    """features.points_to_district_values as it was before latitude banding:
+    every district tests every point."""
+    if len(points) == 0:
+        raise EngineError("point set is empty")
+    coords = np.column_stack([points.lons, points.lats])
+    out = np.empty(len(regions))
+    fallbacks = 0
+    for i, region in enumerate(regions):
+        inside = geometry.contains_points(region.geometry, coords)
+        if np.any(inside):
+            out[i] = float(points.values[inside].mean())
+        else:
+            cx, cy = geometry.centroid(region.geometry)
+            d2 = (points.lons - cx) ** 2 + (points.lats - cy) ** 2
+            out[i] = float(points.values[int(np.argmin(d2))])
+            fallbacks += 1
+    if fallbacks:
+        warnings.warn(
+            f"{fallbacks} districts contain no points; used the nearest point to each centroid",
+            EngineWarning,
+            stacklevel=2,
+        )
+    return out
+
+
 # --- metrics ----------------------------------------------------------------
 
 

@@ -119,6 +119,53 @@ def test_lisa_matches_naive_reimplementation():
     assert np.array_equal(result.p_value, p)
 
 
+def test_lisa_matches_naive_on_random_graphs():
+    """esda.lisa's slot table equals oracles.lisa_naive bit for bit on random
+    graphs: islands, drawn degrees 1-8, 2-40 usable regions, a hub next to
+    every other region (so the largest degree reaches n_used - 1), and values
+    with ties, exact zeros, -0.0 and a mean of exactly 0.0."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given
+    from hypothesis import strategies as st
+
+    small = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0])
+
+    @st.composite
+    def graph_and_values(draw):
+        n_used = draw(st.integers(2, 40))
+        n = n_used + draw(st.integers(0, 3))
+        label = draw(st.permutations(range(n)))  # islands take the last labels
+        pairs = []
+        for i in range(n_used):
+            others = [j for j in range(n_used) if j != i]
+            k = draw(st.integers(1, min(8, n_used - 1)))
+            pairs += [(label[i], label[j]) for j in draw(st.permutations(others))[:k]]
+        if draw(st.booleans()):
+            pairs += [(label[0], label[j]) for j in range(1, n_used)]
+        if draw(st.booleans()):  # a mean of exactly 0.0: small values and their negatives
+            half = draw(st.lists(small, min_size=n_used // 2, max_size=n_used // 2))
+            used = half + [-v for v in half] + [-0.0] * (n_used % 2)
+            used = draw(st.permutations(used))
+        else:
+            used = draw(st.lists(st.one_of(small, st.floats(-1e3, 1e3)), min_size=n_used, max_size=n_used))
+        assume(len(set(used)) > 1)  # -0.0 == 0.0, so a field of both is constant
+        x = np.zeros(n)
+        x[list(label[:n_used])] = used
+        x[list(label[n_used:])] = 7.0
+        return geo.from_adjacency(n, pairs), x
+
+    @given(graph_and_values(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def check(case, n_perm, seed):
+        w, x = case
+        result = esda.lisa(x, w, n_perm=n_perm, seed=seed)
+        local, p = oracles.lisa_naive(x, w, n_perm=n_perm, seed=seed)
+        active = np.flatnonzero(w.degrees)
+        assert result.local_i[active].tobytes() == local.tobytes()
+        assert result.p_value[active].tobytes() == p.tobytes()
+
+    check()
+
+
 def test_global_p_value_matches_naive_loop():
     for trial in range(4):
         rng = np.random.default_rng(600 + trial)

@@ -27,6 +27,15 @@ segment = st.tuples(coord, coord, coord, coord)
 segments = st.lists(segment, min_size=1, max_size=6).map(lambda s: np.array(s, dtype=float))
 tolerance = st.sampled_from([0.0, 1e-9, 0.1, 0.5])
 along = st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+ring = st.lists(point, min_size=3, max_size=6).map(lambda v: geometry.as_ring(v + v[:1]))
+
+
+@st.composite
+def polygons_with_holes(draw):
+    """One or two parts, each any closed shell (self-crossing too) with up to
+    two holes anywhere, inside the shell or not."""
+    parts = draw(st.lists(st.tuples(ring, st.lists(ring, max_size=2)), min_size=1, max_size=2))
+    return geometry.MultiPolygon(tuple(geometry.Polygon(shell, tuple(holes)) for shell, holes in parts))
 
 
 @st.composite
@@ -50,6 +59,19 @@ def test_contains_points_matches_point_in_geom(vertices, pts):
     geom = geometry.polygon(vertices + vertices[:1])  # any closed ring, self-crossing too
     got = geometry.contains_points(geom, pts).tolist()
     assert got == [oracles.point_in_geom(geom, x, y) for x, y in pts]
+
+
+@given(polygons_with_holes(), st.lists(point, min_size=1, max_size=8))
+def test_contains_points_is_false_outside_the_latitude_band(geom, pts):
+    """No point below miny or at or above maxy of the bounds is inside: no
+    edge straddles its y. features.points_to_district_values rests on this."""
+    _, miny, _, maxy = geometry.bounds(geom)
+    xs = [x for x, _ in pts] + geometry.vertices(geom)[:, 0].tolist()
+    ys = [y for _, y in pts] + [miny, maxy, np.nextafter(miny, -np.inf), np.nextafter(maxy, np.inf)]
+    probe = np.array([(x, y) for x in xs for y in ys])
+    outside = (probe[:, 1] < miny) | (probe[:, 1] >= maxy)
+    assert outside.any()
+    assert not geometry.contains_points(geom, probe)[outside].any()
 
 
 @given(st.lists(point, min_size=1, max_size=8), segments)
