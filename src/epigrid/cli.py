@@ -25,6 +25,16 @@ against the config file's directory. Log lines on stdout are JSON events; every
 failure, usage errors too, is one JSON report on stderr. Artifacts carry no
 timestamps, so a run is reproducible bit-for-bit from config + inputs + seeds.
 
+One Run per invocation holds the config, the output directory, the manifest document
+and the digest table, and every stage takes it. Run.load memoizes a parse under the
+file's path and digest; before a stage starts, the Run drops the parses of files the
+stage does not read. So consecutive readers of a file share one parse (districts.geojson:
+weights, esda, features; panel.csv: esda, features; features.csv: train, importance),
+and a warning that the parse raises is reported under the first reader only. Ingest
+parses its own districts: kept across the per-row records it builds, a shared parse
+raised the peak RSS of a forced run on the many-regions bench world by 1-2 MB. No
+raster goes through load, which would hold every weekly grid until the stage ends.
+
 One run at a time owns an output directory: it holds an exclusive flock on
 out/.lock, and a second run fails with a LockError. The kernel releases the
 lock when its holder exits, however it exits, so a killed run never wedges
@@ -272,13 +282,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-class Manifest:
-    """What each stage recorded in manifest.json, and this run's digest table."""
+class Run:
+    """One invocation: its config, output directory, manifest document and digest table,
+    and the parses that its stages share."""
 
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
-        self.path = outdir / "manifest.json"
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg, self.out = cfg, cfg.output_dir
+        self.path = self.out / "manifest.json"
         self.digests: dict[Path, str] = {}  # hashed once per run; record() refreshes what a stage writes
+        self.parsed: dict[tuple[Path, str], Any] = {}  # (path, digest) -> parse(path)
         self.doc = {"version": __version__, "stages": {}}
         if self.path.exists():
             try:
@@ -302,6 +314,13 @@ class Manifest:
                 raise ConfigError(f"{path} cannot be read: {exc.strerror}") from None
         return self.digests[path]
 
+    def load(self, path: Path, parse: Callable[[Path], Any]) -> Any:
+        """parse(path), parsed once for every stage of this run that loads these bytes."""
+        key = (path, self.digest(path))
+        if key not in self.parsed:
+            self.parsed[key] = parse(path)
+        return self.parsed[key]
+
     def vouches(self, stage: str, signature: str, names=None) -> bool:
         """Whether `stage` recorded `names` (default: all of its outputs) under `signature`
         and each of those files on disk still has its recorded digest."""
@@ -312,20 +331,17 @@ class Manifest:
         if not isinstance(outputs, dict) or not outputs:
             return False
         for name in outputs if names is None else names:
-            path = self.outdir / name
+            path = self.out / name
             if name not in outputs or not path.exists() or self.digest(path) != outputs[name]:
                 return False
         return True
 
     def record(self, stage: str, signature: str, inputs: dict, params: dict, outputs: list[Path]) -> None:
-        self.digests.update((p, _sha256(p)) for p in outputs)
+        for path in outputs:  # rewritten by the stage
+            self.digests.pop(path, None)
         self.doc["version"] = __version__
-        self.doc["stages"][stage] = {
-            "signature": signature,
-            "inputs": inputs,
-            "params": params,
-            "outputs": {p.name: self.digests[p] for p in outputs},
-        }
+        self.doc["stages"][stage] = {"signature": signature, "inputs": inputs, "params": params,
+                                     "outputs": {p.name: self.digest(p) for p in outputs}}
         ingest.write_json(self.path, self.doc, indent=2, sort_keys=True)
 
 
@@ -419,63 +435,57 @@ def _panel_keys(adm_ids, n_weeks: int) -> dict:
     return {"adm_id": np.repeat(adm_ids, n_weeks), "week": np.tile(np.arange(1, n_weeks + 1), len(adm_ids))}
 
 
-def _load_panel(cfg: PipelineConfig, out: Path):
-    """The districts, and the panel that panel.csv holds with its districts in region order."""
-    districts = ingest.parse_district_geojson(cfg.districts_geojson)
+def _load_panel(run: Run):
+    """The districts, and the panel that panel.csv holds with its districts in region order,
+    its counts read-only."""
+    cfg = run.cfg
+    districts = run.load(cfg.districts_geojson, ingest.parse_district_geojson)
     adm_ids = tuple(r.adm_id for r in districts)
-    path = out / "panel.csv"
-    rows = ingest.read_table(path, [("adm_id", np.int64), ("week", np.int64), ("cases", np.int64)])
-    if not all(np.array_equal(rows[name], keys) for name, keys in _panel_keys(adm_ids, cfg.n_weeks).items()):
-        raise ParseError(f"{path}: expected weeks 1..{cfg.n_weeks} of every district in {cfg.districts_geojson}")
-    counts = rows["cases"].reshape(len(adm_ids), cfg.n_weeks)
-    panel = ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, adm_ids, counts)
-    return districts, panel
+
+    def parse(path: Path) -> ingest.SurveillancePanel:
+        rows = ingest.read_table(path, [("adm_id", np.int64), ("week", np.int64), ("cases", np.int64)])
+        if not all(np.array_equal(rows[name], keys) for name, keys in _panel_keys(adm_ids, cfg.n_weeks).items()):
+            raise ParseError(f"{path}: expected weeks 1..{cfg.n_weeks} of every district in {cfg.districts_geojson}")
+        counts = rows["cases"].reshape(len(adm_ids), cfg.n_weeks)
+        counts.flags.writeable = False
+        return ingest.SurveillancePanel(cfg.disease, cfg.panel_start, cfg.n_weeks, adm_ids, counts)
+
+    return districts, run.load(run.out / "panel.csv", parse)
 
 
-def _stage_ingest(cfg: PipelineConfig, out: Path) -> list[Path]:
+def _stage_ingest(run: Run) -> list[Path]:
+    cfg = run.cfg
     records, report = ingest.parse_surveillance_csv(cfg.surveillance_csv)
     if report.row_errors:
-        _emit(
-            {
-                "event": "rows_rejected",
-                "stage": "ingest",
-                "count": len(report.row_errors),
-                "rows": [{"line": e.line, "reason": e.message} for e in report.row_errors],
-            }
-        )
+        _emit({"event": "rows_rejected", "stage": "ingest", "count": len(report.row_errors),
+               "rows": [{"line": e.line, "reason": e.message} for e in report.row_errors]})
+    # not run.load: kept across the records above, a shared parse raises peak RSS (module doc)
     districts = ingest.parse_district_geojson(cfg.districts_geojson)
-    panel, panel_report = ingest.build_panel(
-        records, districts, cfg.panel_start, cfg.n_weeks, cfg.disease
-    )
+    panel, panel_report = ingest.build_panel(records, districts, cfg.panel_start, cfg.n_weeks, cfg.disease)
     if panel_report.unmatched_names:
-        _emit(
-            {
-                "event": "unmatched_districts",
-                "stage": "ingest",
-                "names": sorted(",".join(k) for k in panel_report.unmatched_names),
-            }
-        )
-    target = out / "panel.csv"
+        _emit({"event": "unmatched_districts", "stage": "ingest",
+               "names": sorted(",".join(k) for k in panel_report.unmatched_names)})
+    target = run.out / "panel.csv"
     ingest.write_table(target, {**_panel_keys(panel.districts, panel.n_weeks), "cases": panel.counts.reshape(-1)})
     return [target]
 
 
-def _stage_weights(cfg: PipelineConfig, out: Path) -> list[Path]:
-    districts = ingest.parse_district_geojson(cfg.districts_geojson)
+def _stage_weights(run: Run) -> list[Path]:
+    cfg = run.cfg
+    districts = run.load(cfg.districts_geojson, ingest.parse_district_geojson)
     w = geo.build_contiguity_weights(districts, kind=cfg.weights_kind, tolerance=cfg.weights_tolerance)
-    edges, islands = out / "weights.csv", out / "islands.csv"
+    edges, islands = run.out / "weights.csv", run.out / "islands.csv"
     geo.write_weights_csv(w, edges, islands)
     return [edges, islands]
 
 
-def _stage_esda(cfg: PipelineConfig, out: Path) -> list[Path]:
-    districts, panel = _load_panel(cfg, out)
+def _stage_esda(run: Run) -> list[Path]:
+    cfg, out = run.cfg, run.out
+    districts, panel = _load_panel(run)
     totals = panel.counts.sum(axis=1).astype(float)
     w = geo.read_weights_csv(out / "weights.csv", out / "islands.csv", len(districts))
     moran = esda.morans_i(totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed)
-    lisa_result = esda.lisa(
-        totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed, alpha=cfg.esda_alpha
-    )
+    lisa_result = esda.lisa(totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed, alpha=cfg.esda_alpha)
     moran_path = out / "moran.json"
     ingest.write_json(moran_path, {"disease": cfg.disease, **asdict(moran), "seed": cfg.esda_seed}, indent=2)
     geojson_path = out / "lisa.geojson"
@@ -485,9 +495,9 @@ def _stage_esda(cfg: PipelineConfig, out: Path) -> list[Path]:
     return [moran_path, geojson_path, csv_path]
 
 
-def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
-    districts, panel = _load_panel(cfg, out)
-
+def _stage_features(run: Run) -> list[Path]:
+    cfg, out = run.cfg, run.out
+    districts, panel = _load_panel(run)
     elevation_grid = ingest.parse_ascii_grid(cfg.rasters["elevation"])
     population_grid = ingest.parse_ascii_grid(cfg.rasters["population"])
     landcover_grid = ingest.parse_ascii_grid(cfg.rasters["landcover"])
@@ -522,9 +532,7 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     codes = cfg.landcover_codes
     counts, fractions = raster.tabulate_area(landcover_grid, zones(landcover_grid), list(codes.values()))
-    class_pop = raster.class_population(
-        landcover_grid, population_grid, pop_zones, list(codes.values())
-    )
+    class_pop = raster.class_population(landcover_grid, population_grid, pop_zones, list(codes.values()))
     composites: dict[str, features.DistrictDataset] = {}
     composite_params: dict[str, dict] = {}
     for cls_name, code in codes.items():
@@ -532,9 +540,7 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
         composites[cls_name] = features.DistrictDataset(composite)
         composite_params[cls_name] = {part: asdict(p) for part, p in params.items()}
 
-    wealth = features.points_to_district_values(
-        ingest.parse_points_csv(cfg.wealth_points_csv), districts
-    )
+    wealth = features.points_to_district_values(ingest.parse_points_csv(cfg.wealth_points_csv), districts)
 
     def weekly_dataset(role: str, agg: str) -> features.DistrictDataset:
         cols = [mean(ingest.parse_ascii_grid(f)) for f in _raster_files(cfg.rasters[role])]
@@ -579,23 +585,17 @@ def _stage_features(cfg: PipelineConfig, out: Path) -> list[Path]:
     return [table_path, meta_path, *outputs]
 
 
-def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
-    table = features.read_feature_csv(out / "features.csv")
-    spec = learn.SplitSpec(
-        test_fraction=cfg.test_fraction, seed=cfg.learn_seed, stratify=cfg.stratify
-    )
+def _stage_train(run: Run) -> list[Path]:
+    cfg, out = run.cfg, run.out
+    table = run.load(out / "features.csv", features.read_feature_csv)
+    spec = learn.SplitSpec(test_fraction=cfg.test_fraction, seed=cfg.learn_seed, stratify=cfg.stratify)
     train, test = learn.random_split(table, spec)
     scaler = features.TableScaler.fit(train.X)
     train, test = train.with_X(scaler.transform(train.X)), test.with_X(scaler.transform(test.X))
     model = learn.train_forest(
         learn.resample(train, method=cfg.resample_method, seed=cfg.learn_seed, k=cfg.smote_k),
-        criterion=cfg.criterion,
-        n_trees=cfg.n_trees,
-        max_depth=cfg.max_depth,
-        min_leaf=cfg.min_leaf,
-        features_per_split=cfg.features_per_split,
-        seed=cfg.learn_seed,
-        n_threads=cfg.threads,
+        criterion=cfg.criterion, n_trees=cfg.n_trees, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
+        features_per_split=cfg.features_per_split, seed=cfg.learn_seed, n_threads=cfg.threads,
     )
     labels, scores = learn.predict(model, test)
     report = learn.evaluate(test.labels, labels, scores)
@@ -616,7 +616,8 @@ def _stage_train(cfg: PipelineConfig, out: Path) -> list[Path]:
     return [model_path, metrics_path, metrics_csv]
 
 
-def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
+def _stage_importance(run: Run) -> list[Path]:
+    cfg, out = run.cfg, run.out
     model_path = out / "model.json"
     model_doc = ingest.read_json(model_path)
     try:
@@ -627,26 +628,16 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
             raise ValueError(f"{len(scaler.params)} scaler columns for {len(model.feature_names)} features")
     except (AttributeError, KeyError, TypeError, ValueError, EngineError) as exc:
         raise ParseError(f"{model_path}: not a model document: {type(exc).__name__}: {exc}") from None
-    table = features.read_feature_csv(out / "features.csv")
+    table = run.load(out / "features.csv", features.read_feature_csv)
     _, test = learn.random_split(table, split)
     test = test.with_X(scaler.transform(test.X))
-    entries = learn.permutation_importance(
-        model, test, n_repeats=cfg.importance_repeats, seed=cfg.learn_seed
-    )
+    entries = learn.permutation_importance(model, test, n_repeats=cfg.importance_repeats, seed=cfg.learn_seed)
     csv_path = out / "importance.csv"
     columns = ("feature", "importance", "std")
     ingest.write_table(csv_path, {name: [getattr(e, name) for e in entries] for name in columns})
     json_path = out / "importance.json"
-    ingest.write_json(
-        json_path,
-        {
-            "disease": cfg.disease,
-            "metric": "f1",
-            "n_repeats": cfg.importance_repeats,
-            "ranking": [asdict(e) for e in entries],
-        },
-        indent=2,
-    )
+    ingest.write_json(json_path, {"disease": cfg.disease, "metric": "f1", "n_repeats": cfg.importance_repeats,
+                                  "ranking": [asdict(e) for e in entries]}, indent=2)
     return [csv_path, json_path]
 
 
@@ -657,7 +648,7 @@ def _stage_importance(cfg: PipelineConfig, out: Path) -> list[Path]:
 @dataclass(frozen=True)
 class Stage:
     name: str
-    run: Callable[[PipelineConfig, Path], list[Path]]
+    run: Callable[[Run], list[Path]]
     upstream: dict[str, tuple[str, ...]]  # upstream stage -> the artifacts of it this stage reads
 
 
@@ -672,19 +663,25 @@ PIPELINE = (
 STAGES = tuple(s.name for s in PIPELINE)
 
 
-def _current(stage: Stage, cfg: PipelineConfig, out: Path, manifest: Manifest) -> tuple[dict, dict, str]:
-    """Input digests, params and signature of a stage as it would run now. An upstream
-    artifact is keyed by its name, a config input by its path from the config's directory."""
-    inputs = {name: manifest.digest(out / name) for names in stage.upstream.values() for name in names}
+def _reads(stage: Stage, cfg: PipelineConfig) -> dict[str, Path]:
+    """The files a stage reads, by manifest key: an upstream artifact by its name, a config
+    input by its path from the config's directory."""
+    paths = {name: cfg.output_dir / name for names in stage.upstream.values() for name in names}
+    for f in CONFIG_FIELDS:
+        if stage.name in f.stages and f.param is None:
+            value = getattr(cfg, f.attr)
+            for path in value.values() if isinstance(value, dict) else [value]:
+                paths[os.path.relpath(path, cfg.config_dir)] = path
+    return paths
+
+
+def _current(stage: Stage, run: Run) -> tuple[dict, dict, str]:
+    """Input digests, params and signature of a stage as it would run now."""
+    inputs = {name: run.digest(path) for name, path in _reads(stage, run.cfg).items()}
     params = {}
     for f in CONFIG_FIELDS:
-        if stage.name not in f.stages:
-            continue
-        value = getattr(cfg, f.attr)
-        if f.param is None:
-            for path in value.values() if isinstance(value, dict) else [value]:
-                inputs[os.path.relpath(path, cfg.config_dir)] = manifest.digest(path)
-        else:
+        if stage.name in f.stages and f.param is not None:
+            value = getattr(run.cfg, f.attr)
             params[f.param] = value.isoformat() if isinstance(value, date) else value
     doc = json.dumps({"inputs": inputs, "params": params}, sort_keys=True)
     return inputs, params, hashlib.sha256(doc.encode()).hexdigest()
@@ -700,32 +697,34 @@ def run(cfg: PipelineConfig, stage: str = "all", force: bool = False) -> int:
     except OSError as exc:
         raise ConfigError(f"output_dir {out} cannot be made a directory: {exc.strerror}") from None
     with _Lock(out):
-        manifest = Manifest(out)
+        job = Run(cfg)
         for st in PIPELINE:
             if stage not in ("all", st.name):
                 continue
             try:
                 for up, names in st.upstream.items():
-                    up_signature = _current(next(s for s in PIPELINE if s.name == up), cfg, out, manifest)[2]
+                    up_signature = _current(next(s for s in PIPELINE if s.name == up), job)[2]
                     for name in names:
-                        if not manifest.vouches(up, up_signature, [name]):
+                        if not job.vouches(up, up_signature, [name]):
                             raise DependencyError(
                                 f"the manifest does not vouch for {out / name}: it is missing, has changed "
                                 f"or was made for another config; run the {up!r} stage first"
                             )
-                inputs, params, signature = _current(st, cfg, out, manifest)
-                if not force and manifest.vouches(st.name, signature):
+                inputs, params, signature = _current(st, job)
+                if not force and job.vouches(st.name, signature):
                     _emit({"event": "stage_skip", "stage": st.name, "reason": "signature match"})
                     continue
+                reads = _reads(st, cfg).values()  # so a parse lives from its first reader to its last
+                job.parsed = {key: parse for key, parse in job.parsed.items() if key[0] in reads}
                 _emit({"event": "stage_start", "stage": st.name})
                 try:  # a failed stage still reports the warnings that may explain it
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        outputs = st.run(cfg, out)
+                        outputs = st.run(job)
                 finally:
                     for warning in caught:
                         _emit_warning(st.name, str(warning.message), warning.category)
-                manifest.record(st.name, signature, inputs, params, outputs)
+                job.record(st.name, signature, inputs, params, outputs)
             except Exception as exc:
                 exc.stage = st.name  # surfaced in the structured error report
                 raise

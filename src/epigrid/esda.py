@@ -63,6 +63,8 @@ def _active_subgraph(x, w: geo.SpatialWeights):
     x = np.asarray(x, dtype=float)
     if x.shape != (w.n,):
         raise EngineError(f"vector length {x.shape} does not match weights n={w.n}")
+    if not np.isfinite(x).all():
+        raise EngineError("analysis vector holds NaN or infinite values")
     active = np.flatnonzero(w.degrees)
     n_used = len(active)
     if n_used < 2:

@@ -265,7 +265,7 @@ def write_feature_csv(table: FeatureTable, path) -> None:
 def read_feature_csv(path) -> FeatureTable:
     rows = ingest.read_table(path, CSV_DTYPE)
     X = np.column_stack([rows[name] for name in FEATURE_NAMES])
-    return FeatureTable(
+    table = FeatureTable(
         adm_ids=rows["adm_id"].copy(),  # contiguous copies, not strided views of rows
         weeks=X[:, 0].astype(np.int64),
         X=X,
@@ -273,3 +273,6 @@ def read_feature_csv(path) -> FeatureTable:
         cases=rows["cases"].copy(),
         labels=rows["label"].copy(),
     )
+    for array in (table.adm_ids, table.weeks, table.X, table.cases, table.labels):
+        array.flags.writeable = False  # shared by the stages of a run
+    return table

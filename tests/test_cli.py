@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epigrid import cli, esda, geo, ingest, raster
+from epigrid import cli, esda, features, geo, ingest, raster
 from epigrid.errors import ConfigError, DependencyError, LockError
 
 from conftest import grid_regions
@@ -223,7 +223,7 @@ class TestFailures:
         assert run_cli(world, "--stage", "ingest") == 0
 
     def test_unexpected_stage_exception_is_structured_report(self, world, capsys, monkeypatch):
-        def boom(cfg, out):
+        def boom(run):
             raise RuntimeError("disk on fire")
 
         pipeline = tuple(
@@ -235,6 +235,20 @@ class TestFailures:
         assert (err["stage"], err["type"], err["message"]) == ("weights", "RuntimeError", "disk on fire")
         assert "boom" in err["traceback"]
         assert not (world.parent / "out" / ".lock").exists()
+
+    def test_unhashable_output_is_config_error_naming_path_and_stage(self, world, capsys, monkeypatch):
+        sha256, target = cli._sha256, world.parent / "out" / "weights.csv"
+
+        def denied(path):  # the weights stage has just written target
+            if path == target:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "_sha256", denied)
+        assert run_cli(world, "--stage", "all") == 1
+        err = error_report(capsys)
+        assert (err["stage"], err["type"]) == ("weights", "ConfigError")
+        assert str(target) in err["message"] and "traceback" not in err
 
     def test_truncated_manifest_reruns_every_stage(self, world, capsys):
         out = world.parent / "out"
@@ -664,6 +678,61 @@ class TestManifestTrust:
             assert max(hashed.values()) == 1, hashed.most_common(3)
         events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [e["stage"] for e in events if e["event"] == "stage_skip"] == list(cli.STAGES)
+
+
+class TestSharedParses:
+    """Stages that read a file one after another share one parse of it."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """(function, file name) -> calls, for the parses that stages share."""
+        calls = collections.Counter()
+        for module, name in ((ingest, "parse_district_geojson"), (ingest, "read_table"),
+                             (features, "read_feature_csv")):
+            def counting(path, *args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name, Path(path).name] += 1
+                return _fn(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_a_forced_run_parses_each_shared_file_once(self, world, parses):
+        assert run_cli(world, "--stage", "all", "--force") == 0
+        # ingest parses its own districts; weights, esda and features share one parse
+        assert parses["parse_district_geojson", "districts.geojson"] == 2
+        assert parses["read_table", "panel.csv"] == 1
+        assert parses["read_feature_csv", "features.csv"] == 1
+
+    def test_a_parse_lives_from_its_first_reader_to_its_last(self, world, monkeypatch):
+        held = {}
+
+        def spy(stage):
+            def run(job):
+                held[stage.name] = sorted(path.name for path, _ in job.parsed)
+                return stage.run(job)
+
+            return dataclasses.replace(stage, run=run)
+
+        monkeypatch.setattr(cli, "PIPELINE", tuple(map(spy, cli.PIPELINE)))
+        assert run_cli(world, "--stage", "all", "--force") == 0
+        assert held == {"ingest": [], "weights": [], "esda": ["districts.geojson"],
+                        "features": ["districts.geojson", "panel.csv"], "train": [], "importance": ["features.csv"]}
+
+    def test_a_stage_run_alone_parses_from_disk(self, world, parses):
+        assert run_cli(world, "--stage", "all") == 0
+        for stage in ("train", "importance"):
+            parses.clear()
+            assert run_cli(world, "--stage", stage, "--force") == 0
+            assert parses["read_feature_csv", "features.csv"] == 1
+
+    def test_shared_parses_are_read_only(self, world):
+        assert run_cli(world, "--stage", "all") == 0
+        run = cli.Run(cli.load_config(world))
+        _, panel = cli._load_panel(run)
+        table = run.load(run.out / "features.csv", features.read_feature_csv)
+        for array in (panel.counts, table.adm_ids, table.weeks, table.X, table.cases, table.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestZoneIndexPerGrid:

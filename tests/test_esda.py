@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epigrid import esda, geo
-from epigrid.errors import ConstantFieldError, InsufficientRegionsError
+from epigrid.errors import ConstantFieldError, EngineError, InsufficientRegionsError
 
 import oracles
 from conftest import grid_regions, jittered_grid_regions, square_region
@@ -54,6 +54,14 @@ def test_constant_field_raises():
         esda.morans_i(np.full(9, 3.3), w, n_perm=9, seed=0)
     with pytest.raises(ConstantFieldError):
         esda.lisa(np.full(9, 3.3), w, n_perm=9, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("test", [esda.morans_i, esda.lisa])
+def test_non_finite_value_raises(test, bad):
+    w = geo.build_contiguity_weights(grid_regions(4, 1), kind="rook")
+    with pytest.raises(EngineError, match="NaN or infinite"):
+        test([1.0, 2.0, bad, 4.0], w, n_perm=99, seed=0)
 
 
 def test_insufficient_regions_raises():
