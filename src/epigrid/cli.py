@@ -482,7 +482,11 @@ def _stage_weights(run: Run) -> list[Path]:
 def _stage_esda(run: Run) -> list[Path]:
     cfg, out = run.cfg, run.out
     districts, panel = _load_panel(run)
-    totals = panel.counts.sum(axis=1).astype(float)
+    exact = [sum(row) for row in panel.counts.tolist()]  # an int64 sum would wrap without a warning
+    over = [adm_id for adm_id, total in zip(panel.districts, exact) if not -(2**63) <= total < 2**63]
+    if over:
+        raise EngineError(f"case totals of adm_ids {over} pass the int64 range [-2**63, 2**63)")
+    totals = np.array(exact, dtype=np.int64).astype(float)
     w = geo.read_weights_csv(out / "weights.csv", out / "islands.csv", len(districts))
     moran = esda.morans_i(totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed)
     lisa_result = esda.lisa(totals, w, n_perm=cfg.esda_n_perm, seed=cfg.esda_seed, alpha=cfg.esda_alpha)

@@ -663,7 +663,8 @@ def build_panel(
     Every (district, week) cell absent from the records holds zero cases.
     Records whose names match no district are collected in the report and
     dropped; records outside [start, start + 7*n_weeks) are dropped with a
-    warning. Records that land in the same serial week accumulate.
+    warning. Records that land in the same serial week accumulate; a sum past
+    2**63 - 1 is a ParseError.
     """
     if not districts:
         raise ParseError("district list is empty")
@@ -694,7 +695,10 @@ def build_panel(
         if w < 1 or w > n_weeks:
             report.dropped_out_of_range += 1
             continue
-        counts[idx, w - 1] += rec.cases
+        cell = int(counts[idx, w - 1]) + rec.cases  # in Python ints: an int64 add wraps
+        if cell >= 2**63:
+            raise ParseError(f"cases of adm_id {districts[idx].adm_id} in panel week {w} sum past 2**63 - 1")
+        counts[idx, w - 1] = cell
         report.matched_rows += 1
     if report.dropped_out_of_range:
         warnings.warn(

@@ -173,11 +173,7 @@ def _preorder(root, expand) -> Tree:
     expanded, and a split's whole left subtree is numbered before its right
     child, so the root is node 0 and every left child is its parent + 1.
     """
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    proba1: list[float] = []
+    feature, threshold, left, right, proba1 = [], [], [], [], []  # per node
     stack = [(root, -1, False)]
     while stack:
         item, parent, is_right = stack.pop()
@@ -236,12 +232,7 @@ def _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q) -> Tree
         yb = y[idx]
         m = len(idx)
         pos = int(yb.sum())
-        if (
-            pos == 0
-            or pos == m
-            or (max_depth is not None and depth >= max_depth)
-            or m < 2 * min_leaf
-        ):
+        if pos == 0 or pos == m or (max_depth is not None and depth >= max_depth) or m < 2 * min_leaf:
             return pos / m, None
         parent_imp = float(impurity(np.array(pos), m))
         feats = rng.permutation(p)[:q]
@@ -345,8 +336,11 @@ def train_forest(
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
         return _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q)
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        trees = list(pool.map(build, range(n_trees)))
+    if n_threads == 1:  # in the calling thread, where an in-process profiler sees it
+        trees = list(map(build, range(n_trees)))
+    else:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            trees = list(pool.map(build, range(n_trees)))
     return ForestModel(
         trees=trees,
         criterion=criterion,
@@ -359,22 +353,32 @@ def train_forest(
     )
 
 
-def _leaves(tree: Tree, X: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
-    """The leaf that row X[rows[i]] reaches walking down from node[i]; X is
-    C-contiguous, so row r's column f is X.ravel()[r * p + f]."""
+def _routes(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per node, indices in intp: its feature, its threshold, its children at
+    [2i] (x > threshold, or NaN) and [2i + 1] (x <= threshold), and whether it
+    splits. A leaf splits on feature 0 at +inf into itself, so a row stays there."""
+    leaf, node = tree.feature < 0, np.arange(len(tree.feature), dtype=np.intp)
+    kids = np.column_stack([np.where(leaf, node, tree.right), np.where(leaf, node, tree.left)])
+    feature = np.where(leaf, 0, tree.feature).astype(np.intp)
+    return feature, np.where(leaf, np.inf, tree.threshold), kids.ravel(), ~leaf
+
+
+def _leaves(route, X: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The leaf (int32) that row X[rows[i]] reaches from node[i] on a tree's
+    _routes; X is C-contiguous, so row r's column f is X.ravel()[r * p + f].
+    Each pass takes every live row two levels down (a row that lands on a
+    leaf stays there), then drops the rows at a leaf with one flatnonzero."""
+    feature, threshold, kids, splits = route
     flat = X.ravel()
-    kids = np.column_stack([tree.right, tree.left]).ravel()  # [2i + (x <= t)]
-    is_leaf = tree.feature < 0
     out = node.astype(np.int32)
-    live = np.flatnonzero(~is_leaf[out])
-    cur, base = out[live], rows[live] * X.shape[1]
+    live = np.flatnonzero(splits[node])
+    cur, base = node[live].astype(np.intp), rows[live] * X.shape[1]
     while len(live):
-        cur = kids[2 * cur + (flat[base + tree.feature[cur]] <= tree.threshold[cur])]
-        done = is_leaf[cur]
-        if done.any():
-            out[live[done]] = cur[done]
-            going = ~done
-            live, cur, base = live[going], cur[going], base[going]
+        cur = kids[2 * cur + (flat[base + feature[cur]] <= threshold[cur])]
+        cur = kids[2 * cur + (flat[base + feature[cur]] <= threshold[cur])]
+        out[live] = cur
+        going = np.flatnonzero(splits[cur])
+        live, cur, base = live[going], cur[going], base[going]
     return out
 
 
@@ -395,9 +399,8 @@ def predict_matrix(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
             f"matrix shape {X.shape} does not match the model's "
             f"{len(model.feature_names)} features"
         )
-    rows = np.arange(len(X))
-    root = np.zeros(len(X), dtype=np.int32)
-    return _vote(model.trees, (_leaves(tree, X, rows, root) for tree in model.trees), len(X))
+    rows, root = np.arange(len(X)), np.zeros(len(X), dtype=np.int32)
+    return _vote(model.trees, (_leaves(_routes(tree), X, rows, root) for tree in model.trees), len(X))
 
 
 def predict(model: ForestModel, rows: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
@@ -523,15 +526,13 @@ class ImportanceEntry:
     std: float
 
 
-def _subtree_ends(tree: Tree) -> np.ndarray:
-    """end[i] is one past node i's last descendant: preorder numbering makes
-    node i's subtree the range [i, end[i])."""
-    last = np.arange(len(tree.feature), dtype=np.int32)
-    while True:  # follow right children down to each subtree's last node
-        inner = np.flatnonzero(tree.feature[last] >= 0)
-        if not len(inner):
-            return last + 1
-        last[inner] = tree.right[last[inner]]
+def _subtree_ends(kids: np.ndarray) -> np.ndarray:
+    """end[i] is one past node i's last descendant, from a tree's _routes
+    children: preorder numbering makes node i's subtree the range [i, end[i])."""
+    last = np.arange(len(kids) // 2)
+    while not np.array_equal(last, down := kids[2 * last]):  # right children; a leaf is its own
+        last = down
+    return last + 1
 
 
 def _first_split_on(tree: Tree, end: np.ndarray, leaf: np.ndarray, j: int) -> np.ndarray:
@@ -551,14 +552,14 @@ def _first_split_on(tree: Tree, end: np.ndarray, leaf: np.ndarray, j: int) -> np
     return start
 
 
-def _rerouted(trees: list[Tree], leaves, starts, X: np.ndarray):
-    """Each tree's leaf per row of X, from its leaf per row before one
-    column changed and the node where each row's path first meets that
-    column (-1: never); one tree at a time."""
-    for tree, leaf, start in zip(trees, leaves, starts):
+def _rerouted(routes, leaves, starts, X: np.ndarray):
+    """Each tree's leaf per row of X, from its _routes, its leaf per row
+    before one column changed and the node where each row's path first
+    meets that column (-1: never); one tree at a time."""
+    for route, leaf, start in zip(routes, leaves, starts):
         rows = np.flatnonzero(start >= 0)
         moved = leaf.copy()
-        moved[rows] = _leaves(tree, X, rows, start[rows])
+        moved[rows] = _leaves(route, X, rows, start[rows])
         yield moved
 
 
@@ -576,7 +577,9 @@ def permutation_importance(
     only the rows that meet j, from that node down. The leaves are the ones
     a full traversal of the shuffled matrix reaches, and the per-tree scores
     are summed in tree order as predict_matrix sums them, so every shuffled
-    F1 is the same float.
+    F1 is the same float. Each tree's _routes (self-looping leaves) are built
+    once per call; the walk goes one tree at a time, so beside the int32 leaf
+    and start arrays of every tree, each temporary holds O(rows) entries.
     """
     if len(test) == 0:
         raise EngineError("importance needs a non-empty evaluation table")
@@ -586,10 +589,10 @@ def permutation_importance(
     baseline = f1_score(test.labels, labels)
     X = np.ascontiguousarray(test.X, dtype=float)
     Xp = X.copy()
-    everyone = np.arange(len(X))
-    root = np.zeros(len(X), dtype=np.int32)
-    leaves = [_leaves(tree, X, everyone, root) for tree in model.trees]
-    ends = [_subtree_ends(tree) for tree in model.trees]
+    everyone, root = np.arange(len(X)), np.zeros(len(X), dtype=np.int32)
+    routes = [_routes(tree) for tree in model.trees]  # once per call, O(nodes)
+    leaves = [_leaves(route, X, everyone, root) for route in routes]
+    ends = [_subtree_ends(kids) for _, _, kids, _ in routes]
     entries = []
     for j, name in enumerate(model.feature_names):
         starts = [_first_split_on(t, e, leaf, j) for t, e, leaf in zip(model.trees, ends, leaves)]
@@ -597,16 +600,11 @@ def permutation_importance(
         for r in range(n_repeats):
             rng = np.random.default_rng(np.random.SeedSequence((seed, j, r)))
             Xp[:, j] = rng.permutation(X[:, j])
-            pred, _ = _vote(model.trees, _rerouted(model.trees, leaves, starts, Xp), len(X))
+            pred, _ = _vote(model.trees, _rerouted(routes, leaves, starts, Xp), len(X))
             shuffled_scores[r] = f1_score(test.labels, pred)
         Xp[:, j] = X[:, j]
-        entries.append(
-            ImportanceEntry(
-                feature=name,
-                importance=float(baseline - shuffled_scores.mean()),
-                std=float(shuffled_scores.std(ddof=0)),
-            )
-        )
+        drop, std = float(baseline - shuffled_scores.mean()), float(shuffled_scores.std(ddof=0))
+        entries.append(ImportanceEntry(feature=name, importance=drop, std=std))
     entries.sort(key=lambda e: -e.importance)
     return entries
 

@@ -517,17 +517,23 @@ def train_forest(
     )
 
 
-def _tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(X), dtype=np.int64)
+def tree_leaves(tree: Tree, X: np.ndarray, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The leaf row X[rows[i]] reaches from node start[i], one level per step;
+    x <= threshold goes left, anything else (NaN included) right."""
+    node = np.asarray(start, dtype=np.int64).copy()
     is_leaf = tree.feature < 0
     active = np.flatnonzero(~is_leaf[node])
     while len(active):
         cur = node[active]
         f = tree.feature[cur]
-        goes_left = X[active, f] <= tree.threshold[cur]
+        goes_left = X[rows[active], f] <= tree.threshold[cur]
         node[active] = np.where(goes_left, tree.left[cur], tree.right[cur])
         active = active[~is_leaf[node[active]]]
-    return tree.proba1[node]
+    return node
+
+
+def _tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
+    return tree.proba1[tree_leaves(tree, X, np.arange(len(X)), np.zeros(len(X), dtype=np.int64))]
 
 
 def predict_matrix(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

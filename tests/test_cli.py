@@ -6,6 +6,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -309,6 +310,33 @@ class TestFailures:
         assert err["message"] == f"{out / name} cannot be written: No space left on device"
         assert (out / name).read_bytes() == previous
         assert not list(out.glob("*.tmp"))
+
+    def test_panel_cell_past_int64_is_a_parse_error(self, world, capsys):
+        # 2019 week 53 and 2020 week 1 land in one panel cell when the panel starts on 2019-01-01
+        edit_config(world, "panel", "n_weeks", 53)
+        with open(world.parent / "surveillance.csv", "a", encoding="utf-8") as fh:
+            for year, week in ((2019, 53), (2020, 1)):
+                fh.write(f"{year},{week},Atlantis,South,D01,Cholera,{2**62},0\n")
+        assert run_cli(world, "--stage", "ingest") == 1
+        err = error_report(capsys)
+        assert (err["type"], err["stage"]) == ("ParseError", "ingest")
+        assert "adm_id 101 in panel week 53 sum past 2**63 - 1" in err["message"]
+        assert not (world.parent / "out" / "panel.csv").exists()
+
+    def test_district_total_past_int64_is_an_engine_error(self, world, capsys):
+        csv = world.parent / "surveillance.csv"
+        row = r"^(2019,[12],Atlantis,South,D01,Cholera,)\d+,"  # D01's cholera in weeks 1 and 2
+        text, n = re.subn(row, rf"\g<1>{2**62},", csv.read_text(), flags=re.M)
+        assert n == 2
+        csv.write_text(text)
+        assert run_cli(world, "--stage", "all") == 1
+        err = error_report(capsys)
+        assert (err["type"], err["stage"]) == ("EngineError", "esda")
+        assert "adm_ids [101]" in err["message"]
+        out = world.parent / "out"
+        panel = out / "panel.csv"
+        assert f"101,1,{2**62}" in panel.read_text() and f"101,2,{2**62}" in panel.read_text()
+        assert not (out / "moran.json").exists() and not (out / "lisa.csv").exists()
 
     def test_failure_before_any_stage_names_no_stage(self, tmp_path, capsys):
         assert run_cli(tmp_path / "missing.json", "--stage", "esda") == 1

@@ -546,6 +546,15 @@ class TestBuildPanel:
         assert report.dropped_out_of_range == 1
         assert panel.counts.sum() == 1
 
+    def test_cell_sum_past_int64_is_a_parse_error(self):
+        # 2019 week 53 and 2020 week 1 both start in serial week 53 of a panel from 2019-01-01
+        entries = [(2019, 53, "D0", "m", 2**62), (2020, 1, "D0", "m", 2**62)]
+        with pytest.raises(ParseError, match=r"adm_id 1 in panel week 53 sum past 2\*\*63 - 1"):
+            ingest.build_panel(records_for(entries), self.districts(), self.START, 53, "m")
+        entries[1] = (2020, 1, "D0", "m", 2**62 - 1)  # exactly 2**63 - 1 fits
+        panel, _ = ingest.build_panel(records_for(entries), self.districts(), self.START, 53, "m")
+        assert panel.counts[0, 52] == 2**63 - 1
+
     def test_ambiguous_district_fatal(self):
         districts = [square_region(1, 0, 0, name="Dup"), square_region(2, 1, 0, name="dup ")]
         with pytest.raises(ParseError, match="ambiguous"):

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -199,6 +200,17 @@ class TestForest:
         b = learn.train_forest(t2, n_trees=12, seed=7, n_threads=4)
         assert json.dumps(learn.forest_to_dict(a)) == json.dumps(learn.forest_to_dict(b))
 
+    def test_one_thread_builds_in_the_calling_thread(self, monkeypatch):
+        t = self.separable_1d(400, seed=9)
+        t2 = table_from(np.column_stack([t.X, np.random.default_rng(1).normal(size=len(t))]), t.labels)
+        pooled = learn.train_forest(t2, n_trees=12, seed=7, n_threads=4)
+
+        def no_thread(thread):
+            raise AssertionError(f"n_threads=1 started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        same_forest(learn.train_forest(t2, n_trees=12, seed=7, n_threads=1), pooled)
+
     def test_min_leaf_bounds_leaf_count(self):
         t = self.separable_1d(300, seed=2)
         model = learn.train_forest(t, n_trees=5, min_leaf=20, seed=1)
@@ -347,6 +359,33 @@ class TestImportance:
             entries = learn.permutation_importance(model, test, n_repeats=3, seed=trial)
             wins += entries[0].feature == "x2"
         assert wins >= 19  # rank-1 in >= 95% of seeded trials
+
+    def test_walk_temporaries_hold_one_tree_at_a_time(self):
+        n_trees, n, p, depth = 48, 3000, 4, 6
+        rng = np.random.default_rng(11)
+
+        def expand(level):  # a full tree of random splits
+            if level == depth:
+                return float(rng.random()), None
+            return 0.0, (int(rng.integers(p)), float(rng.normal()), level + 1, level + 1)
+
+        trees = [learn._preorder(0, expand) for _ in range(n_trees)]
+        model = learn.ForestModel(trees, "gini", n_trees, depth, 1, 1, 0, tuple(f"x{i}" for i in range(p)))
+        X = rng.normal(size=(n, p))
+        t = table_from(X, (X[:, 0] + rng.normal(size=n) > 0).astype(int))
+        nodes = sum(len(tree.feature) for tree in trees)
+        tracemalloc.start()
+        try:
+            learn.permutation_importance(model, t, n_repeats=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per tree and row: an int32 leaf, and the int32 starts of two features while the
+        # next list is built; per node (41 bytes): routing arrays and subtree ends; the rest
+        # only O(rows): the shuffled copy of X, the vote and one tree's walk. Routing all
+        # trees' rows in one call peaks near 20 x trees x rows x 4 bytes and fails this.
+        bound = 3 * n_trees * n * 4 + 64 * nodes + 256 * n + 2**16
+        assert peak < bound, f"peaked at {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
 
 
 def same_forest(a, b):

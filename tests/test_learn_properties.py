@@ -1,9 +1,10 @@
-"""Property test of the forest and permutation importance against oracles.py.
+"""Property tests of the forest and permutation importance against oracles.py.
 
 On any small table drawn from a pool of tied, signed-zero and one-ulp-apart
 values, train_forest builds the same trees bit for bit as the per-feature
 argsort search, and permutation_importance gives the same entries as a full
-traversal of every shuffled matrix.
+traversal of every shuffled matrix. On any tree, the two-level walk with
+self-looping leaves reaches the leaf a one-level traversal reaches.
 """
 
 import warnings
@@ -18,7 +19,7 @@ import oracles
 from test_learn import EPS, same_forest, table_from
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 POOL = (-0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + EPS, 1.0 + 2 * EPS, 3.0, -7.25)
@@ -48,3 +49,38 @@ def test_forest_and_importance_match_oracle(
     assert repr(learn.permutation_importance(fast, t, n_repeats=2, seed=seed)) == repr(
         oracles.permutation_importance(fast, t, n_repeats=2, seed=seed)
     )
+
+
+NAN = float("nan")
+LEAVES = st.builds(lambda p1: ("leaf", p1), st.sampled_from([0.0, 0.25, 1.0]))
+TREES = st.recursive(  # a split is (feature, threshold, left, right), over 3 columns
+    LEAVES, lambda kids: st.tuples(st.integers(0, 2), st.sampled_from(POOL), kids, kids), max_leaves=24
+)
+
+
+def _expand(item):
+    if item[0] == "leaf":
+        return item[1], None
+    return 0.5, item
+
+
+@given(
+    tree=TREES,
+    values=st.lists(st.sampled_from(POOL + (NAN, np.inf, -np.inf)), min_size=3, max_size=90),
+    picks=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)), max_size=50),
+)
+@example(tree=("leaf", 0.25), values=[NAN, -0.0, 0.0], picks=[(0, 0), (0, 5)])
+@example(  # x == threshold as -0.0 and 0.0, NaN at both splits, rows that start at the inner split
+    tree=(0, 0.0, ("leaf", 0.0), (1, -0.0, ("leaf", 0.25), ("leaf", 1.0))),
+    values=[-0.0, 0.0, NAN, 0.0, -0.0, 0.5, NAN, NAN, 0.0],
+    picks=[(0, 0), (1, 0), (2, 0), (0, 2), (1, 2), (2, 2), (1, 3)],
+)
+def test_walk_reaches_the_leaf_of_a_level_by_level_traversal(tree, values, picks):
+    t = learn._preorder(tree, _expand)
+    n = len(values) // 3
+    X = np.reshape(values[: 3 * n], (n, 3))
+    rows = np.array([r for r, _ in picks], dtype=np.intp) % n
+    start = (np.array([s for _, s in picks], dtype=np.int64) % len(t.feature)).astype(np.int32)
+    got = learn._leaves(learn._routes(t), X, rows, start)
+    assert got.dtype == np.int32
+    assert got.tobytes() == oracles.tree_leaves(t, X, rows, start).astype(np.int32).tobytes()
