@@ -303,9 +303,9 @@ def write_json(path, doc, indent: int | None = None, sort_keys: bool = False) ->
 def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], SurveillanceParseReport]:
     """Parse the weekly surveillance CSV.
 
-    Returns the valid records plus a report of rejected rows. A missing header
-    column is fatal; a bad row is collected and skipped; duplicate keys keep
-    the last row and emit a warning.
+    Returns the valid records plus a report of rejected rows. A missing or
+    repeated header column is fatal; a bad row is collected and skipped;
+    duplicate keys keep the last row and emit a warning.
     """
     report = SurveillanceParseReport()
     rows = csv_rows(path)
@@ -318,6 +318,8 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
         name = _norm_header(raw)
         for role in SURVEILLANCE_COLUMNS:
             if name == role or name in _HEADER_SYNONYMS.get(role, ()):
+                if role in col_index:
+                    raise ParseError(f"{path}: header names column {role!r} twice")
                 col_index[role] = i
     missing = [c for c in SURVEILLANCE_COLUMNS if c not in col_index]
     if missing:
@@ -549,8 +551,11 @@ def parse_ascii_grid(path) -> RasterGrid:
     for i, line in enumerate(lines):
         tokens = line.split()
         if len(tokens) == 2 and tokens[0].lower() in _ASCII_HEADER:
+            key = tokens[0].lower()
+            if key in header:
+                raise ParseError(f"{path}: header names {key!r} twice, again on line {i + 1}")
             try:
-                header[tokens[0].lower()] = float(tokens[1])
+                header[key] = float(tokens[1])
             except ValueError:
                 raise ParseError(f"{path}: bad header value on line {i + 1}") from None
             data_start = i + 1
@@ -563,6 +568,8 @@ def parse_ascii_grid(path) -> RasterGrid:
         raise ParseError(f"{path}: ncols and nrows must be whole numbers")
     if not all(np.isfinite(header[k]) for k in ("xllcorner", "yllcorner", "cellsize")):
         raise ParseError(f"{path}: xllcorner, yllcorner, and cellsize must be finite")
+    if np.isnan(header["nodata_value"]):  # no cell would compare equal to it, so all count as data
+        raise ParseError(f"{path}: NODATA_value must not be NaN")
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     if ncols <= 0 or nrows <= 0 or header["cellsize"] <= 0:
@@ -621,6 +628,9 @@ def parse_points_csv(path) -> PointValueSet:
         header = [_norm_header(h) for h in next(rows)[1]]
     except StopIteration:
         raise ParseError(f"{path}: empty file") from None
+    for role in ("lon", "lat", "value"):
+        if header.count(role) > 1:
+            raise ParseError(f"{path}: header names column {role!r} twice")
     try:
         i_lon, i_lat, i_val = header.index("lon"), header.index("lat"), header.index("value")
     except ValueError:

@@ -146,10 +146,11 @@ _CRITERIA = {"gini": gini_from_counts, "entropy": entropy_from_counts}
 
 @dataclass
 class Tree:
-    feature: np.ndarray  # int32, -1 marks a leaf
+    """Nodes in preorder; a leaf has feature -1, threshold +inf and itself as both kids."""
+
+    feature: np.ndarray  # int32
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    kids: np.ndarray  # intp: [2i] is node i's child for x > threshold or NaN, [2i + 1] for x <= threshold
     proba1: np.ndarray  # class-1 probability, meaningful at leaves
 
 
@@ -172,33 +173,32 @@ def _preorder(root, expand) -> Tree:
     left_item, right_item)) for a split. A node is numbered when it is
     expanded, and a split's whole left subtree is numbered before its right
     child, so the root is node 0 and every left child is its parent + 1.
+    A node enters kids as its own two kids, which a split's children replace.
     """
-    feature, threshold, left, right, proba1 = [], [], [], [], []  # per node
-    stack = [(root, -1, False)]
+    feature, threshold, kids, proba1 = [], [], [], []  # kids two per node, the rest one
+    stack = [(root, -1)]  # an item and the slot in kids it fills (-1 for the root)
     while stack:
-        item, parent, is_right = stack.pop()
+        item, slot = stack.pop()
         node = len(feature)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node
+        if slot >= 0:
+            kids[slot] = node
         p1, split = expand(item)
-        left.append(-1)
-        right.append(-1)
+        kids += (node, node)
         proba1.append(p1)
         if split is None:
             feature.append(-1)
-            threshold.append(np.nan)
+            threshold.append(np.inf)
             continue
         f, t, left_item, right_item = split
         feature.append(f)
         threshold.append(t)
         # push right first so the left child is expanded (and numbered) first
-        stack.append((right_item, node, True))
-        stack.append((left_item, node, False))
+        stack.append((right_item, 2 * node))
+        stack.append((left_item, 2 * node + 1))
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
+        kids=np.asarray(kids, dtype=np.intp),
         proba1=np.asarray(proba1, dtype=float),
     )
 
@@ -353,63 +353,50 @@ def train_forest(
     )
 
 
-def _routes(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per node, indices in intp: its feature, its threshold, its children at
-    [2i] (x > threshold, or NaN) and [2i + 1] (x <= threshold), and whether it
-    splits. A leaf splits on feature 0 at +inf into itself, so a row stays there."""
-    leaf, node = tree.feature < 0, np.arange(len(tree.feature), dtype=np.intp)
-    kids = np.column_stack([np.where(leaf, node, tree.right), np.where(leaf, node, tree.left)])
-    feature = np.where(leaf, 0, tree.feature).astype(np.intp)
-    return feature, np.where(leaf, np.inf, tree.threshold), kids.ravel(), ~leaf
-
-
-def _leaves(route, X: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
-    """The leaf (int32) that row X[rows[i]] reaches from node[i] on a tree's
-    _routes; X is C-contiguous, so row r's column f is X.ravel()[r * p + f].
-    Each pass takes every live row two levels down (a row that lands on a
-    leaf stays there), then drops the rows at a leaf with one flatnonzero."""
-    feature, threshold, kids, splits = route
-    flat = X.ravel()
+def _leaves(tree: Tree, X: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The leaf (int32) that row X[rows[i]] reaches from node[i]; X is C-contiguous, so row r's
+    column f is X.ravel()[r * p + f]. Each pass takes every live row two levels down, then drops
+    the rows at a leaf with one flatnonzero. A row at a leaf stays there: the walk reads
+    flat[base - 1] for feature -1, an index in range as base >= 0, and both kids are the leaf."""
+    feature, threshold, kids, flat = tree.feature, tree.threshold, tree.kids, X.ravel()
     out = node.astype(np.int32)
-    live = np.flatnonzero(splits[node])
+    live = np.flatnonzero(feature[node] >= 0)
     cur, base = node[live].astype(np.intp), rows[live] * X.shape[1]
     while len(live):
         cur = kids[2 * cur + (flat[base + feature[cur]] <= threshold[cur])]
         cur = kids[2 * cur + (flat[base + feature[cur]] <= threshold[cur])]
         out[live] = cur
-        going = np.flatnonzero(splits[cur])
+        going = np.flatnonzero(feature[cur] >= 0)
         live, cur, base = live[going], cur[going], base[going]
     return out
 
 
-def _vote(trees: list[Tree], leaves, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and mean class-1 scores from each tree's leaf per row, the
-    scores summed in tree order."""
-    total = np.zeros(n_rows)
-    for tree, leaf in zip(trees, leaves):
-        total += tree.proba1[leaf]
-    scores = total / len(trees)
+def _vote(total: np.ndarray, n_trees: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and mean class-1 scores from class-1 probabilities summed over n_trees trees."""
+    scores = total / n_trees
     return (scores >= 0.5).astype(np.int64), scores
 
 
+def _matrix(model: ForestModel, names, X) -> np.ndarray:
+    """X as a C-contiguous float matrix, once its feature names and its shape match the model's."""
+    if tuple(names) != tuple(model.feature_names):
+        raise SchemaMismatchError(f"feature names {names!r} do not match model {model.feature_names!r}")
+    X, n = np.ascontiguousarray(X, dtype=float), len(model.feature_names)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise SchemaMismatchError(f"matrix shape {X.shape} does not match the model's {n} features")
+    return X
+
+
 def predict_matrix(model: ForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.ascontiguousarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
-        raise SchemaMismatchError(
-            f"matrix shape {X.shape} does not match the model's "
-            f"{len(model.feature_names)} features"
-        )
+    X = _matrix(model, model.feature_names, X)
     rows, root = np.arange(len(X)), np.zeros(len(X), dtype=np.int32)
-    return _vote(model.trees, (_leaves(_routes(tree), X, rows, root) for tree in model.trees), len(X))
+    total = sum((tree.proba1[_leaves(tree, X, rows, root)] for tree in model.trees), np.zeros(len(X)))
+    return _vote(total, len(model.trees))
 
 
 def predict(model: ForestModel, rows: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
     """Labels and class-1 scores; the row schema must match training."""
-    if tuple(rows.feature_names) != tuple(model.feature_names):
-        raise SchemaMismatchError(
-            f"feature names {rows.feature_names!r} do not match model {model.feature_names!r}"
-        )
-    return predict_matrix(model, rows.X)
+    return predict_matrix(model, _matrix(model, rows.feature_names, rows.X))
 
 
 @dataclass(frozen=True)
@@ -527,8 +514,8 @@ class ImportanceEntry:
 
 
 def _subtree_ends(kids: np.ndarray) -> np.ndarray:
-    """end[i] is one past node i's last descendant, from a tree's _routes
-    children: preorder numbering makes node i's subtree the range [i, end[i])."""
+    """end[i] is one past node i's last descendant, from a Tree's kids:
+    preorder numbering makes node i's subtree the range [i, end[i])."""
     last = np.arange(len(kids) // 2)
     while not np.array_equal(last, down := kids[2 * last]):  # right children; a leaf is its own
         last = down
@@ -552,17 +539,6 @@ def _first_split_on(tree: Tree, end: np.ndarray, leaf: np.ndarray, j: int) -> np
     return start
 
 
-def _rerouted(routes, leaves, starts, X: np.ndarray):
-    """Each tree's leaf per row of X, from its _routes, its leaf per row
-    before one column changed and the node where each row's path first
-    meets that column (-1: never); one tree at a time."""
-    for route, leaf, start in zip(routes, leaves, starts):
-        rows = np.flatnonzero(start >= 0)
-        moved = leaf.copy()
-        moved[rows] = _leaves(route, X, rows, start[rows])
-        yield moved
-
-
 def permutation_importance(
     model: ForestModel,
     test: FeatureTable,
@@ -573,36 +549,42 @@ def permutation_importance(
 
     Shuffling column j can only change a row's path below the topmost node
     on it that splits on j; a row whose path never meets j keeps its leaf.
-    So each tree's leaf per row is found once, and each shuffle re-routes
-    only the rows that meet j, from that node down. The leaves are the ones
-    a full traversal of the shuffled matrix reaches, and the per-tree scores
-    are summed in tree order as predict_matrix sums them, so every shuffled
-    F1 is the same float. Each tree's _routes (self-looping leaves) are built
-    once per call; the walk goes one tree at a time, so beside the int32 leaf
-    and start arrays of every tree, each temporary holds O(rows) entries.
+    So each tree's leaf per row is found once, from the root, and gives the
+    baseline F1. Then, feature by feature and tree by tree, the tree's start
+    nodes for j are found once, and each repeat re-routes only the rows that
+    meet j, from that node down. The leaves are the ones a full traversal of
+    the shuffled matrix reaches, and each repeat's class-1 probabilities are
+    summed in tree order from 0.0, as predict_matrix sums them, so every
+    shuffled F1 is the same float. Beside the int32 leaf of every tree and
+    row, the walk holds one tree's start nodes and O(repeats x rows) more.
     """
     if len(test) == 0:
         raise EngineError("importance needs a non-empty evaluation table")
     if n_repeats < 1:
         raise EngineError("n_repeats must be >= 1")
-    labels, _ = predict(model, test)
-    baseline = f1_score(test.labels, labels)
-    X = np.ascontiguousarray(test.X, dtype=float)
+    X = _matrix(model, test.feature_names, test.X)
     Xp = X.copy()
     everyone, root = np.arange(len(X)), np.zeros(len(X), dtype=np.int32)
-    routes = [_routes(tree) for tree in model.trees]  # once per call, O(nodes)
-    leaves = [_leaves(route, X, everyone, root) for route in routes]
-    ends = [_subtree_ends(kids) for _, _, kids, _ in routes]
+    leaves = [_leaves(tree, X, everyone, root) for tree in model.trees]
+    ends = [_subtree_ends(tree.kids) for tree in model.trees]
+    total = sum((tree.proba1[leaf] for tree, leaf in zip(model.trees, leaves)), np.zeros(len(X)))
+    baseline = f1_score(test.labels, _vote(total, len(model.trees))[0])
     entries = []
     for j, name in enumerate(model.feature_names):
-        starts = [_first_split_on(t, e, leaf, j) for t, e, leaf in zip(model.trees, ends, leaves)]
-        shuffled_scores = np.empty(n_repeats)
-        for r in range(n_repeats):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, j, r)))
-            Xp[:, j] = rng.permutation(X[:, j])
-            pred, _ = _vote(model.trees, _rerouted(routes, leaves, starts, Xp), len(X))
-            shuffled_scores[r] = f1_score(test.labels, pred)
+        seeds = (np.random.SeedSequence((seed, j, r)) for r in range(n_repeats))
+        columns = [np.random.default_rng(s).permutation(X[:, j]) for s in seeds]
+        total = np.zeros((n_repeats, len(X)))
+        for tree, end, leaf in zip(model.trees, ends, leaves):
+            start = _first_split_on(tree, end, leaf, j)
+            rows = np.flatnonzero(start >= 0)
+            for r, column in enumerate(columns):
+                Xp[:, j] = column
+                moved = leaf.copy()
+                moved[rows] = _leaves(tree, Xp, rows, start[rows])
+                total[r] += tree.proba1[moved]
         Xp[:, j] = X[:, j]
+        labels = (_vote(summed, len(model.trees))[0] for summed in total)  # one repeat at a time
+        shuffled_scores = np.array([f1_score(test.labels, pred) for pred in labels])
         drop, std = float(baseline - shuffled_scores.mean()), float(shuffled_scores.std(ddof=0))
         entries.append(ImportanceEntry(feature=name, importance=drop, std=std))
     entries.sort(key=lambda e: -e.importance)
@@ -616,8 +598,8 @@ def _node_dict(tree: Tree, i: int = 0) -> dict:
     return {
         "feature": int(tree.feature[i]),
         "threshold": float(tree.threshold[i]),
-        "left": _node_dict(tree, tree.left[i]),
-        "right": _node_dict(tree, tree.right[i]),
+        "left": _node_dict(tree, tree.kids[2 * i + 1]),
+        "right": _node_dict(tree, tree.kids[2 * i]),
     }
 
 

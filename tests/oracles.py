@@ -520,6 +520,7 @@ def train_forest(
 def tree_leaves(tree: Tree, X: np.ndarray, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The leaf row X[rows[i]] reaches from node start[i], one level per step;
     x <= threshold goes left, anything else (NaN included) right."""
+    left, right = tree.kids[1::2], tree.kids[0::2]
     node = np.asarray(start, dtype=np.int64).copy()
     is_leaf = tree.feature < 0
     active = np.flatnonzero(~is_leaf[node])
@@ -527,7 +528,7 @@ def tree_leaves(tree: Tree, X: np.ndarray, rows: np.ndarray, start: np.ndarray) 
         cur = node[active]
         f = tree.feature[cur]
         goes_left = X[rows[active], f] <= tree.threshold[cur]
-        node[active] = np.where(goes_left, tree.left[cur], tree.right[cur])
+        node[active] = np.where(goes_left, left[cur], right[cur])
         active = active[~is_leaf[node[active]]]
     return node
 

@@ -308,6 +308,14 @@ class TestMalformedInputs:
         [
             (ingest.parse_surveillance_csv, HEADER.encode() + b"2019,1,C,P,D,m,\xff,0\n", "not UTF-8"),
             (ingest.parse_points_csv, b"lon,lat,value\n1,2,\xfe\n", "not UTF-8"),
+            (ingest.parse_surveillance_csv, "Year,Week,Country,Province,District,Disease,cases,Number of cases,deaths\n"
+             "2019,1,C,P,D,m,5,7,0\n", "header names column 'cases' twice"),
+            (ingest.parse_points_csv, "lon,lat,value,value\n1,2,3,4\n", "header names column 'value' twice"),
+            (ingest.parse_ascii_grid, "ncols 1\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9\n"
+             "nrows 1\n5\n", "header names 'nrows' twice, again on line 7"),
+            # every nodata test is values != nodata, so NaN cells would count as data
+            (ingest.parse_ascii_grid, "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value nan\n"
+             "1 nan\n1 2\n", "NODATA_value must not be NaN"),
             (ingest.parse_district_geojson, collection(5), "feature 0 is not a JSON object"),
             (ingest.parse_district_geojson,
              collection({"type": "Feature", "properties": {"adm_id": 1}, "geometry": [1]}),
@@ -385,6 +393,12 @@ class TestAsciiGrid:
             "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -1\n"
             "-1 7\n"
         )
+        grid = ingest.parse_ascii_grid(write(tmp_path, "g.asc", text))
+        assert (grid.values == grid.nodata).tolist() == [[True, False]]
+
+    @pytest.mark.parametrize("nodata", ["inf", "-inf"])
+    def test_infinite_nodata_marks_its_cells(self, tmp_path, nodata):  # unlike NaN, it compares equal
+        text = f"ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value {nodata}\n{nodata} 7\n"
         grid = ingest.parse_ascii_grid(write(tmp_path, "g.asc", text))
         assert (grid.values == grid.nodata).tolist() == [[True, False]]
 

@@ -184,13 +184,13 @@ class TestForest:
         model = learn.train_forest(table_from(X, t.labels), n_trees=4, seed=5)
 
         def size(tree, i):
-            return 1 if tree.feature[i] < 0 else 1 + size(tree, tree.left[i]) + size(tree, tree.right[i])
+            return 1 if tree.feature[i] < 0 else 1 + size(tree, tree.kids[2 * i + 1]) + size(tree, tree.kids[2 * i])
 
         for tree in model.trees:
             assert size(tree, 0) == len(tree.feature)
             for i in np.flatnonzero(tree.feature >= 0):
-                assert tree.left[i] == i + 1
-                assert tree.right[i] == i + 1 + size(tree, i + 1)
+                assert tree.kids[2 * i + 1] == i + 1
+                assert tree.kids[2 * i] == i + 1 + size(tree, i + 1)
 
     def test_determinism_and_thread_independence(self):
         t = self.separable_1d(400, seed=9)
@@ -246,7 +246,7 @@ class TestForest:
         for a, b in zip(model.trees, back.trees):
             assert np.array_equal(a.feature, b.feature)
             assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
-            assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
+            assert np.array_equal(a.kids, b.kids)
             leaf = a.feature < 0
             assert np.array_equal(a.proba1[leaf], b.proba1[leaf])
 
@@ -387,12 +387,59 @@ class TestImportance:
         bound = 3 * n_trees * n * 4 + 64 * nodes + 256 * n + 2**16
         assert peak < bound, f"peaked at {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
 
+    @pytest.mark.parametrize("n_repeats", [1, 5])
+    def test_walk_holds_one_tree_of_start_nodes(self, n_repeats):
+        n_trees, n, p, depth = 48, 3000, 4, 6
+        rng = np.random.default_rng(11)
+
+        def expand(level):  # the forest of test_walk_temporaries_hold_one_tree_at_a_time
+            if level == depth:
+                return float(rng.random()), None
+            return 0.0, (int(rng.integers(p)), float(rng.normal()), level + 1, level + 1)
+
+        trees = [learn._preorder(0, expand) for _ in range(n_trees)]
+        model = learn.ForestModel(trees, "gini", n_trees, depth, 1, 1, 0, tuple(f"x{i}" for i in range(p)))
+        X = rng.normal(size=(n, p))
+        t = table_from(X, (X[:, 0] + rng.normal(size=n) > 0).astype(int))
+        nodes = sum(len(tree.feature) for tree in trees)
+        tracemalloc.start()
+        try:
+            learn.permutation_importance(model, t, n_repeats=n_repeats, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per tree and row only the int32 leaf, plus half of it for one tree's start nodes and
+        # its re-routed leaves; the per-node and O(rows) terms as above. Holding every tree's
+        # start nodes for one feature, let alone two, fails this.
+        bound = 1.5 * n_trees * n * 4 + 64 * nodes + 256 * n + 2**16
+        assert peak < bound, f"peaked at {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
+
+    def test_each_tree_walked_once_from_the_root(self, monkeypatch):
+        base = synthetic.box_table(800, positive_rate=0.25, n_features=3, seed=5)
+        train, test = learn.random_split(base, learn.SplitSpec(0.25, seed=5))
+        model = learn.train_forest(train, n_trees=6, seed=5)
+        expected = learn.permutation_importance(model, test, n_repeats=3, seed=5)
+        from_root, walk = [], learn._leaves
+
+        def counted(tree, X, rows, node):
+            if len(rows) == len(test) and not node.any() and np.array_equal(X, test.X):  # not shuffled
+                from_root.append(next(i for i, t in enumerate(model.trees) if t is tree))
+            return walk(tree, X, rows, node)
+
+        def no_predict(*args):
+            raise AssertionError("permutation_importance called predict_matrix")
+
+        monkeypatch.setattr(learn, "_leaves", counted)
+        monkeypatch.setattr(learn, "predict_matrix", no_predict)
+        assert learn.permutation_importance(model, test, n_repeats=3, seed=5) == expected
+        assert from_root == list(range(len(model.trees)))
+
 
 def same_forest(a, b):
     """Bit-identical trees: every node array, inner-node p1 included."""
     assert json.dumps(learn.forest_to_dict(a)) == json.dumps(learn.forest_to_dict(b))
     for ta, tb in zip(a.trees, b.trees, strict=True):
-        for name in ("feature", "threshold", "left", "right", "proba1"):
+        for name in ("feature", "threshold", "kids", "proba1"):
             assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
 
 

@@ -81,6 +81,6 @@ def test_walk_reaches_the_leaf_of_a_level_by_level_traversal(tree, values, picks
     X = np.reshape(values[: 3 * n], (n, 3))
     rows = np.array([r for r, _ in picks], dtype=np.intp) % n
     start = (np.array([s for _, s in picks], dtype=np.int64) % len(t.feature)).astype(np.int32)
-    got = learn._leaves(learn._routes(t), X, rows, start)
+    got = learn._leaves(t, X, rows, start)
     assert got.dtype == np.int32
     assert got.tobytes() == oracles.tree_leaves(t, X, rows, start).astype(np.int32).tobytes()
