@@ -58,6 +58,14 @@ class LisaResult:
     alpha: float
 
 
+def _check_draws(n_perm: int, seed: int) -> None:
+    """The permutation count and seed checks that both tests make first."""
+    if n_perm < 1:
+        raise EngineError("n_perm must be >= 1")
+    if seed < 0:
+        raise EngineError("seed must be non-negative")
+
+
 def _active_subgraph(x, w: geo.SpatialWeights):
     """Restrict x and the weights to non-island regions, reindexed compactly."""
     x = np.asarray(x, dtype=float)
@@ -80,10 +88,7 @@ def _active_subgraph(x, w: geo.SpatialWeights):
 
 def morans_i(x, w: geo.SpatialWeights, n_perm: int = 999, seed: int = 0) -> GlobalMoranResult:
     """Global Moran's I with a one-sided permutation pseudo p-value."""
-    if n_perm < 1:
-        raise EngineError("n_perm must be >= 1")
-    if seed < 0:
-        raise EngineError("seed must be non-negative")
+    _check_draws(n_perm, seed)
     xa, _, wa = _active_subgraph(x, w)
     n = wa.n
     z = xa - xa.mean()
@@ -126,10 +131,7 @@ def lisa(
     NS, and islands are always ISLAND. alpha=1 disables the significance
     filter.
     """
-    if n_perm < 1:
-        raise EngineError("n_perm must be >= 1")
-    if seed < 0:
-        raise EngineError("seed must be non-negative")
+    _check_draws(n_perm, seed)
     if not (0.0 < alpha <= 1.0):
         raise EngineError("alpha must be in (0, 1]")
     xa, active, wa = _active_subgraph(x, w)

@@ -2,7 +2,9 @@
 materialization of the dense district-week panel.
 
 Parsers read surveillance CSVs, district and water GeoJSON, ASCII grids and
-point CSVs. write_table and read_table are the one format of every CSV
+point CSVs. Both CSV inputs resolve their header through _input_rows, and both
+GeoJSON inputs decode each feature's geometry through _geometry.
+write_table and read_table are the one format of every CSV
 artifact: a header of column names, then one row per entry, written from
 columns and read back as a structured array whose dtype names and types the
 columns (int64 or float). read_json decodes every JSON file (config, GeoJSON,
@@ -163,6 +165,27 @@ def csv_rows(path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _input_rows(path, roles):
+    """The header of a CSV input resolved to (role -> column index, header width) plus its non-blank (line, row)
+    pairs. A column fills a role when its _norm_header name is the role or one of its _HEADER_SYNONYMS; an empty
+    file, a role filled twice or a role left unfilled is a ParseError naming the file."""
+    rows = csv_rows(path)
+    header = next(rows, (1, None))[1]
+    if header is None:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    cols: dict[str, int] = {}
+    for i, name in enumerate(map(_norm_header, header)):
+        for role in roles:
+            if name == role or name in _HEADER_SYNONYMS.get(role, ()):
+                if role in cols:
+                    raise ParseError(f"{path}: header names column {role!r} twice")
+                cols[role] = i
+    missing = [role for role in roles if role not in cols]
+    if missing:
+        raise ParseError(f"{path}: header is missing column(s) {', '.join(missing)}")
+    return cols, len(header), ((line, row) for line, row in rows if any(cell.strip() for cell in row))
+
+
 # operator.call is new in Python 3.11; the lambda is its slower equivalent
 _call = getattr(operator, "call", lambda convert, value: convert(value))
 
@@ -308,28 +331,10 @@ def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], Surveillance
     duplicate keys keep the last row and emit a warning.
     """
     report = SurveillanceParseReport()
-    rows = csv_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected a header row") from None
-    col_index: dict[str, int] = {}
-    for i, raw in enumerate(header):
-        name = _norm_header(raw)
-        for role in SURVEILLANCE_COLUMNS:
-            if name == role or name in _HEADER_SYNONYMS.get(role, ()):
-                if role in col_index:
-                    raise ParseError(f"{path}: header names column {role!r} twice")
-                col_index[role] = i
-    missing = [c for c in SURVEILLANCE_COLUMNS if c not in col_index]
-    if missing:
-        raise ParseError(f"{path}: header is missing column(s) {', '.join(missing)}")
-
+    col_index, width, rows = _input_rows(path, SURVEILLANCE_COLUMNS)
     by_key: dict[tuple, SurveillanceRecord] = {}
     for line_no, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(header):
+        if len(row) < width:
             report.row_errors.append(RowError(line_no, "too few fields"))
             continue
         try:
@@ -411,6 +416,24 @@ def _multipolygon(parts) -> geometry.MultiPolygon:
     return geometry.MultiPolygon(tuple(geometry.polygon(rings[0], rings[1:]).parts[0] for rings in parts))
 
 
+_POLYGON_TYPES = {"Polygon": lambda c: _multipolygon([c]), "MultiPolygon": _multipolygon}
+
+
+def _geometry(path, what, feature, decoders, kind):
+    """The geometry of a GeoJSON feature, decoded by decoders[its type]. A type decoders lacks (the message
+    calls it `kind`), no coordinates or coordinates the decoder rejects is a ParseError naming `what`."""
+    geom = feature.get("geometry") or {}
+    gtype = geom.get("type")
+    if not isinstance(gtype, str) or gtype not in decoders:  # a JSON array or object is no type, and unhashable
+        raise ParseError(f"{path}: {what} has {kind} geometry type {gtype!r}")
+    if "coordinates" not in geom:
+        raise ParseError(f"{path}: {what} has no coordinates")
+    try:
+        return decoders[gtype](geom["coordinates"])
+    except _COORDINATE_ERRORS as exc:
+        raise ParseError(f"{path}: {what}: {exc}") from exc
+
+
 def geojson_polygon(geom: geometry.MultiPolygon) -> dict:
     """The inverse of _multipolygon: a GeoJSON Polygon, or a MultiPolygon when geom has several parts."""
     parts = [[ring.tolist() for ring in (part.shell, *part.holes)] for part in geom.parts]
@@ -420,8 +443,10 @@ def geojson_polygon(geom: geometry.MultiPolygon) -> dict:
 
 
 def parse_district_geojson(path) -> list[AdminRegion]:
-    """Read district polygons from a GeoJSON FeatureCollection, order preserved."""
+    """Read district polygons from a GeoJSON FeatureCollection, order preserved. A missing or null
+    name, province or country is "" with a warning; an array, object or boolean one is a ParseError."""
     regions = []
+    seen: dict[int, int] = {}  # adm_id -> its feature
     for idx, feature in enumerate(_read_features(path)):
         props = feature.get("properties") or {}
         if "adm_id" not in props or props["adm_id"] is None:
@@ -429,42 +454,22 @@ def parse_district_geojson(path) -> list[AdminRegion]:
         adm_id = _whole_number(props["adm_id"])
         if adm_id is None:
             raise ParseError(f"{path}: feature {idx} adm_id {props['adm_id']!r} is not a whole number")
-        geom = feature.get("geometry") or {}
-        gtype = geom.get("type")
-        if gtype not in ("Polygon", "MultiPolygon"):
-            raise ParseError(f"{path}: feature {idx} has non-polygonal geometry {gtype!r}")
-        if "coordinates" not in geom:
-            raise ParseError(f"{path}: feature {idx} has no coordinates")
-        try:
-            coords = geom["coordinates"]
-            poly = _multipolygon([coords] if gtype == "Polygon" else coords)
-        except _COORDINATE_ERRORS as exc:
-            raise ParseError(f"{path}: feature {idx}: {exc}") from exc
+        poly = _geometry(path, f"feature {idx}", feature, _POLYGON_TYPES, "non-polygonal")
         if not 0.0 < geometry.area(poly) < np.inf:
             raise ParseError(f"{path}: feature {idx} has zero or non-finite area")
+        names = []
         for key in ("name", "province", "country"):
-            if key not in props:
-                warnings.warn(
-                    f"feature {idx} is missing property {key!r}; using empty string",
-                    EngineWarning,
-                    stacklevel=2,
-                )
-        regions.append(
-            AdminRegion(
-                adm_id=adm_id,
-                name=str(props.get("name", "")),
-                province=str(props.get("province", "")),
-                country=str(props.get("country", "")),
-                geometry=poly,
-            )
-        )
-    seen: dict[int, int] = {}
-    for i, region in enumerate(regions):
-        if region.adm_id in seen:
-            raise ParseError(
-                f"{path}: duplicate adm_id {region.adm_id} (features {seen[region.adm_id]} and {i})"
-            )
-        seen[region.adm_id] = i
+            value = props.get(key)
+            if value is None:
+                warnings.warn(f"feature {idx} is missing property {key!r}; using empty string", EngineWarning,
+                              stacklevel=2)
+            elif isinstance(value, (bool, list, dict)):
+                raise ParseError(f"{path}: feature {idx} property {key!r} is not a string or a number")
+            names.append("" if value is None else str(value))
+        if adm_id in seen:
+            raise ParseError(f"{path}: duplicate adm_id {adm_id} (features {seen[adm_id]} and {idx})")
+        seen[adm_id] = idx
+        regions.append(AdminRegion(adm_id, *names, geometry=poly))
     return regions
 
 
@@ -503,8 +508,7 @@ _WATER_TYPES = {
     "MultiPoint": lambda c: geometry.PointSet(_positions(c, 1)),
     "LineString": lambda c: _lines([c]),
     "MultiLineString": _lines,
-    "Polygon": lambda c: _multipolygon([c]),
-    "MultiPolygon": _multipolygon,
+    **_POLYGON_TYPES,
 }
 
 
@@ -514,16 +518,7 @@ def parse_water_geojson(path) -> list:
     (multi)polygons as MultiPolygon. Positions are (lon, lat) in degrees."""
     feats = []
     for idx, feature in enumerate(_read_features(path)):
-        geom = feature.get("geometry") or {}
-        gtype = geom.get("type")
-        if gtype not in _WATER_TYPES:
-            raise ParseError(f"{path}: water feature {idx} has unsupported geometry type {gtype!r}")
-        if "coordinates" not in geom:
-            raise ParseError(f"{path}: water feature {idx} has no coordinates")
-        try:
-            feat = _WATER_TYPES[gtype](geom["coordinates"])
-        except _COORDINATE_ERRORS as exc:
-            raise ParseError(f"{path}: water feature {idx}: {exc}") from exc
+        feat = _geometry(path, f"water feature {idx}", feature, _WATER_TYPES, "unsupported")
         if np.any(np.abs(geometry.vertices(feat)) > (180.0, 90.0)):
             raise ParseError(f"{path}: water feature {idx} has a position outside lon [-180, 180], lat [-90, 90]")
         feats.append(feat)
@@ -623,22 +618,10 @@ def write_ascii_grid(grid: RasterGrid, path) -> None:
 
 def parse_points_csv(path) -> PointValueSet:
     """Read a lon,lat,value CSV (relative-wealth style point data)."""
-    rows = csv_rows(path)
-    try:
-        header = [_norm_header(h) for h in next(rows)[1]]
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
-    for role in ("lon", "lat", "value"):
-        if header.count(role) > 1:
-            raise ParseError(f"{path}: header names column {role!r} twice")
-    try:
-        i_lon, i_lat, i_val = header.index("lon"), header.index("lat"), header.index("value")
-    except ValueError:
-        raise ParseError(f"{path}: header must name lon, lat, value") from None
+    cols, _, rows = _input_rows(path, ("lon", "lat", "value"))
+    i_lon, i_lat, i_val = cols["lon"], cols["lat"], cols["value"]
     lons, lats, vals = [], [], []
     for line_no, row in rows:
-        if not row or all(not c.strip() for c in row):
-            continue
         try:
             lon, lat, val = float(row[i_lon]), float(row[i_lat]), float(row[i_val])
         except (ValueError, IndexError):

@@ -155,6 +155,23 @@ class TestDistrictGeojson:
             ingest.parse_district_geojson(path)
 
 
+    @pytest.mark.parametrize("key", ["name", "province", "country"])
+    def test_null_name_is_empty_with_the_missing_property_warning(self, tmp_path, key):
+        doc = {"type": "FeatureCollection", "features": [self.feature(1, self.unit(0, 0), **{key: None})]}
+        path = write(tmp_path, "d.geojson", json.dumps(doc))
+        with pytest.warns(EngineWarning, match=f"feature 0 is missing property '{key}'; using empty string"):
+            [region] = ingest.parse_district_geojson(path)
+        assert getattr(region, key) == ""
+
+    @pytest.mark.parametrize("value", [[1], {"a": 1}, True, False], ids=["array", "object", "true", "false"])
+    @pytest.mark.parametrize("key", ["name", "province", "country"])
+    def test_non_scalar_name_is_a_parse_error(self, tmp_path, key, value):
+        features = [self.feature(1, self.unit(0, 0)), self.feature(2, self.unit(1, 0), **{key: value})]
+        path = write(tmp_path, "d.geojson", json.dumps({"type": "FeatureCollection", "features": features}))
+        with pytest.raises(ParseError, match=f"feature 1 property '{key}' is not a string or a number"):
+            ingest.parse_district_geojson(path)
+
+
 class TestWaterGeojson:
     @staticmethod
     def collection(*geometries):
@@ -316,6 +333,35 @@ class TestMalformedInputs:
             # every nodata test is values != nodata, so NaN cells would count as data
             (ingest.parse_ascii_grid, "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value nan\n"
              "1 nan\n1 2\n", "NODATA_value must not be NaN"),
+            # the header rules both CSV inputs share
+            (ingest.parse_surveillance_csv, "", "empty file, expected a header row"),
+            (ingest.parse_points_csv, "", "empty file, expected a header row"),
+            (ingest.parse_surveillance_csv, "year,week,country,province,district,disease,cases\n",
+             r"header is missing column\(s\) deaths"),
+            (ingest.parse_points_csv, "Lat,Value\n1,2\n", r"header is missing column\(s\) lon$"),
+            (ingest.parse_surveillance_csv, "year,Year,week,country,province,district,disease,cases,deaths\n",
+             "header names column 'year' twice"),
+            (ingest.parse_points_csv, "lon,LON,lat,value\n1,1,2,3\n", "header names column 'lon' twice"),
+            # the geometry rules both GeoJSON inputs share
+            (ingest.parse_district_geojson, collection(district(1, {"type": "LineString", "coordinates": UNIT_RING})),
+             "feature 0 has non-polygonal geometry type 'LineString'"),
+            (ingest.parse_district_geojson, collection(district(1, {"type": ["Polygon"], "coordinates": []})),
+             r"feature 0 has non-polygonal geometry type \['Polygon'\]"),
+            (ingest.parse_district_geojson, collection(district(1, {"type": "Polygon"})), "feature 0 has no coordinates"),
+            (ingest.parse_district_geojson,
+             collection(district(1, {"type": "Polygon", "coordinates": [[[0, "x"]]]})), "feature 0: could not convert"),
+            (ingest.parse_water_geojson, collection(water("Circle", [0, 0])),
+             "water feature 0 has unsupported geometry type 'Circle'"),
+            (ingest.parse_water_geojson, collection(water({"type": "Point"}, [0, 0])),
+             r"water feature 0 has unsupported geometry type \{'type': 'Point'\}"),
+            (ingest.parse_water_geojson, collection(water("Point", [0, 0]) | {"geometry": {"type": "Point"}}),
+             "water feature 0 has no coordinates"),
+            (ingest.parse_water_geojson, collection(water("Polygon", [[[0, 0], [1, 0]]])), "water feature 0: "),
+            # adm_ids are checked in the one pass over the features, before a later feature's geometry
+            (ingest.parse_district_geojson, collection(district(3), district(4.0), district(3.0)),
+             r"duplicate adm_id 3 \(features 0 and 2\)"),
+            (ingest.parse_district_geojson, collection(district(3), district(3), district(4, {"type": "Point"})),
+             r"duplicate adm_id 3 \(features 0 and 1\)"),
             (ingest.parse_district_geojson, collection(5), "feature 0 is not a JSON object"),
             (ingest.parse_district_geojson,
              collection({"type": "Feature", "properties": {"adm_id": 1}, "geometry": [1]}),
