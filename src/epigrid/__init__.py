@@ -6,7 +6,7 @@ tables, and a from-scratch random-forest outbreak classifier with the usual
 imbalance-aware metric suite -- plus a pipeline CLI that glues it together.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConfigError,

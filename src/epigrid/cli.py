@@ -299,10 +299,13 @@ class Run:
                 doc = None
             except OSError as exc:
                 raise ConfigError(f"{self.path} cannot be read: {exc.strerror}") from None
-            if isinstance(doc, dict) and isinstance(doc.get("stages"), dict):
-                self.doc = doc
-            else:
+            if not (isinstance(doc, dict) and isinstance(doc.get("stages"), dict)):
                 _emit_warning(None, f"{self.path} is unreadable; every stage re-runs")
+            elif doc.get("version") != __version__:  # its digests vouch for another version's outputs
+                _emit_warning(None, f"{self.path} was written by epigrid {doc.get('version')!r}, "
+                                    f"not {__version__!r}; every stage re-runs")
+            else:
+                self.doc = doc
 
     def digest(self, path: Path) -> str:
         if path not in self.digests:
@@ -339,7 +342,6 @@ class Run:
     def record(self, stage: str, signature: str, inputs: dict, params: dict, outputs: list[Path]) -> None:
         for path in outputs:  # rewritten by the stage
             self.digests.pop(path, None)
-        self.doc["version"] = __version__
         self.doc["stages"][stage] = {"signature": signature, "inputs": inputs, "params": params,
                                      "outputs": {p.name: self.digest(p) for p in outputs}}
         ingest.write_json(self.path, self.doc, indent=2, sort_keys=True)

@@ -8,6 +8,7 @@ scheduled across threads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -19,7 +20,7 @@ from .errors import EngineError, EngineWarning, SchemaMismatchError
 from .features import FeatureTable
 
 MODEL_FORMAT = "epigrid-forest"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -591,45 +592,40 @@ def permutation_importance(
     return entries
 
 
-def _node_dict(tree: Tree, i: int = 0) -> dict:
-    """Node i and its subtree as nested dicts; _dict_expander reads them back."""
-    if tree.feature[i] < 0:
-        return {"leaf": True, "p1": float(tree.proba1[i])}
-    return {
-        "feature": int(tree.feature[i]),
-        "threshold": float(tree.threshold[i]),
-        "left": _node_dict(tree, tree.kids[2 * i + 1]),
-        "right": _node_dict(tree, tree.kids[2 * i]),
-    }
+def _tree_from_columns(doc: dict, n_features: int) -> Tree:
+    """The Tree whose preorder columns forest_to_dict wrote, its kids rebuilt by _preorder.
 
-
-def _dict_expander(n_features: int):
-    """The _preorder expand for nested node dicts over n_features columns.
-
-    A node _node_dict could not have written is a ValueError: a non-object,
-    a leaf p1 outside [0, 1], a split on a feature outside 0..n_features-1
-    or at a non-finite threshold.
+    A column forest_to_dict could not have written is a ValueError: a feature that is not a
+    JSON integer in -1..n_features-1, a threshold that is not a finite float, a p1 that is
+    not a float in [0, 1], or a column that ends before the tree does or runs past it.
     """
+    columns = [doc["feature"], doc["threshold"], doc["p1"]]
+    nodes, splits, leaves = map(iter, columns)  # a JSON object or string yields strings, which fail
 
-    def expand(node):
-        if not isinstance(node, dict):
-            raise ValueError(f"a tree node is a {type(node).__name__}, not an object")
-        if node.get("leaf"):
-            p1 = float(node["p1"])
-            if not 0.0 <= p1 <= 1.0:
-                raise ValueError(f"leaf p1 {p1!r} is outside [0, 1]")
+    def expand(_):
+        f = next(nodes, None)
+        if type(f) is not int or not -1 <= f < n_features:
+            raise ValueError(f"node feature {f!r} is not an integer in -1..{n_features - 1}")
+        if f < 0:
+            p1 = next(leaves, None)
+            if type(p1) is not float or not 0.0 <= p1 <= 1.0:
+                raise ValueError(f"leaf p1 {p1!r} is not a float in [0, 1]")
             return p1, None
-        f, t = int(node["feature"]), float(node["threshold"])
-        if not 0 <= f < n_features:
-            raise ValueError(f"split on feature {f}, outside 0..{n_features - 1}")
-        if not np.isfinite(t):
-            raise ValueError(f"split threshold {t!r} is not finite")
-        return 0.0, (f, t, node["left"], node["right"])
+        t = next(splits, None)
+        if type(t) is not float or not math.isfinite(t):
+            raise ValueError(f"split threshold {t!r} is not a finite float")
+        return 0.0, (f, t, None, None)
 
-    return expand
+    tree = _preorder(None, expand)
+    n = len(tree.feature)  # n // 2 splits and n // 2 + 1 leaves
+    if [len(column) for column in columns] != [n, n // 2, n // 2 + 1]:
+        raise ValueError(f"a tree's columns run past its {n} nodes")
+    return tree
 
 
 def forest_to_dict(model: ForestModel) -> dict:
+    """The model as a JSON document, version 2: each tree is three preorder columns, feature
+    (-1 at a leaf) for every node, threshold for every split and p1 for every leaf."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -640,7 +636,8 @@ def forest_to_dict(model: ForestModel) -> dict:
         "features_per_split": model.features_per_split,
         "seed": model.seed,
         "feature_names": list(model.feature_names),
-        "trees": [_node_dict(t) for t in model.trees],
+        "trees": [{"feature": t.feature.tolist(), "threshold": t.threshold[t.feature >= 0].tolist(),
+                   "p1": t.proba1[t.feature < 0].tolist()} for t in model.trees],
     }
 
 
@@ -650,8 +647,7 @@ def forest_from_dict(doc: dict) -> ForestModel:
     if doc.get("version") != MODEL_VERSION:
         raise EngineError(f"unsupported model version {doc.get('version')!r}")
     feature_names = tuple(doc["feature_names"])
-    expand = _dict_expander(len(feature_names))
-    trees = [_preorder(t, expand) for t in doc["trees"]]
+    trees = [_tree_from_columns(t, len(feature_names)) for t in doc["trees"]]
     if not trees or len(trees) != doc["n_trees"]:
         raise ValueError(f"{len(trees)} trees for n_trees {doc['n_trees']!r}")
     return ForestModel(

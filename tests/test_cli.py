@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epigrid import cli, esda, features, geo, ingest, raster
+from epigrid import __version__, cli, esda, features, geo, ingest, raster
 from epigrid.errors import ConfigError, DependencyError, LockError
 
 from conftest import grid_regions
@@ -512,6 +512,12 @@ def first_tree(edit):
     return model_doc(lambda doc: edit(doc["trees"][0]))
 
 
+def first_entry(column, value):
+    """Set entry 0 of the first tree's column: the root's feature, the first split's threshold
+    or the first leaf's p1."""
+    return first_tree(lambda tree: tree[column].__setitem__(0, value))
+
+
 CSV_DAMAGE = {
     "truncated": cut,
     # a one-field row without its field is blank and skipped, so it gets a second field
@@ -522,36 +528,32 @@ CSV_DAMAGE = {
 }
 MODEL_DAMAGE = {
     "truncated": cut,
-    "short_row": first_tree(lambda root: root.pop("threshold")),
-    "non_numeric": first_tree(lambda root: root.update(threshold="abc")),
+    "short_row": first_tree(lambda tree: tree.pop("threshold")),
+    "non_numeric": first_entry("threshold", "abc"),
     "not_utf8": not_utf8,
-    "past_int64": first_tree(lambda root: root.update(feature=99999999999999999999)),
+    "past_int64": first_entry("feature", 99999999999999999999),
 }
-
-
-def first_leaf(edit):
-    def walk(node):
-        if node.get("leaf"):
-            edit(node)
-        else:
-            walk(node["left"])
-
-    return first_tree(walk)
 
 
 # model.json that decodes as JSON but holds what the trainer cannot write
 MODEL_DECODE_DAMAGE = {
     "format_unknown": model_doc(lambda doc: doc.update(format="other-forest")),
-    "version_2": model_doc(lambda doc: doc.update(version=2)),
+    "version_1": model_doc(lambda doc: doc.update(version=1)),
     "scaler_kind_unknown": model_doc(lambda doc: doc["scaler"].update(kind="minmax")),
     "no_trees": model_doc(lambda doc: doc.update(trees=[], n_trees=0)),
     "fewer_trees_than_n_trees": model_doc(lambda doc: doc["trees"].pop()),
-    "feature_99": first_tree(lambda root: root.update(feature=99)),
-    "feature_negative": first_tree(lambda root: root.update(feature=-1)),
-    "threshold_infinite": first_tree(lambda root: root.update(threshold=float("inf"))),
-    "threshold_nan": first_tree(lambda root: root.update(threshold=float("nan"))),
-    "child_a_list": first_tree(lambda root: root.update(left=[])),
-    "leaf_p1_above_one": first_leaf(lambda leaf: leaf.update(p1=2.0)),
+    "feature_99": first_entry("feature", 99),
+    "feature_negative": first_entry("feature", -2),
+    "feature_float": first_entry("feature", 1.5),
+    "feature_bool": first_entry("feature", True),
+    "threshold_infinite": first_entry("threshold", float("inf")),
+    "threshold_nan": first_entry("threshold", float("nan")),
+    "threshold_text": first_entry("threshold", "0.5"),
+    "feature_list_short": first_tree(lambda tree: tree["feature"].pop()),
+    "extra_node": first_tree(lambda tree: (tree["feature"].append(-1), tree["p1"].append(0.5))),
+    "threshold_list_short": first_tree(lambda tree: tree["threshold"].pop()),
+    "leaf_p1_above_one": first_entry("p1", 2.0),
+    "leaf_p1_text": first_entry("p1", "1"),
     "scaler_column_dropped": model_doc(lambda doc: doc["scaler"]["columns"].pop()),
     "scaler_column_extra": model_doc(lambda doc: doc["scaler"]["columns"].append(doc["scaler"]["columns"][0])),
     "scaler_median_text": model_doc(lambda doc: doc["scaler"]["columns"][0].update(median="0.5")),
@@ -679,6 +681,21 @@ class TestManifestTrust:
         assert run_cli(world, "--stage", "esda") == 1
         err = error_report(capsys)
         assert err["type"] == "DependencyError" and str(out / "panel.csv") in err["message"]
+
+    def test_manifest_of_another_version_vouches_for_nothing(self, world, capsys):
+        assert run_cli(world, "--stage", "all") == 0
+        out = world.parent / "out"
+        clean = artifacts(out)
+        doc = json.loads(clean["manifest.json"])
+        doc["version"] = "0.1.0"
+        (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert run_cli(world, "--stage", "all") == 0
+        events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [e["stage"] for e in events if e["event"] == "stage_start"] == list(cli.STAGES)
+        [warning] = [e["message"] for e in events if e["event"] == "warning" and e["stage"] is None]
+        assert "'0.1.0'" in warning and repr(__version__) in warning
+        assert artifacts(out) == clean
 
     def test_missing_input_of_an_upstream_stage_is_a_dependency_error(self, world, capsys):
         assert run_cli(world, "--stage", "all") == 0

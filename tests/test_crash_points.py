@@ -1,4 +1,5 @@
-"""A run killed at a manifest write does not wedge the next one.
+"""A run killed at a manifest write, or at a stage's first artifact write, does not wedge the
+next one.
 
 A child process runs the CLI with pathlib.Path.replace wrapped so that its
 k-th call ends the process with os._exit, just before or just after the real
@@ -89,5 +90,27 @@ def test_rerun_after_a_kill_at_a_manifest_write(mini_world, tmp_path, capsys, cl
     events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert {e["stage"] for e in events if e["event"] == "stage_skip"} == recorded
     assert {e["stage"] for e in events if e["event"] == "stage_start"} == set(cli.STAGES) - recorded
+    assert contents(out) == clean_out
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+@pytest.mark.parametrize("stage", range(len(cli.STAGES)))
+def test_rerun_after_a_kill_at_a_stage_first_artifact(mini_world, tmp_path, capsys, clean, stage, when):
+    """Killed before or after the stage's first file lands, the stage is unrecorded, so the re-run starts at it."""
+    clean_out, manifest_writes = clean
+    kill_at = [0, *manifest_writes][stage] + 1  # the first replace after the last stage recorded itself
+    assert kill_at not in manifest_writes
+    config = fresh_world(mini_world, tmp_path / "world")
+    out = config.parent / "out"
+    assert run_child(config, kill_at, when, tmp_path / "replaced.log") == 9
+    manifest = out / "manifest.json"
+    recorded = set(json.loads(manifest.read_text())["stages"]) if manifest.exists() else set()
+    assert recorded == set(cli.STAGES[:stage])
+
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config)]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [e["stage"] for e in events if e["event"] == "stage_start"] == list(cli.STAGES[stage:])
     assert contents(out) == clean_out
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -32,10 +32,10 @@ GOLDEN = {
         "islands.csv": "dfb6d38643c043f1dbd00939024e3c4130072c982dd7d0c898c1d53f4ccbb4f3",
         "lisa.csv": "4d1faa7f8605b9852e2a6c6d3fbb0eac7653cc457d5453f648ce471c1b547fa8",
         "lisa.geojson": "4b1ad7ad99da76ef350c723ef79f2fb36691aaf62d2a719d4a0927706dc48444",
-        "manifest.json": "d38e2f4fda120533b8a43f205ba91676de2e8bbcdff8eef1048052f44297d51a",
+        "manifest.json": "cbb2184b5546d4b723113c02eea98a7e4db1d2fc80346dedfac332aa64757291",
         "metrics.csv": "c33ea1a7e94f9ab095d5964f8f804840d753176d295e7db17e74fca06721a434",
         "metrics.json": "d5bca967013b60e4145043e36b157f369d9221b39dd7ebd90ee7a9f3ef5c9873",
-        "model.json": "1d1b6156241c07eaf4c128cbd3847972d160bf4896969b266641a96c39246946",
+        "model.json": "0c0f60994a4cbf7212f42841a2e43e775c133efc3176f3e97f6a98d2648d4bc9",
         "moran.json": "7a8f29e4e708ca8fb5dd58d415b2a51a003430c11ebe435c90d361a15e39c249",
         "panel.csv": "e3fea51c267c09bc5b6c0a5444cf4a5b69e7ef21f9cfda9e86257fc6fa77b693",
         "weights.csv": "45561da07d421fedbb4e94944458da21eccdacc01a0e5ebfb7062e52827a82ae",
@@ -48,10 +48,10 @@ GOLDEN = {
         "islands.csv": "dfb6d38643c043f1dbd00939024e3c4130072c982dd7d0c898c1d53f4ccbb4f3",
         "lisa.csv": "d8098f6bc70963c698d1465a20734c606168dc0e3091ab532a299aaa3d6293b5",
         "lisa.geojson": "cedc256052f5f2f71f8cf6c9ce12c0e45c155f791c5919db22c9a66483d1dc6e",
-        "manifest.json": "4de30995ee12fa8997c49b3621e5dbaa4a70d0b48449ab301ebb5767f5de74f6",
+        "manifest.json": "8ecdae1e92cbd80109ed30c92dcd598137b25c4f0702fc3179bc296766985c63",
         "metrics.csv": "04a77f63d97b397b5919a0b2f9e16bd057e3bf133e8f45d01e8c01713a8cac7d",
         "metrics.json": "91c876bca3c95a43b45185664c253a091e6e93d4db418dedcad54cfbf6f07e24",
-        "model.json": "03a9a16135b63feae3ec2631db3bb6e237401707e7008957f96fd3e3743cf097",
+        "model.json": "f4c02e781968f8c2f8f7419958a25361fe5ded0d3e0508a2ebf8be81a38afb3a",
         "moran.json": "25f3c584ed8c72eb50d5f50899fb350bebc5d8c3c937a78718a4afdcfa0022e2",
         "panel.csv": "e3fea51c267c09bc5b6c0a5444cf4a5b69e7ef21f9cfda9e86257fc6fa77b693",
         "population_within_10km.asc": "b8e1b67751699e3989901756b6be38f2c54611e903d7a4720d3953c330e5f3f4",

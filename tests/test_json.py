@@ -48,7 +48,7 @@ def test_write_json_options_are_those_of_json_dumps(tmp_path_factory, doc, inden
 
 
 def _tree(rng, depth):
-    """A model.json tree of nested node dicts, as learn._node_dict writes them."""
+    """A tree of nested JSON objects, depth levels deep: one item of a document's list member."""
     if depth == 0:
         return {"leaf": True, "p1": float(rng.random())}
     return {"feature": int(rng.integers(12)), "threshold": float(rng.normal()),

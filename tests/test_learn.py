@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from epigrid import geometry, learn
+from epigrid import geometry, ingest, learn
 from epigrid.errors import EngineError, EngineWarning, SchemaMismatchError
 from epigrid.features import FeatureTable
 
@@ -249,6 +249,59 @@ class TestForest:
             assert np.array_equal(a.kids, b.kids)
             leaf = a.feature < 0
             assert np.array_equal(a.proba1[leaf], b.proba1[leaf])
+
+
+def forest_of(trees, p=3):
+    """A ForestModel around hand-built trees over p columns."""
+    trees = list(trees)
+    return learn.ForestModel(trees=trees, criterion="gini", n_trees=len(trees), max_depth=None, min_leaf=1,
+                             features_per_split=1, seed=0, feature_names=tuple(f"x{i}" for i in range(p)))
+
+
+def decoded(model):
+    """The model after forest_to_dict, JSON text and forest_from_dict."""
+    return learn.forest_from_dict(json.loads(json.dumps(learn.forest_to_dict(model))))
+
+
+def same_nodes(a, b):
+    """Every feature, threshold byte, kid and leaf p1 of a's trees in b's; inner p1 is not stored."""
+    for ta, tb in zip(a.trees, b.trees, strict=True):
+        leaf = ta.feature < 0
+        for name in ("feature", "threshold", "kids"):
+            assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
+        assert ta.proba1[leaf].tobytes() == tb.proba1[leaf].tobytes()
+
+
+class TestModelDocument:
+    def test_chain_3000_levels_deep_round_trips_through_a_file(self, tmp_path):
+        def expand(depth):  # each split's left child is a leaf (item -1), its right child the next split
+            if depth < 0 or depth == 3000:
+                return 0.25, None
+            return 0.5, (depth % 3, depth / 7, -1, depth + 1)
+
+        model = forest_of([learn._preorder(0, expand)])
+        assert len(model.trees[0].feature) == 2 * 3000 + 1
+        ingest.write_json(tmp_path / "model.json", learn.forest_to_dict(model))
+        same_nodes(model, learn.forest_from_dict(ingest.read_json(tmp_path / "model.json")))
+
+    def test_a_trained_tree_past_a_thousand_levels_round_trips_through_a_file(self, tmp_path):
+        x = np.arange(30_000, dtype=float)
+        model = learn.train_forest(table_from(x[:, None], np.floor(x**0.7).astype(np.int64) % 2), n_trees=1)
+        tree = model.trees[0]
+        depth = np.zeros(len(tree.feature), dtype=np.int64)
+        for i in np.flatnonzero(tree.feature >= 0):  # preorder: a split comes before its children
+            depth[tree.kids[2 * i : 2 * i + 2]] = depth[i] + 1
+        assert depth.max() > 1000  # 1,264 levels here
+        ingest.write_json(tmp_path / "model.json", learn.forest_to_dict(model))
+        same_nodes(model, learn.forest_from_dict(ingest.read_json(tmp_path / "model.json")))
+
+    def test_trees_are_preorder_columns(self):
+        def expand(item):  # a float is a leaf's p1, a tuple a split (feature, threshold, left, right)
+            return (item, None) if isinstance(item, float) else (0.75, item)
+
+        tree = learn._preorder((0, 0.5, 0.25, (1, -1.5, 0.0, 1.0)), expand)
+        assert learn.forest_to_dict(forest_of([tree]))["trees"] == [
+            {"feature": [0, -1, 1, -1, -1], "threshold": [0.5, -1.5], "p1": [0.25, 0.0, 1.0]}]
 
 
 class TestEvaluate:

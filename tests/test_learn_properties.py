@@ -7,6 +7,7 @@ traversal of every shuffled matrix. On any tree, the two-level walk with
 self-looping leaves reaches the leaf a one-level traversal reaches.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from epigrid import learn
 from epigrid.errors import EngineWarning
 
 import oracles
-from test_learn import EPS, same_forest, table_from
+from test_learn import EPS, decoded, forest_of, same_forest, same_nodes, table_from
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
@@ -84,3 +85,33 @@ def test_walk_reaches_the_leaf_of_a_level_by_level_traversal(tree, values, picks
     got = learn._leaves(t, X, rows, start)
     assert got.dtype == np.int32
     assert got.tobytes() == oracles.tree_leaves(t, X, rows, start).astype(np.int32).tobytes()
+
+
+@given(trees=st.lists(TREES, min_size=1, max_size=3))
+def test_every_node_survives_the_model_document(trees):
+    model = forest_of(learn._preorder(tree, _expand) for tree in trees)
+    same_nodes(model, decoded(model))
+
+
+@given(
+    values=st.lists(st.sampled_from(POOL), min_size=24, max_size=90),
+    labels=st.lists(st.integers(0, 1), min_size=24, max_size=90),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_trained_node_survives_the_model_document(values, labels, p, seed):
+    n = min(len(values), len(labels)) // p
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EngineWarning)  # a draw may hold one class
+        model = learn.train_forest(table_from(np.reshape(values[: n * p], (n, p)), labels[:n]), n_trees=3, seed=seed)
+    same_nodes(model, decoded(model))
+
+
+@given(tree=TREES)
+def test_a_cut_or_lengthened_feature_list_is_a_value_error(tree):
+    doc = learn.forest_to_dict(forest_of([learn._preorder(tree, _expand)]))
+    feature = doc["trees"][0]["feature"]
+    for column in [feature[:k] for k in range(len(feature))] + [feature + [-1], feature + [0]]:
+        doc["trees"][0]["feature"] = column
+        with pytest.raises(ValueError):
+            learn.forest_from_dict(json.loads(json.dumps(doc)))
