@@ -205,27 +205,30 @@ def _preorder(root, expand) -> Tree:
 
 
 def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per column, its sorted distinct values and each row's index into them.
+    """Per column, its sorted distinct values and each row's code: 2 x its index into them.
 
-    codes[f, i] is the rank of X[i, f] among column f's distinct values, in
-    the smallest unsigned dtype that holds the largest distinct count. Equal
-    values (-0.0 and 0.0 included) share a code, so rows compare by code
-    exactly as they compare by value.
+    codes[f, i] is 2 x the rank of X[i, f] among column f's distinct values, in
+    the smallest unsigned dtype that holds the largest code. A code is even, so
+    code + 1 fits too: the low bit is left free for a row's label. Equal values
+    (-0.0 and 0.0 included) share a code, so rows compare by code exactly as
+    they compare by value.
     """
     values = [np.unique(col) for col in X.T]
-    dtype = np.min_scalar_type(max(len(v) for v in values) - 1)
+    dtype = np.min_scalar_type(2 * (max(len(v) for v in values) - 1))
     codes = np.empty((X.shape[1], len(X)), dtype=dtype)
     for f, v in enumerate(values):
-        codes[f] = np.searchsorted(v, X[:, f])
+        codes[f] = 2 * np.searchsorted(v, X[:, f])
     codes.flags.writeable = False  # shared by the tree threads
     return codes, values
 
 
 def _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
+    """y is 0/1 in codes' dtype. Ties are never cut, so the sort need not be stable: numpy's
+    stable sort is a radix sort on keys of up to 16 bits, fast on any CPU; quicksort is faster
+    on wider keys."""
     impurity = _CRITERIA[criterion]
     p, n = codes.shape
-    n_codes = max(len(v) for v in values)
-    offset = np.arange(0, q * n_codes, n_codes)[:, None]  # feature row r counts codes from r * n_codes
+    kind = "stable" if codes.itemsize <= 2 else "quicksort"
 
     def expand(item):
         # rng is consumed here, so in node-creation order
@@ -237,29 +240,19 @@ def _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q) -> Tree
             return pos / m, None
         parent_imp = float(impurity(np.array(pos), m))
         feats = rng.permutation(p)[:q]
-        block = codes[feats[:, None], idx]  # (q, m)
-        # cut c of feature row r puts n_left[r, c] rows, pos_left[r, c] of them
-        # positive, on the left; cuts run in increasing value order
-        hist = 4 * m >= n_codes
-        if hist:  # count each feature's codes
-            n_at = np.bincount((block + offset).ravel(), minlength=q * n_codes).reshape(q, -1)
-            pos_at = np.bincount(
-                (block[:, yb == 1] + offset).ravel(), minlength=q * n_codes
-            ).reshape(q, -1)
-            n_left = np.cumsum(n_at, axis=1)
-            pos_left = np.cumsum(pos_at, axis=1)
-            ok = (n_at > 0) & (n_left < m)  # a code present here and a larger one too
-        else:  # sort each feature's codes
-            order = np.argsort(block, axis=1, kind="stable")
-            ranked = np.sort(block, axis=1)
-            n_left = np.repeat(np.arange(1, m)[None, :], q, axis=0)
-            pos_left = np.cumsum(yb[order], axis=1)
-            ok = ranked[:, 1:] != ranked[:, :-1]  # left block is 0..cut
-        ok &= (n_left >= min_leaf) & (n_left <= m - min_leaf)
+        keys = codes[feats[:, None], idx]  # (q, m): 2 x rank + label
+        keys += yb
+        ranked = np.sort(keys, axis=1, kind=kind)
+        # cut c of feature row r puts the c + 1 rows of smallest rank, pos_left[r, c] of them
+        # positive, on the left; it is scored where the ranks on its two sides differ
+        pos_left = np.cumsum(ranked & 1, axis=1, dtype=np.int32)  # not uint64: any node below 2**31 rows
+        ranked >>= 1
+        ok = ranked[:, 1:] != ranked[:, :-1]
+        ok[:, : min_leaf - 1] = ok[:, m - min_leaf :] = False  # min_leaf rows on each side
         row, cut = np.nonzero(ok)  # features in feats order, then cuts in value order
         if not len(row):
             return pos / m, None
-        n_l, pos_l = n_left[row, cut], pos_left[row, cut]
+        n_l, pos_l = cut + 1, pos_left[row, cut]
         n_r = m - n_l
         child = (n_l * impurity(pos_l, n_l) + n_r * impurity(pos - pos_l, n_r)) / m
         gain = parent_imp - child
@@ -267,16 +260,12 @@ def _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q) -> Tree
         if not gain[j] > 0.0:
             return pos / m, None
         r, c = row[j], cut[j]
-        if hist:
-            lo_code, hi_code = c, c + 1 + int(np.argmax(n_at[r, c + 1 :] > 0))
-        else:
-            lo_code, hi_code = ranked[r, c], ranked[r, c + 1]
         f = int(feats[r])
-        lo, hi = values[f][lo_code], values[f][hi_code]
+        lo, hi = values[f][ranked[r, c]], values[f][ranked[r, c + 1]]
         t = (lo + hi) / 2.0
         if not (lo <= t < hi):
             t = lo  # midpoint rounded onto a sample; keep the partition
-        goes_left = block[r] <= lo_code
+        goes_left = keys[r] >> 1 <= ranked[r, c]
         return pos / m, (f, float(t), (idx[goes_left], depth + 1), (idx[~goes_left], depth + 1))
 
     return _preorder((rng.integers(0, n, size=n), 0), expand)
@@ -300,15 +289,16 @@ def train_forest(
     never changes the model.
 
     The search runs on rank codes: each column's values are replaced once by
-    their index among its sorted distinct values. A node with at least a
-    quarter as many rows as the largest distinct count counts its codes into
-    per-feature histograms; a smaller node sorts them. Either way each cut
-    sees the same integer left counts and left positives, in the same order,
-    as a sort of the raw values would give, and its threshold comes from the
-    same two neighbouring values, so gains and thresholds are the same
-    floats. All sampled features are scored in one pass and the first
-    maximum wins: the first feature in sampled order, then the first cut in
-    value order, which is what a strict > over features one by one picks.
+    2 x their index among its sorted distinct values. Each node sorts one key
+    per sampled feature and row, its code plus its label, so the sorted keys
+    give each cut's left count, left positives (a running sum of the low
+    bits) and the ranks on its two sides. Each cut between two distinct ranks
+    sees the same integers as a sort of the raw values would give, and its
+    threshold comes from the same two neighbouring values, so gains and
+    thresholds are the same floats. All sampled features are scored in one
+    pass and the first maximum wins: the first feature in sampled order, then
+    the first cut in value order, which is what a strict > over features one
+    by one picks.
     """
     if criterion not in _CRITERIA:
         raise EngineError(f"unknown criterion {criterion!r}")
@@ -332,10 +322,11 @@ def train_forest(
             "single-class training data: every tree is one leaf", EngineWarning, stacklevel=2
         )
     codes, values = _rank_codes(X)
+    labels = y.astype(codes.dtype)  # added to a code, the key keeps the code's dtype
 
     def build(t: int) -> Tree:
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        return _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q)
+        return _grow_tree(codes, values, labels, rng, criterion, max_depth, min_leaf, q)
 
     if n_threads == 1:  # in the calling thread, where an in-process profiler sees it
         trees = list(map(build, range(n_trees)))
@@ -488,7 +479,7 @@ def evaluate(labels_true, labels_pred, scores) -> MetricsReport:
         undefined.append("mcc")
         mcc = 0.0
     else:
-        mcc = (tp * tn - fp * fn) / float(np.sqrt(mcc_den))
+        mcc = (tp * tn - fp * fn) / math.sqrt(mcc_den)  # mcc_den may pass int64
     try:
         auc = roc_auc_score(y, s)
     except EngineError:
@@ -648,15 +639,19 @@ def forest_from_dict(doc: dict) -> ForestModel:
         raise EngineError(f"unsupported model version {doc.get('version')!r}")
     feature_names = tuple(doc["feature_names"])
     trees = [_tree_from_columns(t, len(feature_names)) for t in doc["trees"]]
-    if not trees or len(trees) != doc["n_trees"]:
-        raise ValueError(f"{len(trees)} trees for n_trees {doc['n_trees']!r}")
-    return ForestModel(
-        trees=trees,
-        criterion=doc["criterion"],
-        n_trees=doc["n_trees"],
-        max_depth=doc["max_depth"],
-        min_leaf=doc["min_leaf"],
-        features_per_split=doc["features_per_split"],
-        seed=doc["seed"],
-        feature_names=feature_names,
-    )
+
+    def integer(v, lo, hi=math.inf) -> bool:  # a JSON integer, not a boolean
+        return type(v) is int and lo <= v <= hi
+
+    fits = {  # each field as train_forest writes it
+        "criterion": doc["criterion"] in list(_CRITERIA),
+        "n_trees": integer(doc["n_trees"], max(1, len(trees)), len(trees)),
+        "max_depth": doc["max_depth"] is None or integer(doc["max_depth"], 1),
+        "min_leaf": integer(doc["min_leaf"], 1),
+        "features_per_split": integer(doc["features_per_split"], 1, len(feature_names)),
+        "seed": integer(doc["seed"], 0),
+    }
+    bad = [name for name, ok in fits.items() if not ok]
+    if bad:
+        raise ValueError(f"{bad[0]} {doc[bad[0]]!r} is not what train_forest writes for {len(trees)} trees")
+    return ForestModel(trees=trees, feature_names=feature_names, **{name: doc[name] for name in fits})

@@ -542,6 +542,12 @@ MODEL_DECODE_DAMAGE = {
     "scaler_kind_unknown": model_doc(lambda doc: doc["scaler"].update(kind="minmax")),
     "no_trees": model_doc(lambda doc: doc.update(trees=[], n_trees=0)),
     "fewer_trees_than_n_trees": model_doc(lambda doc: doc["trees"].pop()),
+    "n_trees_bool": model_doc(lambda doc: doc.update(trees=doc["trees"][:1], n_trees=True)),
+    "criterion_list": model_doc(lambda doc: doc.update(criterion=["x"])),
+    "min_leaf_text": model_doc(lambda doc: doc.update(min_leaf="one")),
+    "max_depth_negative": model_doc(lambda doc: doc.update(max_depth=-3)),
+    "seed_null": model_doc(lambda doc: doc.update(seed=None)),
+    "features_per_split_float": model_doc(lambda doc: doc.update(features_per_split=0.5)),
     "feature_99": first_entry("feature", 99),
     "feature_negative": first_entry("feature", -2),
     "feature_float": first_entry("feature", 1.5),

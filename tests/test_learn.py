@@ -332,6 +332,16 @@ class TestEvaluate:
         assert rep.accuracy == pytest.approx(0.8, abs=1e-12)
         assert rep.balanced_accuracy == pytest.approx(float(Fraction(16, 21)), abs=1e-12)
 
+    def test_mcc_denominator_past_int64(self):
+        # a paper-scale test split: (tp + fp)(tp + fn)(tn + fp)(tn + fn) is about 3.5e19
+        tp, fp, fn, tn = 35_000, 5_000, 5_000, 143_351
+        assert (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn) > 2**63
+        y, yp = self.from_confusion(tp, fp, fn, tn)
+        rep = learn.evaluate(y, yp, yp.astype(float))
+        closed_form = (tp * tn - fp * fn) / ((tp + fp) * (tn + fn))  # as tp + fp == tp + fn and tn + fp == tn + fn
+        assert rep.confusion == (tp, fp, fn, tn) and "mcc" not in rep.undefined
+        assert rep.mcc == pytest.approx(closed_form, abs=1e-12)
+
     def test_zero_denominators_flagged(self):
         y = np.array([0, 0, 0, 1])
         yp = np.zeros(4, dtype=int)
@@ -501,14 +511,14 @@ EPS = np.finfo(float).eps  # (1 + EPS + 1 + 2 * EPS) / 2 rounds onto the larger 
 
 def feature_matrix(kind, n, p, seed):
     rng = np.random.default_rng(seed)
-    if kind == "few_values":  # every node large enough for the histograms
+    if kind == "few_values":  # 6 values: ties in every node
         return rng.integers(0, 6, (n, p)).astype(float)
-    if kind == "all_distinct":  # only the top nodes reach the histograms
+    if kind == "all_distinct":  # no ties: every neighbouring pair is a cut
         return rng.normal(size=(n, p))
     if kind == "signed_zeros_and_ties":  # -0.0 == 0.0, neighbours one ulp apart
         pool = np.array([-0.0, 0.0, -5e-324, 5e-324, 1e-300, 1.0, 1.0 + EPS, 1.0 + 2 * EPS, -2.0])
         return rng.choice(pool, (n, p))
-    # "mixed": 40 distinct values, so both paths run within one tree
+    # "mixed": 40 distinct values, so ties near the root and few or none deep down
     return rng.integers(0, 40, (n, p)) / 7.0
 
 
@@ -541,6 +551,14 @@ class TestOracleEquivalence:
             train, test, criterion=criterion, min_leaf=min_leaf, max_depth=max_depth,
             features_per_split=features_per_split, seed=2,
         )
+
+    @pytest.mark.parametrize("max_depth", [4, 6])
+    def test_keys_wider_than_16_bits(self, max_depth):
+        # over 32,768 distinct values per column: codes pass 2**16, so the keys are uint32
+        train, _ = self.tables("all_distinct", seed=8, n=90_000, p=3)
+        assert learn._rank_codes(train.X)[0].dtype == np.uint32
+        kw = dict(n_trees=2, max_depth=max_depth, seed=8)
+        same_forest(learn.train_forest(train, **kw), oracles.train_forest(train, **kw))
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     def test_smote_resampled_table(self, criterion):
