@@ -29,10 +29,8 @@ One Run per invocation holds the config, the output directory, the manifest docu
 and the digest table, and every stage takes it. Run.load memoizes a parse under the
 file's path and digest; before a stage starts, the Run drops the parses of files the
 stage does not read. So consecutive readers of a file share one parse (districts.geojson:
-weights, esda, features; panel.csv: esda, features; features.csv: train, importance),
-and a warning that the parse raises is reported under the first reader only. Ingest
-parses its own districts: kept across the per-row records it builds, a shared parse
-raised the peak RSS of a forced run on the many-regions bench world by 1-2 MB. No
+ingest, weights, esda, features; panel.csv: esda, features; features.csv: train, importance),
+and a warning that the parse raises is reported under the first reader only. No
 raster goes through load, which would hold every weekly grid until the stage ends.
 
 One run at a time owns an output directory: it holds an exclusive flock on
@@ -457,13 +455,12 @@ def _load_panel(run: Run):
 
 def _stage_ingest(run: Run) -> list[Path]:
     cfg = run.cfg
-    records, report = ingest.parse_surveillance_csv(cfg.surveillance_csv)
+    table, report = ingest.parse_surveillance_csv(cfg.surveillance_csv)
     if report.row_errors:
         _emit({"event": "rows_rejected", "stage": "ingest", "count": len(report.row_errors),
                "rows": [{"line": e.line, "reason": e.message} for e in report.row_errors]})
-    # not run.load: kept across the records above, a shared parse raises peak RSS (module doc)
-    districts = ingest.parse_district_geojson(cfg.districts_geojson)
-    panel, panel_report = ingest.build_panel(records, districts, cfg.panel_start, cfg.n_weeks, cfg.disease)
+    districts = run.load(cfg.districts_geojson, ingest.parse_district_geojson)
+    panel, panel_report = ingest.build_panel(table, districts, cfg.panel_start, cfg.n_weeks, cfg.disease)
     if panel_report.unmatched_names:
         _emit({"event": "unmatched_districts", "stage": "ingest",
                "names": sorted(",".join(k) for k in panel_report.unmatched_names)})

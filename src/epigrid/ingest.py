@@ -27,6 +27,7 @@ import itertools
 import json
 import operator
 import warnings
+from array import array
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -37,16 +38,8 @@ import numpy as np
 from . import geometry
 from .errors import ConfigError, EngineWarning, GeometryError, ParseError, SchemaMismatchError
 
-SURVEILLANCE_COLUMNS = (
-    "year",
-    "week",
-    "country",
-    "province",
-    "district",
-    "disease",
-    "cases",
-    "deaths",
-)
+# the header roles of a surveillance CSV, and the columns of a SurveillanceTable
+SURVEILLANCE_COLUMNS = ("year", "week", "country", "province", "district", "disease", "cases", "deaths")
 
 # accepted spellings per column role, compared after normalization
 _HEADER_SYNONYMS = {
@@ -56,15 +49,22 @@ _HEADER_SYNONYMS = {
 
 
 @dataclass(frozen=True)
-class SurveillanceRecord:
-    year: int
-    week: int
-    country: str
-    province: str
-    district: str
-    disease: str
-    cases: int
-    deaths: int
+class SurveillanceTable:
+    """The kept rows of a surveillance CSV as read-only int64 columns, one entry per row. Country,
+    province, district and disease are codes into names, the stripped strings in first-seen order."""
+
+    names: tuple[str, ...]
+    year: np.ndarray
+    week: np.ndarray
+    country: np.ndarray
+    province: np.ndarray
+    district: np.ndarray
+    disease: np.ndarray
+    cases: np.ndarray
+    deaths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cases)
 
 
 @dataclass(frozen=True)
@@ -323,69 +323,76 @@ def write_json(path, doc, indent: int | None = None, sort_keys: bool = False) ->
         fh.write("}\n")
 
 
-def parse_surveillance_csv(path) -> tuple[list[SurveillanceRecord], SurveillanceParseReport]:
-    """Parse the weekly surveillance CSV.
-
-    Returns the valid records plus a report of rejected rows. A missing or
-    repeated header column is fatal; a bad row is collected and skipped;
-    duplicate keys keep the last row and emit a warning.
-    """
+def parse_surveillance_csv(path) -> tuple[SurveillanceTable, SurveillanceParseReport]:
+    """The valid rows of the weekly surveillance CSV as a table, plus a report of rejected rows. A missing or
+    repeated header column is fatal; a bad row is collected and skipped; duplicate keys keep the last row, at
+    the first row's position, and emit a warning. Each distinct name is normalized, and each distinct (year,
+    week) checked, once."""
     report = SurveillanceParseReport()
     col_index, width, rows = _input_rows(path, SURVEILLANCE_COLUMNS)
-    by_key: dict[tuple, SurveillanceRecord] = {}
+    i_year, i_week, *i_names, i_cases, i_deaths = (col_index[c] for c in SURVEILLANCE_COLUMNS)
+    codes: dict[str, int] = {}  # stripped name -> its code in SurveillanceTable.names
+    dates: dict[tuple[int, int], date | None] = {}  # (year, week) -> record_date, None where it raises
+    values = array("q")  # the SURVEILLANCE_COLUMNS of each valid row, a name as its code
     for line_no, row in rows:
         if len(row) < width:
             report.row_errors.append(RowError(line_no, "too few fields"))
             continue
         try:
-            year = int(row[col_index["year"]])
-            week = int(row[col_index["week"]])
-            cases = int(row[col_index["cases"]])
-            deaths = int(row[col_index["deaths"]])
+            year, week, cases, deaths = int(row[i_year]), int(row[i_week]), int(row[i_cases]), int(row[i_deaths])
         except ValueError as exc:
             report.row_errors.append(RowError(line_no, f"non-integer count: {exc}"))
             continue
         if week < 1:
             report.row_errors.append(RowError(line_no, f"week {week} < 1"))
             continue
-        try:
-            record_date(year, week)
-        except (OverflowError, ValueError):
+        if (year, week) not in dates:
+            try:
+                dates[year, week] = record_date(year, week)
+            except (OverflowError, ValueError):
+                dates[year, week] = None
+        if dates[year, week] is None:
             report.row_errors.append(RowError(line_no, f"year {year}, week {week} is not a date"))
             continue
         if not (0 <= cases < 2**63 and 0 <= deaths < 2**63):
             report.row_errors.append(RowError(line_no, "case or death count outside [0, 2**63)"))
             continue
-        rec = SurveillanceRecord(
-            year=year,
-            week=week,
-            country=row[col_index["country"]].strip(),
-            province=row[col_index["province"]].strip(),
-            district=row[col_index["district"]].strip(),
-            disease=row[col_index["disease"]].strip(),
-            cases=cases,
-            deaths=deaths,
-        )
         if deaths > cases:
             report.deaths_exceed_cases += 1
-        names = (rec.country, rec.province, rec.district, rec.disease)
-        key = (rec.year, rec.week, *map(_norm_name, names))
-        if key in by_key:
-            report.duplicates += 1
-        by_key[key] = rec  # the last row wins; the key keeps its first position
-    if report.duplicates:
-        warnings.warn(
-            f"{report.duplicates} duplicate (year, week, district, disease) rows; kept the last of each",
-            EngineWarning,
-            stacklevel=2,
-        )
+        values.extend((year, week, *[codes.setdefault(row[i].strip(), len(codes)) for i in i_names], cases, deaths))
+    columns = np.frombuffer(values, np.int64).reshape(-1, len(SURVEILLANCE_COLUMNS)).T
+    key = _row_codes([columns[0], columns[1], *_norm_codes(codes)[0][columns[2:6]]])
+    _, first = np.unique(key, return_index=True)
+    report.duplicates = len(key) - len(first)
+    if report.duplicates:  # the last row wins; the key keeps its first position
+        _, last = np.unique(key[::-1], return_index=True)
+        columns = columns[:, (len(key) - 1 - last)[np.argsort(first)]]
+        warnings.warn(f"{report.duplicates} duplicate (year, week, district, disease) rows; kept the last of each",
+                      EngineWarning, stacklevel=2)
     if report.deaths_exceed_cases:
-        warnings.warn(
-            f"{report.deaths_exceed_cases} rows report more deaths than cases",
-            EngineWarning,
-            stacklevel=2,
-        )
-    return list(by_key.values()), report
+        warnings.warn(f"{report.deaths_exceed_cases} rows report more deaths than cases", EngineWarning, stacklevel=2)
+    columns.flags.writeable = False  # and so every column, a view of it
+    return SurveillanceTable(tuple(codes), *columns), report
+
+
+def _norm_codes(names) -> tuple[np.ndarray, list[str]]:
+    """For name strings in code order: the code of each one's _norm_name, and the normalized names in code order."""
+    codes: dict[str, int] = {}
+    return np.array([codes.setdefault(_norm_name(s), len(codes)) for s in names], np.int64), list(codes)
+
+
+def _row_codes(columns) -> np.ndarray:
+    """One int64 code per row of equally long non-negative int64 columns, equal for two rows exactly when each
+    column is: the columns as digits of one number, renumbered by np.unique before it could pass 2**63 - 1."""
+    code, size = np.zeros(len(columns[0]), np.int64), 1
+    for column in columns:
+        span = int(column.max(initial=0)) + 1
+        if size * span > 2**63:
+            code = np.unique(code, return_inverse=True)[1]
+            size = int(code.max(initial=0)) + 1
+        code = code * span + column
+        size *= span
+    return code
 
 
 def _read_features(path) -> list:
@@ -644,21 +651,12 @@ def week_index(d: date, start: date) -> int:
     return (d - start).days // 7 + 1
 
 
-def build_panel(
-    records: list[SurveillanceRecord],
-    districts: list[AdminRegion],
-    start: date,
-    n_weeks: int,
-    disease: str,
-) -> tuple[SurveillancePanel, PanelReport]:
-    """Materialize the dense district-week panel for one disease.
-
-    Every (district, week) cell absent from the records holds zero cases.
-    Records whose names match no district are collected in the report and
-    dropped; records outside [start, start + 7*n_weeks) are dropped with a
-    warning. Records that land in the same serial week accumulate; a sum past
-    2**63 - 1 is a ParseError.
-    """
+def build_panel(table: SurveillanceTable, districts: list[AdminRegion], start: date, n_weeks: int,
+                disease: str) -> tuple[SurveillancePanel, PanelReport]:
+    """The dense district-week panel of one disease, a cell absent from the table holding zero cases. Rows whose
+    names match no district are counted in the report and dropped; rows outside [start, start + 7*n_weeks) are
+    dropped with a warning. Rows in one serial week add up; a sum past 2**63 - 1 is a ParseError naming the cell
+    of the first row to pass it. Each distinct name triple is joined, and each distinct (year, week) binned, once."""
     if not districts:
         raise ParseError("district list is empty")
     if n_weeks < 1:
@@ -667,43 +665,43 @@ def build_panel(
     for i, region in enumerate(districts):
         key = (_norm_name(region.country), _norm_name(region.province), _norm_name(region.name))
         if key in lookup:
-            raise ParseError(
-                f"ambiguous district name {key!r} shared by adm_ids "
-                f"{districts[lookup[key]].adm_id} and {region.adm_id}"
-            )
+            raise ParseError(f"ambiguous district name {key!r} shared by adm_ids "
+                             f"{districts[lookup[key]].adm_id} and {region.adm_id}")
         lookup[key] = i
 
     report = PanelReport()
     counts = np.zeros((len(districts), n_weeks), dtype=np.int64)
-    disease_norm = _norm_name(disease)
-    for rec in records:
-        if _norm_name(rec.disease) != disease_norm:
-            continue
-        key = (_norm_name(rec.country), _norm_name(rec.province), _norm_name(rec.district))
-        idx = lookup.get(key)
-        if idx is None:
-            report.unmatched_names[key] = report.unmatched_names.get(key, 0) + 1
-            continue
-        w = week_index(record_date(rec.year, rec.week), start)
-        if w < 1 or w > n_weeks:
-            report.dropped_out_of_range += 1
-            continue
-        cell = int(counts[idx, w - 1]) + rec.cases  # in Python ints: an int64 add wraps
-        if cell >= 2**63:
-            raise ParseError(f"cases of adm_id {districts[idx].adm_id} in panel week {w} sum past 2**63 - 1")
-        counts[idx, w - 1] = cell
-        report.matched_rows += 1
+    if len(table):  # an empty table may be []
+        norm, norm_names = _norm_codes(table.names)
+        rows = np.flatnonzero(np.array([s == _norm_name(disease) for s in norm_names])[norm[table.disease]])
+        places = [norm[column[rows]] for column in (table.country, table.province, table.district)]
+        _, first, inverse, hits = np.unique(_row_codes(places), return_index=True, return_inverse=True,
+                                            return_counts=True)
+        region = np.empty(len(first), np.int64)
+        for u in np.argsort(first):  # in first-seen order, as the report lists unmatched names
+            key = tuple(norm_names[place[first[u]]] for place in places)
+            region[u] = lookup.get(key, -1)
+            if region[u] < 0:
+                report.unmatched_names[key] = int(hits[u])
+        year, week = table.year[rows], table.week[rows]
+        _, first, which = np.unique(_row_codes([year, week]), return_index=True, return_inverse=True)
+        serial = np.array([week_index(record_date(y, w), start)
+                           for y, w in zip(year[first].tolist(), week[first].tolist())], np.int64)[which]
+        region = region[inverse]
+        kept = (region >= 0) & (serial >= 1) & (serial <= n_weeks)
+        report.matched_rows = int(np.count_nonzero(kept))
+        report.dropped_out_of_range = int(np.count_nonzero(region >= 0)) - report.matched_rows
+        cells = region[kept] * n_weeks + serial[kept] - 1
+        cases = table.cases[rows[kept]]
+        shared = np.bincount(cells, minlength=counts.size)[cells] > 1
+        sums: dict[int, int] = {}
+        for cell, k in zip(cells[shared].tolist(), cases[shared].tolist()):  # in row order, in Python ints
+            sums[cell] = sums.get(cell, 0) + k
+            if sums[cell] >= 2**63:
+                raise ParseError(f"cases of adm_id {districts[cell // n_weeks].adm_id} in panel week "
+                                 f"{cell % n_weeks + 1} sum past 2**63 - 1")
+        np.add.at(counts.reshape(-1), cells, cases)  # no cell passes 2**63 - 1, so none wraps
     if report.dropped_out_of_range:
-        warnings.warn(
-            f"{report.dropped_out_of_range} records fall outside the panel window",
-            EngineWarning,
-            stacklevel=2,
-        )
-    panel = SurveillancePanel(
-        disease=disease,
-        start=start,
-        n_weeks=n_weeks,
-        districts=tuple(r.adm_id for r in districts),
-        counts=counts,
-    )
-    return panel, report
+        warnings.warn(f"{report.dropped_out_of_range} records fall outside the panel window", EngineWarning,
+                      stacklevel=2)
+    return SurveillancePanel(disease, start, n_weeks, tuple(r.adm_id for r in districts), counts), report

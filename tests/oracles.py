@@ -15,8 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from epigrid import cli, geometry
-from epigrid.errors import ConfigError, EngineError, EngineWarning, SchemaMismatchError
+from epigrid import cli, geometry, ingest
+from epigrid.errors import ConfigError, EngineError, EngineWarning, ParseError, SchemaMismatchError
 from epigrid.features import FeatureTable
 from epigrid.geo import SpatialWeights
 from epigrid.learn import _CRITERIA, ForestModel, ImportanceEntry, Tree, _preorder, f1_score
@@ -631,3 +631,72 @@ def config_values(doc: dict, path) -> dict:
     if unknown:
         raise ConfigError(f"{path}: no config field reads {', '.join(map(repr, unknown))}")
     return {f.key: _lookup(doc, f.key, path) for f in cli.CONFIG_FIELDS}
+
+
+# --- ingest -------------------------------------------------------------------
+# parse_surveillance_csv and build_panel row by row: a dict of rows keyed by
+# their normalized names, and one Python-int cell sum per row.
+
+
+def surveillance_rows(path):
+    """The kept rows of a surveillance CSV as (year, week, country, province, district, disease, cases,
+    deaths) tuples, each key at its first row's position with its last row's values, and the report."""
+    report = ingest.SurveillanceParseReport()
+    col, width, rows = ingest._input_rows(path, ingest.SURVEILLANCE_COLUMNS)
+    by_key = {}
+    for line, row in rows:
+        if len(row) < width:
+            report.row_errors.append(ingest.RowError(line, "too few fields"))
+            continue
+        try:
+            year, week, cases, deaths = (int(row[col[c]]) for c in ("year", "week", "cases", "deaths"))
+        except ValueError as exc:
+            report.row_errors.append(ingest.RowError(line, f"non-integer count: {exc}"))
+            continue
+        if week < 1:
+            report.row_errors.append(ingest.RowError(line, f"week {week} < 1"))
+            continue
+        try:
+            ingest.record_date(year, week)
+        except (OverflowError, ValueError):
+            report.row_errors.append(ingest.RowError(line, f"year {year}, week {week} is not a date"))
+            continue
+        if not (0 <= cases < 2**63 and 0 <= deaths < 2**63):
+            report.row_errors.append(ingest.RowError(line, "case or death count outside [0, 2**63)"))
+            continue
+        report.deaths_exceed_cases += deaths > cases
+        names = tuple(row[col[c]].strip() for c in ("country", "province", "district", "disease"))
+        key = (year, week, *map(ingest._norm_name, names))
+        report.duplicates += key in by_key
+        by_key[key] = (year, week, *names, cases, deaths)
+    if report.duplicates:
+        warnings.warn(f"{report.duplicates} duplicate (year, week, district, disease) rows; kept the last of each",
+                      EngineWarning)
+    if report.deaths_exceed_cases:
+        warnings.warn(f"{report.deaths_exceed_cases} rows report more deaths than cases", EngineWarning)
+    return list(by_key.values()), report
+
+
+def panel_counts(rows, districts, start, n_weeks: int, disease: str):
+    """The (districts, n_weeks) case counts and the PanelReport of surveillance_rows' rows."""
+    lookup = {tuple(map(ingest._norm_name, (r.country, r.province, r.name))): i for i, r in enumerate(districts)}
+    report = ingest.PanelReport()
+    counts = [[0] * n_weeks for _ in districts]
+    for year, week, country, province, district, dis, cases, _ in rows:
+        if ingest._norm_name(dis) != ingest._norm_name(disease):
+            continue
+        key = tuple(map(ingest._norm_name, (country, province, district)))
+        if key not in lookup:
+            report.unmatched_names[key] = report.unmatched_names.get(key, 0) + 1
+            continue
+        w = ingest.week_index(ingest.record_date(year, week), start)
+        if not 1 <= w <= n_weeks:
+            report.dropped_out_of_range += 1
+            continue
+        counts[lookup[key]][w - 1] += cases
+        if counts[lookup[key]][w - 1] >= 2**63:
+            raise ParseError(f"cases of adm_id {districts[lookup[key]].adm_id} in panel week {w} sum past 2**63 - 1")
+        report.matched_rows += 1
+    if report.dropped_out_of_range:
+        warnings.warn(f"{report.dropped_out_of_range} records fall outside the panel window", EngineWarning)
+    return np.array(counts, dtype=np.int64).reshape(len(districts), n_weeks), report

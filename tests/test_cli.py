@@ -749,8 +749,7 @@ class TestSharedParses:
 
     def test_a_forced_run_parses_each_shared_file_once(self, world, parses):
         assert run_cli(world, "--stage", "all", "--force") == 0
-        # ingest parses its own districts; weights, esda and features share one parse
-        assert parses["parse_district_geojson", "districts.geojson"] == 2
+        assert parses["parse_district_geojson", "districts.geojson"] == 1
         assert parses["read_table", "panel.csv"] == 1
         assert parses["read_feature_csv", "features.csv"] == 1
 
@@ -766,7 +765,7 @@ class TestSharedParses:
 
         monkeypatch.setattr(cli, "PIPELINE", tuple(map(spy, cli.PIPELINE)))
         assert run_cli(world, "--stage", "all", "--force") == 0
-        assert held == {"ingest": [], "weights": [], "esda": ["districts.geojson"],
+        assert held == {"ingest": [], "weights": ["districts.geojson"], "esda": ["districts.geojson"],
                         "features": ["districts.geojson", "panel.csv"], "train": [], "importance": ["features.csv"]}
 
     def test_a_stage_run_alone_parses_from_disk(self, world, parses):

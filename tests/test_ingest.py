@@ -2,6 +2,8 @@ import ast
 import codecs
 import dataclasses
 import json
+import tempfile
+import tracemalloc
 import warnings
 from datetime import date
 from pathlib import Path
@@ -26,17 +28,16 @@ def write(tmp_path, name, text):
 class TestSurveillanceCsv:
     def test_sample_row(self, tmp_path):
         path = write(tmp_path, "s.csv", HEADER + "2019,1,Burundi,Bururi,Matana,Malaria,511,1\n")
-        records, report = ingest.parse_surveillance_csv(path)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.cases == 511 and rec.deaths == 1
-        assert rec.district == "Matana" and rec.disease == "Malaria"
+        table, report = ingest.parse_surveillance_csv(path)
+        assert len(table) == 1
+        assert table.cases[0] == 511 and table.deaths[0] == 1
+        assert table.names[table.district[0]] == "Matana" and table.names[table.disease[0]] == "Malaria"
         assert not report.row_errors
 
     def test_empty_file_with_header(self, tmp_path):
         path = write(tmp_path, "s.csv", HEADER)
-        records, report = ingest.parse_surveillance_csv(path)
-        assert records == [] and not report.row_errors
+        table, report = ingest.parse_surveillance_csv(path)
+        assert len(table) == 0 and not report.row_errors
 
     def test_two_by_two_by_two_gives_eight_records(self, tmp_path):
         rows = []
@@ -45,10 +46,10 @@ class TestSurveillanceCsv:
                 for week in (1, 2):
                     rows.append(f"2019,{week},X,Pr,{district},{disease},3,0")
         path = write(tmp_path, "s.csv", HEADER + "\n".join(rows) + "\n")
-        records, _ = ingest.parse_surveillance_csv(path)
-        assert len(records) == 8
+        table, _ = ingest.parse_surveillance_csv(path)
+        assert len(table) == 8
         # panel-complete: every (disease, district, week) combination present
-        keys = {(r.disease, r.district, r.week) for r in records}
+        keys = {(table.names[dis], table.names[d], w) for dis, d, w in zip(table.disease, table.district, table.week)}
         assert len(keys) == 8
 
     def test_missing_header_column_fatal(self, tmp_path):
@@ -62,8 +63,8 @@ class TestSurveillanceCsv:
             "s.csv",
             HEADER + "2019,1,X,P,A,Malaria,many,0\n2019,2,X,P,A,Malaria,4,0\n",
         )
-        records, report = ingest.parse_surveillance_csv(path)
-        assert len(records) == 1
+        table, report = ingest.parse_surveillance_csv(path)
+        assert len(table) == 1
         assert len(report.row_errors) == 1
         assert report.row_errors[0].line == 2
 
@@ -74,15 +75,38 @@ class TestSurveillanceCsv:
             HEADER + "2019,1,X,P,A,Malaria,4,0\n2019,1,X,P,B,Malaria,7,0\n2019,1,X,P,A,Malaria,9,0\n",
         )
         with pytest.warns(EngineWarning, match="duplicate"):
-            records, report = ingest.parse_surveillance_csv(path)
-        assert [(r.district, r.cases) for r in records] == [("A", 9), ("B", 7)]
+            table, report = ingest.parse_surveillance_csv(path)
+        assert [(table.names[d], c) for d, c in zip(table.district, table.cases.tolist())] == [("A", 9), ("B", 7)]
         assert report.duplicates == 1
+
+    def test_columns_are_read_only(self, tmp_path):
+        table, _ = ingest.parse_surveillance_csv(write(tmp_path, "s.csv", HEADER + "2019,1,X,P,A,Malaria,4,0\n"))
+        for name in ("year", "week", "cases", "deaths", "country", "province", "district", "disease"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 1
+
+    def test_parse_and_build_peak_under_350_bytes_per_row(self, tmp_path):
+        # 400 districts x 100 weeks; a Python object per row peaked at about 740 B per row
+        districts = [square_region(i + 1, i, 0.0, name=f"District {i}", province=f"Province {i // 100}")
+                     for i in range(400)]
+        path = write(tmp_path, "s.csv", HEADER + "".join(
+            f"2019,{w},C,{r.province},{r.name},Cholera,{(r.adm_id * w) % 17},{w % 3}\n"
+            for r in districts for w in range(1, 101)))
+        tracemalloc.start()
+        try:
+            table, _ = ingest.parse_surveillance_csv(path)
+            _, report = ingest.build_panel(table, districts, date(2019, 1, 1), 100, "cholera")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.matched_rows == 40_000
+        assert peak < 350 * 40_000
 
     def test_deaths_exceeding_cases_warns_only(self, tmp_path):
         path = write(tmp_path, "s.csv", HEADER + "2019,1,X,P,A,Malaria,1,5\n")
         with pytest.warns(EngineWarning, match="deaths"):
-            records, _ = ingest.parse_surveillance_csv(path)
-        assert records[0].deaths == 5
+            table, _ = ingest.parse_surveillance_csv(path)
+        assert table.deaths[0] == 5
 
 
 class TestDistrictGeojson:
@@ -414,8 +438,8 @@ class TestMalformedInputs:
 
     def test_rows_outside_the_calendar_rejected(self, tmp_path):
         text = HEADER + "0,1,C,P,D,m,1,0\n2019,99999999,C,P,D,m,1,0\n2019,1,C,P,D,m,99999999999999999999,0\n"
-        records, report = ingest.parse_surveillance_csv(write(tmp_path, "s.csv", text))
-        assert records == []
+        table, report = ingest.parse_surveillance_csv(write(tmp_path, "s.csv", text))
+        assert len(table) == 0
         assert [e.line for e in report.row_errors] == [2, 3, 4]
         assert "not a date" in report.row_errors[0].message
         assert "not a date" in report.row_errors[1].message
@@ -556,12 +580,12 @@ class TestPointsCsv:
 
 
 def records_for(entries):
-    return [
-        ingest.SurveillanceRecord(
-            year=y, week=w, country="C", province="P", district=d, disease=dis, cases=c, deaths=0
-        )
-        for (y, w, d, dis, c) in entries
-    ]
+    """The table parse_surveillance_csv reads from (year, week, district, disease, cases) entries in
+    country C, province P; of entries with one key, the last is kept."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        path.write_text(HEADER + "".join(f"{y},{w},C,P,{d},{dis},{c},0\n" for y, w, d, dis, c in entries))
+        return ingest.parse_surveillance_csv(path)[0]
 
 
 class TestBuildPanel:
@@ -659,16 +683,17 @@ class TestBuildPanel:
             )
             for _ in range(40)
         ]
-        records = records_for(entries)
-        panel, report = ingest.build_panel(records, districts, self.START, 6, "m")
+        table = records_for(entries)
+        panel, report = ingest.build_panel(table, districts, self.START, 6, "m")
         row = {region.name: i for i, region in enumerate(districts)}
         expected = np.zeros((len(districts), 6), dtype=np.int64)
-        for r in records:
-            w = ingest.week_index(ingest.record_date(r.year, r.week), self.START)
+        for year, week, district, cases in zip(table.year.tolist(), table.week.tolist(), table.district,
+                                               table.cases.tolist()):
+            w = ingest.week_index(ingest.record_date(year, week), self.START)
             if 1 <= w <= 6:
-                expected[row[r.district], w - 1] += r.cases
+                expected[row[table.names[district]], w - 1] += cases
         assert np.array_equal(panel.counts, expected)
-        assert panel.counts.sum() == sum(r.cases for r in records)  # weeks 1..6 all fit
+        assert panel.counts.sum() == table.cases.sum()  # weeks 1..6 all fit
 
     def test_week_bins_with_unaligned_start(self):
         districts = self.districts()

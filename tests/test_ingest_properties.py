@@ -1,19 +1,28 @@
-"""Property tests of the ASCII grid parser.
+"""Property tests of the ASCII grid parser and the surveillance ingest.
 
 Any bytes either parse to a grid of the declared shape or raise ParseError.
 On valid grids the parsed values equal float() of each token bit for bit,
 and a bad token is reported at its line and field, where a line ends only
 at a line break (\\n, \\r\\n or \\r), as in text-mode iteration.
+
+On generated surveillance CSVs, parse_surveillance_csv and build_panel give
+the panel, the reports, the warnings and the ParseError of the row-by-row
+oracle.
 """
+
+import warnings
+from datetime import date
 
 import numpy as np
 import pytest
 
+import oracles
+from conftest import square_region
 from epigrid import ingest
 from epigrid.errors import ParseError
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "NODATA_value")
@@ -106,3 +115,59 @@ def test_bad_token_names_its_line_and_field(tmp_path_factory, generated, bad, da
     with pytest.raises(ParseError) as info:
         ingest.parse_ascii_grid(path)
     assert str(info.value) == f"{path}: unparsable token {bad!r} at line {line_idx + 1}, field {field}"
+
+
+SURVEILLANCE_HEADER = "Year,Week,Country,Province,District,Disease,Number of cases,Number of deaths\n"
+# weeks in and out of a window from 2019-01-01; 2019-w53 and 2020-w1 share serial week 53
+YEAR_WEEKS = ((2019, 1), (2019, 2), (2019, 52), (2019, 53), (2020, 1), (2020, 2), (2018, 52), (2019, 60))
+# a row each per-row check rejects, then one that int() takes but a numpy reader would not
+BAD_ROWS = ("2019,1,C,P,D0,m,x,0", "2019,0,C,P,D0,m,1,0", "2019,1,C", "0,1,C,P,D0,m,1,0", "2019,1,C,P,D0,m,-1,0",
+            "2019,1,C,P,D0,m,1,99999999999999999999", "2019,1,C,P,D0,m,1e3,0", '"2019",1_0, C ,P,D1,m, 7 ,0')
+big = st.sampled_from((2**62 - 1, 2**62, 2**63 - 1))
+counts = st.one_of(st.integers(0, 9), big)
+surveillance_row = st.one_of(
+    st.builds(
+        lambda yw, country, province, district, disease, cases, deaths: ",".join(
+            map(str, (*yw, country, province, district, disease, cases, deaths))),
+        st.sampled_from(YEAR_WEEKS),
+        st.sampled_from(("C", " c", "X")),
+        st.sampled_from(("P", "p ")),
+        st.sampled_from(("D0", "d0", " D0 ", "D1", "d1 ", "D2", "Nowhere", "nowhere ")),  # only case or spaces apart
+        st.sampled_from(("m", "M", " m", "c")),
+        counts,
+        st.integers(0, 12),
+    ),
+    st.sampled_from(BAD_ROWS),
+    # two rows of one district in serial week 53, so that big counts pass 2**63 - 1
+    st.builds("2019,53,C,P,D{0},m,{1},0\n2020,1,C,P,D{0},m,{2},0".format, st.integers(0, 2), big, big),
+)
+
+
+def _outcome(parse, build, path, n_weeks: int):
+    """What parse and build give on path, warnings and a ParseError included, with the panel's counts as bytes."""
+    districts = [square_region(i + 1, i, 0.0, name=f"D{i}") for i in range(3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows, parsed = parse(path)
+        try:
+            counts, built = build(rows, districts, date(2019, 1, 1), n_weeks, "m")
+        except ParseError as exc:
+            counts, built = str(exc), None
+    built = built and (list(built.unmatched_names.items()), built.dropped_out_of_range, built.matched_rows)
+    counts = counts if isinstance(counts, str) else (counts.dtype, counts.shape, counts.tobytes())
+    return counts, built, parsed.row_errors, parsed.duplicates, parsed.deaths_exceed_cases, [
+        (w.category, str(w.message)) for w in caught]
+
+
+def _columns(rows, districts, start, n_weeks, disease):
+    panel, report = ingest.build_panel(rows, districts, start, n_weeks, disease)
+    return panel.counts, report
+
+
+@given(st.lists(surveillance_row, max_size=30), st.integers(50, 56))
+@example([f"2019,53,C,P,D{d},m,{2**62},0\n2020,1,C,P,D{d},m,{2**62},0" for d in (2, 0)], 53)  # adm_id 3 passes first
+def test_columns_match_the_row_by_row_oracle(tmp_path_factory, rows, n_weeks):
+    path = tmp_path_factory.getbasetemp() / "surveillance.csv"
+    path.write_text(SURVEILLANCE_HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")
+    want = _outcome(oracles.surveillance_rows, oracles.panel_counts, path, n_weeks)
+    assert _outcome(ingest.parse_surveillance_csv, _columns, path, n_weeks) == want

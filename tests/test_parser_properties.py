@@ -2,7 +2,7 @@
 
 Any bytes given to parse_surveillance_csv, parse_points_csv,
 parse_district_geojson or parse_water_geojson either raise ParseError or
-return a result that later stages can use as it is: records with a calendar
+return a result that later stages can use as it is: surveillance rows with a calendar
 date and counts that fit the panel, finite points, districts with a whole
 adm_id and a positive finite area, water features of finite (x, y)
 positions. Besides raw bytes, the inputs are near misses of valid files:
@@ -55,13 +55,13 @@ def _any_input(text_strategy):
 def test_surveillance_csv_parses_or_raises_parse_error(tmp_path_factory, data):
     path = _write(tmp_path_factory, "surveillance.csv", data)
     try:
-        records, report = ingest.parse_surveillance_csv(path)
+        table, report = ingest.parse_surveillance_csv(path)
     except ParseError:
         return
-    for rec in records:
-        ingest.record_date(rec.year, rec.week)  # raises on a date outside the calendar
-        assert rec.week >= 1
-        assert 0 <= rec.cases < 2**63 and 0 <= rec.deaths < 2**63
+    for year, week, cases, deaths in zip(*(c.tolist() for c in (table.year, table.week, table.cases, table.deaths))):
+        ingest.record_date(year, week)  # raises on a date outside the calendar
+        assert week >= 1
+        assert 0 <= cases < 2**63 and 0 <= deaths < 2**63
     assert all(e.line >= 2 for e in report.row_errors)
 
 
