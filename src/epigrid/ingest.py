@@ -26,6 +26,7 @@ import csv
 import itertools
 import json
 import operator
+import re
 import warnings
 from array import array
 from contextlib import closing, contextmanager
@@ -269,20 +270,54 @@ def _replacing(path, newline: str | None = None):
         raise ConfigError(f"{path} cannot be written: {exc.strerror}") from None
 
 
-_WRITE_BLOCK = 1024  # rows that write_table holds as Python objects at once
+_WRITE_BLOCK = 1024  # rows of a table formatted at once; the writers' memory is O(block), not O(file)
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_field(value) -> str:
+    """The text csv.writer gives one field: None empty, a float its float repr, anything else its str,
+    quoted with its quote characters doubled where it holds a comma, a quote or a line end."""
+    text = "" if value is None else float.__repr__(value) if isinstance(value, float) else str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _value_texts(values: np.ndarray) -> list:
+    """The repr of each entry of a 1-D int, float or bool array, as its tolist() value gives it, taking
+    repr once per distinct bit pattern. Bits, not values, are compared: -0.0 == 0.0, but their reprs differ."""
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(values.dtype).tolist()], dtype=object)[inverse].tolist()
+
+
+def _field_texts(column) -> list:
+    """The CSV field text of each entry of a column: a numpy int, float or bool array through _value_texts,
+    anything else (a list, a tuple, an array of another kind) entry by entry through _csv_field."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return _value_texts(column)
+    return [_csv_field(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
+
+
+def _write_rows(fh, fields: list) -> None:
+    """The lines of the rows whose k-th fields are the texts in fields[k], as csv.writer writes them."""
+    if len(fields) == 1:  # csv.writer writes a row whose only field is empty as ""
+        fields = [[text or '""' for text in fields[0]]]
+    fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_table(path, columns: dict) -> None:
-    """A header of the column names, then row k of the k-th entry of every column;
-    path is replaced only once all are written, and columns of unequal length are
-    a ValueError. A numpy column goes through tolist one block of rows at a time,
-    so the csv module writes Python ints and floats, a float as its repr."""
+    """A header of the column names, then row k of the k-th entry of every column, in the bytes csv.writer
+    gives for each entry's Python value: a float as its repr, None empty, a field holding a comma, quote or
+    line end quoted, every line ended by \\r\\n. Each block of _WRITE_BLOCK rows is formatted column by
+    column, a numpy int, float or bool column taking one repr per distinct value in the block. Columns of
+    unequal length are a ValueError, and path is replaced only once every row is written."""
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"the columns have unequal lengths {sorted(lengths)}")
     with _replacing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for start in range(0, max(map(len, columns.values()), default=0), _WRITE_BLOCK):
-            block = (c[start : start + _WRITE_BLOCK] for c in columns.values())
-            writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block), strict=True))
+        _write_rows(fh, [[_csv_field(name)] for name in columns])
+        for start in range(0, max(lengths, default=0), _WRITE_BLOCK):
+            _write_rows(fh, [_field_texts(c[start : start + _WRITE_BLOCK]) for c in columns.values()])
 
 
 def _object(pairs: list) -> dict:
@@ -610,7 +645,9 @@ def _float_tokens(path, lines: list[str], data_start: int) -> np.ndarray:
 
 
 def write_ascii_grid(grid: RasterGrid, path) -> None:
-    """Serialize a grid; float values use repr so a round-trip is bit-identical."""
+    """Serialize a grid; each value is written as the repr of its float, so a round-trip is bit-identical.
+    The values are formatted by _value_texts a block of whole rows, about _WRITE_BLOCK cells, at a time."""
+    rows = max(1, _WRITE_BLOCK // grid.ncols)
     with _replacing(path) as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
@@ -618,9 +655,9 @@ def write_ascii_grid(grid: RasterGrid, path) -> None:
         fh.write(f"yllcorner {grid.yll!r}\n")
         fh.write(f"cellsize {grid.cellsize!r}\n")
         fh.write(f"NODATA_value {grid.nodata!r}\n")
-        for row in grid.values:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        for start in range(0, grid.nrows, rows):
+            texts = _value_texts(grid.values[start : start + rows].astype(float, copy=False).reshape(-1))
+            fh.writelines(" ".join(texts[k : k + grid.ncols]) + "\n" for k in range(0, len(texts), grid.ncols))
 
 
 def parse_points_csv(path) -> PointValueSet:

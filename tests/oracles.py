@@ -9,6 +9,7 @@ the IEEE ops.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -700,3 +701,27 @@ def panel_counts(rows, districts, start, n_weeks: int, disease: str):
     if report.dropped_out_of_range:
         warnings.warn(f"{report.dropped_out_of_range} records fall outside the panel window", EngineWarning)
     return np.array(counts, dtype=np.int64).reshape(len(districts), n_weeks), report
+
+
+# --- artifact writers -----------------------------------------------------------
+# write_table and write_ascii_grid value by value: csv.writer over each row's
+# Python values, and one repr per grid cell.
+
+
+def write_table(path, columns: dict) -> None:
+    """A header of the column names, then row k of the k-th entry of every column, as csv.writer writes
+    the tolist() values of a numpy column and the entries of any other."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()),
+                             strict=True))
+
+
+def write_ascii_grid(grid, path) -> None:
+    """The grid's header lines, then each row of values as the reprs of their floats."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"ncols {grid.ncols}\nnrows {grid.nrows}\nxllcorner {grid.xll!r}\nyllcorner {grid.yll!r}\n"
+                 f"cellsize {grid.cellsize!r}\nNODATA_value {grid.nodata!r}\n")
+        for row in grid.values:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -316,6 +316,21 @@ def test_ragged_table_is_not_written(tmp_path, short, long):
     assert path.read_text() == "previous\n"
 
 
+def test_table_write_peak_stays_per_block(tmp_path):
+    # 200,000 rows x 16 columns repeating in runs of 500, as a static feature's weeks do: the int64
+    # inverses or the field strings of whole columns, held for every column, would take 25 MB or more
+    rng = np.random.default_rng(3)
+    columns = {f"c{k}": np.repeat(rng.random(400) if k % 2 else rng.integers(-(2**40), 2**40, 400), 500)
+               for k in range(16)}
+    tracemalloc.start()
+    try:
+        ingest.write_table(tmp_path / "t.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def _opens_for_writing(node) -> bool:
     """A call of the builtin open whose mode writes, appends or creates."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):

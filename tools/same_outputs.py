@@ -4,16 +4,20 @@
 
 Exports REF's src/ with git archive into a temp directory and writes the
 seed-7 weekly-rasters, long-panel and many-regions worlds with bench/world.py.
-On each world it runs a forced `epigrid run --stage all` with REF's source,
-then with the working tree's, from the same directory, so that paths in the
-output are the same. It prints every out/ file whose bytes differ (manifest.json
-included) and every stdout line that differs, and exits 1 if there is any.
+It makes four runs: one per world with the world's config.json, and one more
+on weekly-rasters with a copy of that config that writes the masked population
+rasters (`write_masked_raster: true`, `buffers_km: [3.0, 10.0]`). Each run is a
+forced `epigrid run --stage all` with REF's source, then with the working
+tree's, from the same directory, so that paths in the output are the same.
+It prints every out/ file whose bytes differ (manifest.json included) and
+every stdout line that differs, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -22,7 +26,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("weekly-rasters", "long-panel", "many-regions")
+# (name, world, config keys set over the world's config.json)
+RUNS = (
+    ("weekly-rasters", "weekly-rasters", {}),
+    ("long-panel", "long-panel", {}),
+    ("many-regions", "many-regions", {}),
+    ("weekly-rasters-masked", "weekly-rasters", {"write_masked_raster": True, "buffers_km": [3.0, 10.0]}),
+)
 SEED = 7
 
 
@@ -50,13 +60,13 @@ def run_pipeline(src: Path, config: Path) -> tuple[dict[str, bytes], list[str]]:
     return files, proc.stdout.splitlines()
 
 
-def compare(workload: str, ref: tuple, new: tuple) -> list[str]:
+def compare(run: str, ref: tuple, new: tuple) -> list[str]:
     """One line per out/ file or stdout line that differs between the two runs."""
     (ref_files, ref_lines), (new_files, new_lines) = ref, new
-    problems = [f"{workload}: out/{name} differs" for name in sorted(ref_files.keys() | new_files.keys())
+    problems = [f"{run}: out/{name} differs" for name in sorted(ref_files.keys() | new_files.keys())
                 if ref_files.get(name) != new_files.get(name)]
     diff = list(difflib.unified_diff(ref_lines, new_lines, n=0, lineterm=""))[2:]  # past the --- and +++ lines
-    problems += [f"{workload}: {'REF' if line[0] == '-' else 'new'} stdout {line[1:]}" for line in diff
+    problems += [f"{run}: {'REF' if line[0] == '-' else 'new'} stdout {line[1:]}" for line in diff
                  if not line.startswith("@@")]
     return problems
 
@@ -68,15 +78,18 @@ def main(argv=None) -> int:
     problems = []
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         ref_src = export_src(args.ref, Path(tmp) / "ref")
-        for workload in WORKLOADS:
+        for name, workload, overrides in RUNS:
             world = Path(tmp) / workload
-            subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload", workload,
-                            "--seed", str(SEED), "--out", str(world)],
-                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), check=True)
-            ref = run_pipeline(ref_src, world / "config.json")
-            new = run_pipeline(ROOT / "src", world / "config.json")
-            found = compare(workload, ref, new)
-            print(f"{workload}: {len(ref[0])} out/ files, {len(ref[1])} stdout lines, "
+            if not world.exists():
+                subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload", workload,
+                                "--seed", str(SEED), "--out", str(world)],
+                               env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), check=True)
+            config = world / f"{name}.json"
+            config.write_text(json.dumps({**json.loads((world / "config.json").read_text()), **overrides}))
+            ref = run_pipeline(ref_src, config)
+            new = run_pipeline(ROOT / "src", config)
+            found = compare(name, ref, new)
+            print(f"{name}: {len(ref[0])} out/ files, {len(ref[1])} stdout lines, "
                   + (f"{len(found)} differences" if found else "identical"))
             problems += found
     for line in problems:
