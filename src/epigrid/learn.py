@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -21,6 +22,7 @@ from .features import FeatureTable
 
 MODEL_FORMAT = "epigrid-forest"
 MODEL_VERSION = 2
+_SEARCH_BLOCK = 1 << 16  # keys a split search scores at once; like geometry._BLOCK, it bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -167,41 +169,77 @@ class ForestModel:
     feature_names: tuple[str, ...]
 
 
-def _preorder(root, expand) -> Tree:
-    """Build a tree from its root item, numbering the nodes in preorder.
+def _grow(roots, settle, search=None) -> list[Tree]:
+    """Build one tree from each root item, the trees in lockstep, each numbered in preorder.
 
-    expand(item) returns (p1, None) for a leaf, or (p1, (feature, threshold,
-    left_item, right_item)) for a split. A node is numbered when it is
-    expanded, and a split's whole left subtree is numbered before its right
-    child, so the root is node 0 and every left child is its parent + 1.
-    A node enters kids as its own two kids, which a split's children replace.
+    settle(item) returns (p1, None) for a leaf, (p1, (feature, threshold, left_item,
+    right_item)) for a split, or None for a node that needs a search. A node is numbered
+    when it is placed, after its search if it needs one (its tree takes no other node in
+    between), and a split's whole left subtree is numbered before its right child, so the
+    root is node 0 and every left child is its parent + 1. A node enters kids as its own
+    two kids, which a split's children replace.
+
+    Each step, every unfinished tree takes nodes off its stack until it reaches one that
+    needs a search. search(items) gets those nodes, one per tree in tree order, and
+    returns each one's (p1, split); their children go on the stacks for the next step.
+    So a tree takes its nodes in the same order however many trees grow beside it.
     """
-    feature, threshold, kids, proba1 = [], [], [], []  # kids two per node, the rest one
-    stack = [(root, -1)]  # an item and the slot in kids it fills (-1 for the root)
-    while stack:
-        item, slot = stack.pop()
+    columns = [(array("i"), array("d"), array("q"), array("d")) for _ in roots]  # feature, threshold, kids, p1
+    stacks = [[(root, -1)] for root in roots]  # an item and the slot in kids it fills (-1 for a root)
+
+    def take(tree_columns, stack, slot, settled):  # number a tree's next node, filling its parent's slot
+        feature, threshold, kids, proba1 = tree_columns
         node = len(feature)
         if slot >= 0:
             kids[slot] = node
-        p1, split = expand(item)
-        kids += (node, node)
+        kids.append(node)
+        kids.append(node)
+        p1, split = settled
         proba1.append(p1)
         if split is None:
             feature.append(-1)
-            threshold.append(np.inf)
-            continue
-        f, t, left_item, right_item = split
+            threshold.append(math.inf)
+            return
+        f, thr, left_item, right_item = split
         feature.append(f)
-        threshold.append(t)
-        # push right first so the left child is expanded (and numbered) first
+        threshold.append(thr)
+        # push right first so the left child is taken (and numbered) first
         stack.append((right_item, 2 * node))
         stack.append((left_item, 2 * node + 1))
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=float),
-        kids=np.asarray(kids, dtype=np.intp),
-        proba1=np.asarray(proba1, dtype=float),
-    )
+
+    growing = range(len(roots))
+    while growing:
+        waiting = []  # (tree, slot, item) for each tree that stopped at a search
+        for t in growing:
+            stack = stacks[t]
+            while stack:
+                item, slot = stack.pop()
+                settled = settle(item)
+                if settled is None:
+                    waiting.append((t, slot, item))
+                    break
+                take(columns[t], stack, slot, settled)
+        if waiting:
+            for (t, slot, _), settled in zip(waiting, search([item for _, _, item in waiting]), strict=True):
+                take(columns[t], stacks[t], slot, settled)
+        growing = [t for t in growing if stacks[t]]
+    # views of the columns, not copies: copies made after the growth lie above the memory it
+    # freed, which the allocator then keeps (16 MB more peak RSS at paper shape, in process)
+    return [
+        Tree(
+            feature=np.frombuffer(feature, dtype=np.intc).astype(np.int32, copy=False),
+            threshold=np.frombuffer(threshold, dtype=float),
+            kids=np.frombuffer(kids, dtype=np.int64).astype(np.intp, copy=False),
+            proba1=np.frombuffer(proba1, dtype=float),
+        )
+        for feature, threshold, kids, proba1 in columns
+    ]
+
+
+def _preorder(root, expand) -> Tree:
+    """The tree _grow builds from one root item, where expand(item) settles every node:
+    (p1, None) for a leaf or (p1, (feature, threshold, left_item, right_item)) for a split."""
+    return _grow([root], expand)[0]
 
 
 def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -211,64 +249,137 @@ def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     the smallest unsigned dtype that holds the largest code. A code is even, so
     code + 1 fits too: the low bit is left free for a row's label. Equal values
     (-0.0 and 0.0 included) share a code, so rows compare by code exactly as
-    they compare by value.
+    they compare by value. The codes are writable: train_forest adds the labels
+    in place.
     """
     values = [np.unique(col) for col in X.T]
     dtype = np.min_scalar_type(2 * (max(len(v) for v in values) - 1))
     codes = np.empty((X.shape[1], len(X)), dtype=dtype)
     for f, v in enumerate(values):
         codes[f] = 2 * np.searchsorted(v, X[:, f])
-    codes.flags.writeable = False  # shared by the tree threads
     return codes, values
 
 
-def _grow_tree(codes, values, y, rng, criterion, max_depth, min_leaf, q) -> Tree:
-    """y is 0/1 in codes' dtype. Ties are never cut, so the sort need not be stable: numpy's
-    stable sort is a radix sort on keys of up to 16 bits, fast on any CPU; quicksort is faster
-    on wider keys."""
+def _batches(sizes, q, block):
+    """The q sampled rows of each node, sizes[j] keys each, as (node, first row, end row)
+    runs in (node, row) order, cut into batches of at most `block` keys. A row of more
+    than `block` keys is a batch of its own."""
+    batch, cells = [], 0
+    for j, m in enumerate(sizes):
+        r = 0
+        while r < q:
+            k = min(q - r, max(block - cells, 0) // m)
+            if k == 0 and batch:
+                yield batch
+                batch, cells = [], 0
+                continue
+            k = max(k, 1)
+            batch.append((j, r, r + k))
+            cells, r = cells + k * m, r + k
+    if batch:
+        yield batch
+
+
+def _grow_group(keys, values, y, rngs, criterion, max_depth, min_leaf, q) -> list[Tree]:
+    """One tree per generator, grown in lockstep by _grow. keys[f, i] is row i's rank code in
+    column f plus its label y[i], 0 or 1.
+
+    An item is (rng, rows, depth, m, pos): the node's tree generator, its rows (None for a
+    node that will be a leaf), its depth, len(rows) and the positives among them. A tree's
+    rows are one int32 bootstrap: a node's rows are a slice of it, which its split reorders
+    in place, left rows first, so that each child's rows are a slice too. Ties are never
+    cut, so the sort need not be stable: numpy's stable sort is a radix sort on keys of up
+    to 16 bits, fast on any CPU; quicksort is faster on wider keys.
+    """
     impurity = _CRITERIA[criterion]
-    p, n = codes.shape
-    kind = "stable" if codes.itemsize <= 2 else "quicksort"
+    p, n = keys.shape
+    kind = "stable" if keys.itemsize <= 2 else "quicksort"
+    row_dtype = np.int32 if n <= 2**31 else np.int64
 
-    def expand(item):
-        # rng is consumed here, so in node-creation order
-        idx, depth = item
-        yb = y[idx]
-        m = len(idx)
-        pos = int(yb.sum())
-        if pos == 0 or pos == m or (max_depth is not None and depth >= max_depth) or m < 2 * min_leaf:
-            return pos / m, None
-        parent_imp = float(impurity(np.array(pos), m))
-        feats = rng.permutation(p)[:q]
-        keys = codes[feats[:, None], idx]  # (q, m): 2 x rank + label
-        keys += yb
-        ranked = np.sort(keys, axis=1, kind=kind)
-        # cut c of feature row r puts the c + 1 rows of smallest rank, pos_left[r, c] of them
-        # positive, on the left; it is scored where the ranks on its two sides differ
-        pos_left = np.cumsum(ranked & 1, axis=1, dtype=np.int32)  # not uint64: any node below 2**31 rows
-        ranked >>= 1
-        ok = ranked[:, 1:] != ranked[:, :-1]
-        ok[:, : min_leaf - 1] = ok[:, m - min_leaf :] = False  # min_leaf rows on each side
-        row, cut = np.nonzero(ok)  # features in feats order, then cuts in value order
-        if not len(row):
-            return pos / m, None
-        n_l, pos_l = cut + 1, pos_left[row, cut]
-        n_r = m - n_l
-        child = (n_l * impurity(pos_l, n_l) + n_r * impurity(pos - pos_l, n_r)) / m
-        gain = parent_imp - child
-        j = int(np.argmax(gain))  # the first maximum
-        if not gain[j] > 0.0:
-            return pos / m, None
-        r, c = row[j], cut[j]
-        f = int(feats[r])
-        lo, hi = values[f][ranked[r, c]], values[f][ranked[r, c + 1]]
-        t = (lo + hi) / 2.0
-        if not (lo <= t < hi):
-            t = lo  # midpoint rounded onto a sample; keep the partition
-        goes_left = keys[r] >> 1 <= ranked[r, c]
-        return pos / m, (f, float(t), (idx[goes_left], depth + 1), (idx[~goes_left], depth + 1))
+    def is_leaf(depth, m, pos):
+        return pos == 0 or pos == m or (max_depth is not None and depth >= max_depth) or m < 2 * min_leaf
 
-    return _preorder((rng.integers(0, n, size=n), 0), expand)
+    def settle(item):
+        _, _, depth, m, pos = item
+        return (pos / m, None) if is_leaf(depth, m, pos) else None
+
+    def search(items):
+        # Each node draws its features here, from its tree's generator: one node per tree,
+        # so every tree draws in its own preorder.
+        feats = [rng.permutation(p)[:q] for rng, *_ in items]
+        sizes = [item[3] for item in items]
+        node_m = np.array(sizes, dtype=np.int64)  # int64 m and pos give the floats Python ints gave
+        node_pos = np.array([item[4] for item in items], dtype=np.int64)
+        parent_imp = impurity(node_pos, node_m)
+        best = [None] * len(items)  # per node: (gain, feature, low rank, high rank, n_l, pos_l)
+        for runs in _batches(sizes, q, _SEARCH_BLOCK):
+            seg_node, seg_row = [], []  # per segment: one sampled row of one node
+            batch = np.empty(sum((r1 - r0) * sizes[j] for j, r0, r1 in runs), dtype=keys.dtype)
+            end = 0
+            for j, r0, r1 in runs:
+                rows, m = items[j][1], sizes[j]
+                start, end = end, end + (r1 - r0) * m
+                segment = batch[start:end].reshape(r1 - r0, m)
+                segment[...] = keys[feats[j][r0:r1, None], rows]
+                segment.sort(axis=1, kind=kind)
+                seg_node += [j] * (r1 - r0)
+                seg_row += range(r0, r1)
+            seg_node = np.array(seg_node)
+            seg_m = node_m[seg_node]
+            seg_start = np.cumsum(seg_m) - seg_m
+            # the cut after key i leaves its segment's keys up to i on the left; the left
+            # positives are a running sum of the low bits, less the sum before the segment
+            pos_before = np.zeros(len(batch) + 1, dtype=np.int32)  # a batch holds below 2**31 keys
+            np.cumsum(batch & 1, dtype=np.int32, out=pos_before[1:])
+            batch >>= 1  # the ranks
+            at = np.flatnonzero(batch[1:] != batch[:-1])  # segments in order, then cuts in value order
+            seg = np.searchsorted(seg_start, at, side="right") - 1
+            cut, m = at - seg_start[seg], seg_m[seg]
+            ok = (cut >= min_leaf - 1) & (cut < m - min_leaf)  # min_leaf rows on each side; drops the
+            at, seg, cut, m = at[ok], seg[ok], cut[ok], m[ok]  # pair that straddles two segments
+            if not len(at):
+                continue
+            node = seg_node[seg]
+            n_l, pos_l = cut + 1, pos_before[at + 1] - pos_before[seg_start[seg]]
+            n_r = m - n_l
+            child = (n_l * impurity(pos_l, n_l) + n_r * impurity(node_pos[node] - pos_l, n_r)) / m
+            gain = parent_imp[node] - child
+            heads = np.flatnonzero(np.diff(node, prepend=-1))
+            most = np.empty(len(items))
+            most[node[heads]] = np.maximum.reduceat(gain, heads)
+            hits = np.flatnonzero(gain == most[node])
+            first = hits[np.searchsorted(hits, heads)]  # the first maximum of each node in the batch
+            for j, g, s, i, left, left_pos in zip(
+                node[first].tolist(), gain[first].tolist(), seg[first].tolist(), at[first].tolist(),
+                n_l[first].tolist(), pos_l[first].tolist(),
+            ):
+                # a strict > keeps the first maximum over batches too: an earlier row, or cut
+                if best[j] is None or g > best[j][0]:
+                    f = int(feats[j][seg_row[s]])
+                    best[j] = (g, f, int(batch[i]), int(batch[i + 1]), left, left_pos)
+        return [split(item, found) for item, found in zip(items, best)]
+
+    def split(item, found):
+        rng, rows, depth, m, pos = item
+        if found is None or not found[0] > 0.0:
+            return pos / m, None
+        _, f, lo, hi, n_l, pos_l = found
+        a, b = values[f][lo], values[f][hi]
+        t = (a + b) / 2.0
+        if not (a <= t < b):
+            t = a  # midpoint rounded onto a sample; keep the partition
+        left, right = (rng, None, depth + 1, n_l, pos_l), (rng, None, depth + 1, m - n_l, pos - pos_l)
+        if settle(left) is None or settle(right) is None:  # a child to be searched needs its rows
+            goes_left = keys[f].take(rows) <= 2 * lo + 1  # rank <= lo, whatever the label
+            rows[:n_l], rows[n_l:] = rows[goes_left], rows[~goes_left]  # in place, each side in order
+            left, right = (rng, rows[:n_l], *left[2:]), (rng, rows[n_l:], *right[2:])
+        return pos / m, (f, float(t), left, right)
+
+    roots = []
+    for rng in rngs:  # each tree draws its bootstrap first
+        rows = rng.integers(0, n, size=n).astype(row_dtype)
+        roots.append((rng, rows, 0, n, int(y[rows].sum())))
+    return _grow(roots, settle, search)
 
 
 def train_forest(
@@ -285,20 +396,36 @@ def train_forest(
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values; the best (feature, threshold) maximizes the impurity decrease.
-    Tree t draws all its randomness from sub-seed (seed, t), so thread count
-    never changes the model.
+    Tree t draws all its randomness from sub-seed (seed, t): its bootstrap,
+    then one feature permutation per searched node, in the tree's preorder.
+    So how the trees are grown never changes the model.
 
     The search runs on rank codes: each column's values are replaced once by
-    2 x their index among its sorted distinct values. Each node sorts one key
-    per sampled feature and row, its code plus its label, so the sorted keys
-    give each cut's left count, left positives (a running sum of the low
-    bits) and the ranks on its two sides. Each cut between two distinct ranks
-    sees the same integers as a sort of the raw values would give, and its
-    threshold comes from the same two neighbouring values, so gains and
-    thresholds are the same floats. All sampled features are scored in one
-    pass and the first maximum wins: the first feature in sampled order, then
-    the first cut in value order, which is what a strict > over features one
-    by one picks.
+    2 x their index among its sorted distinct values. A node sorts one key per
+    sampled feature and row, its code plus its label, so the sorted keys give
+    each cut's left count, left positives (a running sum of the low bits) and
+    the ranks on its two sides. Each cut between two distinct ranks sees the
+    same integers as a sort of the raw values would give, and its threshold
+    comes from the same two neighbouring values, so gains and thresholds are
+    the same floats. The first maximum wins: the first feature in sampled
+    order, then the first cut in value order, which is what a strict > over
+    features one by one picks.
+
+    The trees grow in lockstep. Each step, every unfinished tree goes down its
+    preorder to its next node that needs a search (the leaves on the way draw
+    nothing), and the step's nodes are scored together, in batches of at most
+    _SEARCH_BLOCK keys. A batch is the sorted rows of keys of one or more
+    nodes, one after another; one running sum, one comparison of neighbours
+    and one gain expression cover every cut in it, and each node's first
+    maximum is kept across batches by a strict >. A node with more keys than
+    a batch holds is scored a sampled row (or a few) at a time, so the
+    search's temporaries stay O(_SEARCH_BLOCK), or O(rows) for a node of more
+    rows than that. Beside them, each tree holds one int32 bootstrap, which
+    every split partitions in place: 4 bytes per training row and tree.
+
+    n_threads splits the trees into min(n_threads, n_trees) groups, tree t in
+    group t % groups, each grown in lockstep on a thread of its own; one group
+    grows in the calling thread.
     """
     if criterion not in _CRITERIA:
         raise EngineError(f"unknown criterion {criterion!r}")
@@ -321,20 +448,22 @@ def train_forest(
         warnings.warn(
             "single-class training data: every tree is one leaf", EngineWarning, stacklevel=2
         )
-    codes, values = _rank_codes(X)
-    labels = y.astype(codes.dtype)  # added to a code, the key keeps the code's dtype
+    keys, values = _rank_codes(X)
+    keys += y.astype(keys.dtype)  # 2 x rank + label, in the code's dtype
+    keys.flags.writeable = False  # shared by the thread groups
+    groups = max(1, min(n_threads, n_trees))
 
-    def build(t: int) -> Tree:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        return _grow_tree(codes, values, labels, rng, criterion, max_depth, min_leaf, q)
+    def grow(g: int) -> list[Tree]:
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(g, n_trees, groups)]
+        return _grow_group(keys, values, y, rngs, criterion, max_depth, min_leaf, q)
 
-    if n_threads == 1:  # in the calling thread, where an in-process profiler sees it
-        trees = list(map(build, range(n_trees)))
+    if groups == 1:  # in the calling thread, where an in-process profiler sees it
+        grown = [grow(0)]
     else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trees = list(pool.map(build, range(n_trees)))
+        with ThreadPoolExecutor(max_workers=groups) as pool:
+            grown = list(pool.map(grow, range(groups)))
     return ForestModel(
-        trees=trees,
+        trees=[grown[t % groups][t // groups] for t in range(n_trees)],
         criterion=criterion,
         n_trees=n_trees,
         max_depth=max_depth,

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -210,6 +211,40 @@ class TestForest:
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         same_forest(learn.train_forest(t2, n_trees=12, seed=7, n_threads=1), pooled)
+
+    def test_thread_groups_are_capped_at_the_tree_count(self, monkeypatch):
+        t = self.separable_1d(400, seed=9)
+        t2 = table_from(np.column_stack([t.X, np.random.default_rng(1).normal(size=len(t))]), t.labels)
+        alone = learn.train_forest(t2, n_trees=3, seed=7, n_threads=1)
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the groups share the keys: switch between them often
+        try:
+            same_forest(learn.train_forest(t2, n_trees=3, seed=7, n_threads=64), alone)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(started) <= 3, started
+
+    def test_one_tree_holds_a_batch_of_keys_at_a_time(self):
+        # the root's 4 sampled rows of 200,000 keys pass _SEARCH_BLOCK, so it is scored a row
+        # at a time; scoring every row at once peaked 51.6 MB above the rank codes
+        t = synthetic.box_table(200_000, seed=77)
+        codes, values = learn._rank_codes(t.X)
+        held = codes.nbytes + sum(v.nbytes for v in values)
+        del codes, values
+        tracemalloc.start()
+        try:
+            learn.train_forest(t, n_trees=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 25.8 * 2**20, f"peaked {(peak - held) / 2**20:.1f} MB above the rank codes"
 
     def test_min_leaf_bounds_leaf_count(self):
         t = self.separable_1d(300, seed=2)
@@ -558,6 +593,42 @@ class TestOracleEquivalence:
         train, _ = self.tables("all_distinct", seed=8, n=90_000, p=3)
         assert learn._rank_codes(train.X)[0].dtype == np.uint32
         kw = dict(n_trees=2, max_depth=max_depth, seed=8)
+        same_forest(learn.train_forest(train, **kw), oracles.train_forest(train, **kw))
+
+    @pytest.mark.parametrize("block", [1, 2, 300])  # 1 and q = 2 keys: a row per batch
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    def test_batches_of_any_size(self, monkeypatch, block, criterion, min_leaf, max_depth):
+        train, _ = self.tables("mixed", seed=min_leaf)
+        monkeypatch.setattr(learn, "_SEARCH_BLOCK", block)
+        batches, cut = [], learn._batches
+
+        def recorded(sizes, q, block):
+            for runs in cut(sizes, q, block):
+                batches.append(runs)
+                yield runs
+
+        monkeypatch.setattr(learn, "_batches", recorded)
+        kw = dict(criterion=criterion, n_trees=5, min_leaf=min_leaf, max_depth=max_depth, features_per_split=2, seed=4)
+        model = learn.train_forest(train, **kw)
+        same_forest(model, oracles.train_forest(train, **kw))
+        if block < 300:
+            assert all(len(runs) == 1 and runs[0][2] - runs[0][1] == 1 for runs in batches)
+        else:  # a node alone, a node split across batches, and several nodes in one batch
+            assert [(0, 2)] in [[(r0, r1) for _, r0, r1 in runs] for runs in batches]
+            assert any((r0, r1) != (0, 2) for runs in batches for _, r0, r1 in runs)
+            assert any(len(runs) > 1 for runs in batches)
+        if max_depth is None:  # trees of other sizes finish at other steps
+            assert len({len(tree.feature) for tree in model.trees}) > 1
+
+    @pytest.mark.parametrize("block", [1, 3, 300])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_batches_of_keys_wider_than_16_bits(self, monkeypatch, block, criterion):
+        train, _ = self.tables("all_distinct", seed=9, n=48_000, p=3)
+        assert learn._rank_codes(train.X)[0].dtype == np.uint32
+        monkeypatch.setattr(learn, "_SEARCH_BLOCK", block)
+        kw = dict(criterion=criterion, n_trees=3, min_leaf=2, max_depth=2, features_per_split=3, seed=9)
         same_forest(learn.train_forest(train, **kw), oracles.train_forest(train, **kw))
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])

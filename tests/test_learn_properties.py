@@ -9,6 +9,7 @@ self-looping leaves reaches the leaf a one-level traversal reaches.
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +51,25 @@ def test_forest_and_importance_match_oracle(
     assert repr(learn.permutation_importance(fast, t, n_repeats=2, seed=seed)) == repr(
         oracles.permutation_importance(fast, t, n_repeats=2, seed=seed)
     )
+
+
+@given(
+    values=st.lists(st.sampled_from(POOL), min_size=24, max_size=120),
+    labels=st.lists(st.integers(0, 1), min_size=24, max_size=120),
+    p=st.integers(1, 3),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.sampled_from([None, 2]),
+    block=st.sampled_from([1, "q", 60, 300]),
+    seed=st.integers(0, 2**16),
+)
+def test_forest_in_batches_of_any_size_matches_oracle(values, labels, p, criterion, min_leaf, max_depth, block, seed):
+    n = min(len(values), len(labels)) // p
+    t = table_from(np.reshape(values[: n * p], (n, p)), labels[:n])
+    kw = dict(criterion=criterion, n_trees=4, max_depth=max_depth, min_leaf=min_leaf, features_per_split=p, seed=seed)
+    with warnings.catch_warnings(), mock.patch.object(learn, "_SEARCH_BLOCK", p if block == "q" else block):
+        warnings.simplefilter("ignore", EngineWarning)  # a draw may hold one class
+        same_forest(learn.train_forest(t, **kw), oracles.train_forest(t, **kw))
 
 
 NAN = float("nan")

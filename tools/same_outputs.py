@@ -4,13 +4,14 @@
 
 Exports REF's src/ with git archive into a temp directory and writes the
 seed-7 weekly-rasters, long-panel and many-regions worlds with bench/world.py.
-It makes four runs: one per world with the world's config.json, and one more
-on weekly-rasters with a copy of that config that writes the masked population
-rasters (`write_masked_raster: true`, `buffers_km: [3.0, 10.0]`). Each run is a
-forced `epigrid run --stage all` with REF's source, then with the working
-tree's, from the same directory, so that paths in the output are the same.
-It prints every out/ file whose bytes differ (manifest.json included) and
-every stdout line that differs, and exits 1 if there is any.
+It makes five runs: one per world with the world's config.json, one on
+weekly-rasters with a copy of that config that writes the masked population
+rasters (`write_masked_raster: true`, `buffers_km: [3.0, 10.0]`), and one on
+long-panel with `threads: 3`, which grows the forest on more than one thread.
+Each run is a forced `epigrid run --stage all` with REF's source, then with the
+working tree's, from the same directory, so that paths in the output are the
+same. It prints every out/ file whose bytes differ (manifest.json included)
+and every stdout line that differs, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ RUNS = (
     ("long-panel", "long-panel", {}),
     ("many-regions", "many-regions", {}),
     ("weekly-rasters-masked", "weekly-rasters", {"write_masked_raster": True, "buffers_km": [3.0, 10.0]}),
+    ("long-panel-threads", "long-panel", {"threads": 3}),
 )
 SEED = 7
 
